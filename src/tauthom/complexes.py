@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupMap, HomGroup, PresentedGroup, Subquotient,
+from .groups import (GroupMap, PresentedGroup, Subquotient,
                      _relations_for_orders, ext_group, hom_group, kernel,
                      cokernel, kernel_lattice, same_subgroup, tensor_identity)
 from .matrices import (IntMatrix, column_basis, hstack, kernel_basis,
@@ -281,11 +281,44 @@ def _blocks_to_map(pairvec, blocks, coefficients, source_group):
     return GroupMap(source_group, coefficients, IntMatrix.from_columns(cols, m))
 
 
-def _map_to_blocks(f):
-    vec = []
-    for j in range(f.source.n_gens):
-        vec.extend(f.matrix.column(j))
-    return vec
+def _coboundary_push(suite, n):
+    """psi |-> psi(d^n written in the degree-(n+1) coboundary basis), as a
+    matrix from Hom(B^{n+1}, G)-tuples to degree-n coefficient chains."""
+    in_b_basis = solve_columns(suite.res.coboundaries(n + 1), suite.base.diff(n))
+    if in_b_basis is None:
+        raise CertificateFailure("d^n does not factor through its own image basis")
+    return tensor_identity(in_b_basis.transpose(), suite.coefficients.n_gens)
+
+
+def _cocycle_evaluation(suite, n, chains):
+    """Evaluate each generator of ``chains`` (a Subquotient of degree-n
+    coefficient chains) on lifted cohomology generators: the map
+    chains.group -> Hom(H^n(C), G), returned with that Hom group."""
+    G = suite.coefficients
+    h_sq = suite.res.cohomology_sq(n)
+    homg = hom_group(h_sq.group, G)
+    evaluate = tensor_identity(h_sq.lifts.transpose(), G.n_gens)
+    cols = []
+    for k in range(chains.group.n_gens):
+        pairvec = evaluate.apply(chains.lifts.column(k))
+        f = _blocks_to_map(pairvec, h_sq.group.n_gens, G, h_sq.group)
+        cols.append(list(homg.from_map(f)))
+    return homg, GroupMap(chains.group, homg.group,
+                          IntMatrix.from_columns(cols, homg.group.n_gens))
+
+
+def _check_short_exact(n, include, evaluate, left):
+    """Raise CertificateFailure unless 0 -> . -include-> . -evaluate-> . -> 0
+    is exact; ``left`` names the first term in the messages."""
+    if not kernel(include)[0].is_trivial:
+        raise CertificateFailure("degree %d: %s fails to inject" % (n, left))
+    if not cokernel(evaluate)[0].is_trivial:
+        raise CertificateFailure("degree %d: evaluation fails to surject" % n)
+    if not (evaluate @ include).is_zero:
+        raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
+    if not same_subgroup(kernel(evaluate)[1], include):
+        raise CertificateFailure("degree %d: kernel of evaluation differs from the image of %s"
+                                 % (n, left))
 
 
 class UctSuite:
@@ -323,27 +356,13 @@ class UctSuite:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and functor routes at degree %d" % n)
 
-        # injection: psi |-> psi(d^n written in the coboundary basis)
-        in_b_basis = solve_columns(bb, self.base.diff(n))
-        if in_b_basis is None:
-            raise CertificateFailure("d^n does not factor through its own image basis")
-        push = tensor_identity(in_b_basis.transpose(), m)
+        push = _coboundary_push(self, n)
         injection = GroupMap(ext_term, middle, mid_sq.coords_matrix(push * ext_sq.lifts))
-
-        # surjection: evaluate a coefficient cycle on lifted cohomology generators
-        h_sq = res.cohomology_sq(n)
-        homg = hom_group(h_sq.group, G)
+        homg, surjection = _cocycle_evaluation(self, n, mid_sq)
         hom_term = homg.group
-        evaluate = tensor_identity(h_sq.lifts.transpose(), m)
-        surj_cols = []
-        for k in range(middle.n_gens):
-            pairvec = evaluate.apply(mid_sq.lifts.column(k))
-            f = _blocks_to_map(pairvec, h_sq.group.n_gens, G, h_sq.group)
-            surj_cols.append(list(homg.from_map(f)))
-        surjection = GroupMap(middle, hom_term,
-                              IntMatrix.from_columns(surj_cols, hom_term.n_gens))
 
         # splitting: extend a homomorphism on H^n by zero off the cocycle lattice
+        h_sq = res.cohomology_sq(n)
         p = res.cocycle_left_inverse(n)
         project = res.cocycles(n) * p                    # C^n -> Z^n along a complement
         h_of_basis = h_sq.coords_matrix(project)         # H^n coords of each projected basis vector
@@ -366,15 +385,7 @@ class UctSuite:
 
     def _verify(self, cert):
         n = cert.degree
-        if not kernel(cert.injection)[0].is_trivial:
-            raise CertificateFailure("degree %d: Ext term fails to inject" % n)
-        if not cokernel(cert.surjection)[0].is_trivial:
-            raise CertificateFailure("degree %d: evaluation fails to surject" % n)
-        if not (cert.surjection @ cert.injection).is_zero:
-            raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
-        ker_incl = kernel(cert.surjection)[1]
-        if not same_subgroup(ker_incl, cert.injection):
-            raise CertificateFailure("degree %d: kernel of evaluation differs from the Ext image" % n)
+        _check_short_exact(n, cert.injection, cert.surjection, "the Ext term")
         if not (cert.surjection @ cert.splitting).is_identity:
             raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
         if cert.middle != cert.ext_term.direct_sum(cert.hom_term):
@@ -402,40 +413,14 @@ def cycle_boundary_sequence(base, coefficients, n):
     """Verified sequence 0 -> Hom(B^{n+1},G) -> Z_n(Hom(C,G)) -> Hom(H^n,G) -> 0."""
     if not base.lo <= n <= base.hi:
         raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, base.lo, base.hi))
-    G = coefficients
-    m = G.n_gens
-    res = _Resolver(base)
-    dual = CoefficientComplex(base, G)
-
-    bb = res.coboundaries(n + 1)
+    suite = UctSuite(base, coefficients)
+    G, m = coefficients, coefficients.n_gens
+    bb = suite.res.coboundaries(n + 1)
     homb_sq = Subquotient(IntMatrix.identity(bb.cols * m),
                           _relations_for_orders(G.orders * bb.cols))
-    hom_boundaries = homb_sq.group
-
-    z_sq = dual.cycles_subquotient(n)
-    cycles = z_sq.group
-
-    in_b_basis = solve_columns(bb, base.diff(n))
-    if in_b_basis is None:
-        raise CertificateFailure("d^n does not factor through its own image basis")
-    push = tensor_identity(in_b_basis.transpose(), m)
-    include = GroupMap(hom_boundaries, cycles, z_sq.coords_matrix(push * homb_sq.lifts))
-
-    h_sq = res.cohomology_sq(n)
-    homg = hom_group(h_sq.group, G)
-    evaluate_mat = tensor_identity(h_sq.lifts.transpose(), m)
-    cols = []
-    for k in range(cycles.n_gens):
-        pairvec = evaluate_mat.apply(z_sq.lifts.column(k))
-        cols.append(list(homg.from_map(_blocks_to_map(pairvec, h_sq.group.n_gens, G, h_sq.group))))
-    evaluate = GroupMap(cycles, homg.group, IntMatrix.from_columns(cols, homg.group.n_gens))
-
-    if not kernel(include)[0].is_trivial:
-        raise CertificateFailure("degree %d: boundary evaluations fail to inject" % n)
-    if not cokernel(evaluate)[0].is_trivial:
-        raise CertificateFailure("degree %d: cycle evaluation fails to surject" % n)
-    if not (evaluate @ include).is_zero:
-        raise CertificateFailure("degree %d: composite is nonzero" % n)
-    if not same_subgroup(kernel(evaluate)[1], include):
-        raise CertificateFailure("degree %d: sequence is not exact in the middle" % n)
-    return CycleBoundarySequence(n, hom_boundaries, cycles, homg.group, include, evaluate)
+    z_sq = suite.dual.cycles_subquotient(n)
+    include = GroupMap(homb_sq.group, z_sq.group,
+                       z_sq.coords_matrix(_coboundary_push(suite, n) * homb_sq.lifts))
+    homg, evaluate = _cocycle_evaluation(suite, n, z_sq)
+    _check_short_exact(n, include, evaluate, "Hom(B^%d, G)" % (n + 1))
+    return CycleBoundarySequence(n, homb_sq.group, z_sq.group, homg.group, include, evaluate)

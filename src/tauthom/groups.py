@@ -90,13 +90,7 @@ class PresentedGroup:
 
     def relation_matrix(self):
         """n_gens x len(torsion); column i is d_i times the i-th torsion generator."""
-        n = self.n_gens
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.free_rank + i] = d
-            cols.append(col)
-        return IntMatrix.from_columns(cols, n)
+        return _relations_for_orders(self.orders)
 
     def reduce(self, vec):
         """Canonical representative of an element given in generator coordinates."""

@@ -210,6 +210,14 @@ class TestExitCodes:
                                "--coefficients", "Z/2")
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["colim", "sixterm"])
+    def test_malformed_telescope_is_two(self, capsys, tmp_path, verb):
+        # two prefix stages need one connecting map
+        obj = {"prefix": {"groups": [Z.to_json(), Z4.to_json()], "maps": []}}
+        path = write_json(tmp_path, "tel.json", obj)
+        code, _, err = run_cli(capsys, verb, "--input", path)
+        assert code == 2 and "invalid input" in err and "prefix maps" in err
+
     def test_unknown_verb_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

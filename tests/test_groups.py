@@ -1,8 +1,10 @@
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tauthom.groups
 from tauthom.groups import (GroupMap, GroupParseError, IllFormedMap,
                             PresentedGroup, Subquotient, cokernel, ext_group,
                             hom_group, image, inverse, is_injective,
@@ -252,3 +254,9 @@ def test_hom_ext_of_finite_parts_match_formula(a, g):
         assert ext_group(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
     # Ext(A, G) of finitely generated groups is always finite
     assert ext_group(a, g).group.free_rank == 0
+
+
+def test_module_doctests():
+    # pytest collects only tests/, so the examples in the groups docstrings
+    # run here
+    assert doctest.testmod(tauthom.groups) == (0, 6)

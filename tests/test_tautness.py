@@ -204,6 +204,9 @@ class TestTautnessSequence:
         with pytest.raises(InconsistentData) as e:
             tautness_sequence(bad, 1, Z)
         assert "lim1" in str(e.value)
+        with pytest.raises(InconsistentData) as e:
+            four_term_sequence(bad, 1, Z)
+        assert "lim1" in str(e.value)
 
     def test_supplied_contradiction_raises(self):
         data = solenoid_tower(2)
