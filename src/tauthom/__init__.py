@@ -22,10 +22,10 @@ from .complexes import (CertificateFailure, CoefficientComplex,
                         NotFree, UctCertificate, UctSuite,
                         cycle_boundary_sequence, uct_certificate,
                         uct_certificates)
-from .limits import (DEFAULT_KMAX, IsoReport, LimOutcome, MalformedTower,
-                     ShiftReport, SixTermReport, Telescope, Tower, colim,
-                     ext_tower, hom_into_colim_check, hom_tower, lim, lim1,
-                     lim_higher, shift_isomorphism_check, six_term_check)
+from .limits import (IsoReport, LimOutcome, MalformedTower, ShiftReport,
+                     SixTermReport, Telescope, Tower, colim, ext_tower,
+                     hom_into_colim_check, hom_tower, lim, lim1, lim_higher,
+                     shift_isomorphism_check, six_term_check)
 from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           FreeBasisCertificate, KolmogoroffChain,
                           NerveComplex, NerveGChain, NotACover,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .complexes import (CertificateFailure, CoefficientComplex, FreeComplex,
@@ -22,7 +21,7 @@ from .kolmogoroff import (ConditionViolated, FiniteModel, KolmogoroffChain,
                           NerveComplex, NotACover, NotARefinement, Partition,
                           PipelineMismatch, kolmogoroff_homology,
                           kolmogoroff_uct_check, model_preset, random_chain)
-from .limits import (DEFAULT_KMAX, MalformedTower, Telescope, Tower, colim,
+from .limits import (MalformedTower, Telescope, Tower, colim,
                      hom_into_colim_check, lim, lim1, lim_higher,
                      six_term_check)
 from .matrices import IntMatrix, smith_normal_form
@@ -60,8 +59,8 @@ def build_parser():
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--kmax", type=int, default=None,
-                   help="stabilization bound for tail computations "
-                        "(default: TAUT_HOMOLOGY_KMAX or %d)" % DEFAULT_KMAX)
+                   help="ignored: tail chains are followed as far as the stage "
+                        "group lets them grow before they stabilize")
     p.add_argument("--reduced", action="store_true",
                    help="use reduced degree-zero data in presets")
     p.add_argument("--seed", type=int, default=0,
@@ -74,12 +73,6 @@ def _load(args):
         raise ValueError("this verb needs --input")
     with open(args.input, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _kmax(args):
-    if args.kmax is not None:
-        return args.kmax
-    return int(os.environ.get("TAUT_HOMOLOGY_KMAX", DEFAULT_KMAX))
 
 
 def _need_degree(args):
@@ -179,10 +172,9 @@ def _cmd_uct(args):
 
 def _cmd_lim(args):
     tower = Tower.from_json(_load(args))
-    k = _kmax(args)
-    l0 = lim(tower, k)
-    l1 = lim1(tower, k)
-    l2 = lim_higher(tower, 2, k)
+    l0 = lim(tower)
+    l1 = lim1(tower)
+    l2 = lim_higher(tower, 2)
     obj = {"lim": l0.to_json(), "lim1": l1.to_json(), "lim2": l2.to_json()}
     lines = ["derived limits of a tower (%d prefix stages%s)"
              % (len(tower.stages), ", periodic tail" if tower.tail else "")]
@@ -194,7 +186,7 @@ def _cmd_lim(args):
 
 def _cmd_colim(args):
     telescope = Telescope.from_json(_load(args))
-    out = colim(telescope, _kmax(args))
+    out = colim(telescope)
     obj = {"colim": out.to_json()}
     lines = ["colimit of a telescope (%d prefix stages%s)"
              % (len(telescope.stages), ", periodic tail" if telescope.tail else "")]
@@ -206,7 +198,7 @@ def _cmd_colim(args):
 def _cmd_sixterm(args):
     telescope = Telescope.from_json(_load(args))
     coeffs = parse_group(args.coefficients or "Z")
-    rep = six_term_check(telescope, coeffs, _kmax(args))
+    rep = six_term_check(telescope, coeffs)
     obj = rep.to_json()
     lines = ["six-term limit sequence over %s" % coeffs.describe()]
     lines += _outcome_lines("lim1 Hom", rep.lim1_hom)
@@ -289,9 +281,8 @@ def _cmd_tautness(args):
     data = _ntower_from_args(args)
     n = _need_degree(args)
     coeffs = parse_group(args.coefficients or "Z")
-    k = _kmax(args)
-    taut = tautness_sequence(data, n, coeffs, k)
-    four = four_term_sequence(data, n, coeffs, k)
+    taut = tautness_sequence(data, n, coeffs)
+    four = four_term_sequence(data, n, coeffs)
     agree = reports_consistent(taut, four)
     obj = {"tautness": taut.to_json(), "four_term": four.to_json(),
            "junction_agreement": agree}
@@ -308,7 +299,7 @@ def _cmd_tautness(args):
 def _cmd_milnor(args):
     data = _ntower_from_args(args)
     n = _need_degree(args)
-    rep = milnor_sequence(data, n, "Milnor", _kmax(args))
+    rep = milnor_sequence(data, n, "Milnor")
     obj = rep.to_json()
     lines = ["milnor sequence at degree %d" % n]
     lines += _report_lines(rep)

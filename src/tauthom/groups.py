@@ -161,7 +161,12 @@ class PresentedGroup:
     def from_json(cls, obj):
         if isinstance(obj, str):
             return parse_group(obj)
-        return PresentedGroup.from_orders([0] * int(obj["free"]) + list(obj["torsion"]))
+        free, torsion = obj["free"], list(obj["torsion"])
+        if type(free) is not int or free < 0:
+            raise ValueError("group field 'free' must be a nonnegative integer, got %r" % (free,))
+        if any(type(d) is not int or d < 1 for d in torsion):
+            raise ValueError("group field 'torsion' must list integers >= 1, got %r" % (torsion,))
+        return PresentedGroup.from_orders([0] * free + torsion)
 
 
 def parse_group(text):

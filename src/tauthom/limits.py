@@ -4,14 +4,14 @@ derived limits.
 
 A tower or telescope is a finite prefix of groups and connecting maps,
 optionally continued forever by an endomorphism of the last prefix group;
-the two differ only in the direction of their maps. ``lim`` is a subgroup
-of the last prefix stage: the whole stage for a finite tower, and the
-stable image whenever the tail's image chain stabilizes (always true for
-towers of finite groups) or the tail diagonalizes over a free group.
-``lim1`` is classified as Zero via Mittag-Leffler or as NonzeroUncountable
-via a strictly descending image chain on a free summand. For a countable
-sequence, lim^i vanishes for all i >= 2, so those terms are certified Zero
-outright. Every outcome carries a human-readable certificate explaining
+the two differ only in the direction of their maps. Whether a tail's
+image or kernel chain stabilizes is decided by following it up to a bound
+computed from the stage group. ``lim`` is a subgroup of the last prefix
+stage: the whole stage, the stable image of the tail, or the unit part of
+a diagonal free tail; otherwise it is unknown. ``lim1`` is Zero
+(Mittag-Leffler) or NonzeroUncountable, and ``colim`` is exact or certified
+not finitely generated. For a countable sequence, lim^i vanishes for all
+i >= 2. Every outcome carries a human-readable certificate explaining
 which criterion fired.
 """
 
@@ -23,8 +23,6 @@ from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
                      Subquotient, cokernel, is_isomorphism, kernel_lattice)
 from .matrices import (IntMatrix, column_basis, hstack, kernel_basis,
                        lattice_equal, smith_normal_form)
-
-DEFAULT_KMAX = 64
 
 
 class MalformedTower(ValueError):
@@ -193,15 +191,29 @@ def _stable_outcome(stage, lattice, certificate):
     return _outcome(pres.group, certificate, pres)
 
 
-def _image_chain(endo, k_max):
+def _chain_bound(A):
+    """Steps within which, for an endomorphism f of A = Z^r + T, the image
+    chain f^k(A) stabilizes if it ever does and the kernel chain ker f^k
+    always does: r + Omega(|T|) <= r + sum(floor(log2 d)) over the orders d.
+    An image chain stable from s splits A = ker f^s (+) f^s(A) with f
+    nilpotent on ker f^s, whose images lose rank or properly divide their
+    finite order (a divisor of |T|) at each strict step. The quotients
+    ker f^{k+1}/ker f^k inject into one another: those of positive rank add
+    up to at most r, and the finite ones multiply to the order of a finite
+    subgroup of A/ker f^j = f^j(A), a divisor of |T|."""
+    return A.free_rank + sum(d.bit_length() - 1 for d in A.torsion)
+
+
+def _image_chain(endo):
     """Iterate L_{k+1} = endo(L_k) + relations until the lattice stabilizes.
 
-    Returns (stable_lattice, steps) or (last_lattice, None) if k_max was hit.
+    Returns (stable_lattice, steps), or (last_lattice, None) when the chain
+    is still descending past ``_chain_bound``, i.e. never stabilizes.
     """
     A = endo.source
     rel = A.relation_matrix()
     current = column_basis(hstack(IntMatrix.identity(A.n_gens), rel))
-    for step in range(k_max):
+    for step in range(_chain_bound(A) + 1):
         nxt = column_basis(hstack(endo.matrix * current, rel))
         if lattice_equal(nxt, current):
             return current, step
@@ -231,21 +243,21 @@ def _diagonal_tail(endo):
     return None
 
 
-def lim(tower, k_max=DEFAULT_KMAX):
+def lim(tower):
     """Inverse limit of a tower, as a subgroup of its last prefix stage.
 
     A finite tower's limit is its last stage. Periodic tails are resolved
     by image-chain stabilization (the restriction of the tail to its stable
     image is an automorphism, so the limit is that stable subgroup) or,
-    failing that within k_max steps, by a diagonal classification over a
-    free stage.
+    when the chain never stabilizes, by a diagonal classification over a
+    free stage; any other tail leaves the limit unknown.
     """
     A = tower.stages[-1]
     if tower.tail is None:
         return _stable_outcome(A, IntMatrix.identity(A.n_gens),
                                "finite tower: the limit is the last of its %d stages"
                                % len(tower.stages))
-    stable, steps = _image_chain(tower.tail, k_max)
+    stable, steps = _image_chain(tower.tail)
     if steps is not None:
         return _stable_outcome(A, stable,
                                "image chain of the tail stabilizes after %d steps; the tail "
@@ -258,37 +270,32 @@ def lim(tower, k_max=DEFAULT_KMAX):
                                "summands have intersection of images zero, +-1 summands "
                                "contribute Z" % (entries,))
     return LimOutcome(UNKNOWN, None,
-                      "image chain still strictly descending after %d steps and the tail "
-                      "does not diagonalize" % k_max)
+                      "image chain of the tail never stabilizes and the tail does not "
+                      "diagonalize")
 
 
-def lim1(tower, k_max=DEFAULT_KMAX):
-    """First derived limit, classified: Zero under Mittag-Leffler, or
-    NonzeroUncountable when a free diagonal summand descends strictly."""
+def lim1(tower):
+    """First derived limit, decided: Zero when the tower is Mittag-Leffler
+    (the tail's image chain stabilizes), NonzeroUncountable otherwise, as
+    for every tower of countable groups that is not Mittag-Leffler."""
     if tower.tail is None:
         return LimOutcome(ZERO, PresentedGroup(0, ()),
                           "finite tower is Mittag-Leffler: images stabilize at the last stage")
-    stable, steps = _image_chain(tower.tail, k_max)
+    _, steps = _image_chain(tower.tail)
     if steps is not None:
         return LimOutcome(ZERO, PresentedGroup(0, ()),
                           "Mittag-Leffler: the image chain of the tail stabilizes after %d steps"
                           % steps)
-    diag = _diagonal_tail(tower.tail)
-    if diag is not None:
-        entries, _ = diag
-        bad = [d for d in entries if abs(d) >= 2]
-        if bad:
-            return LimOutcome(
-                NONZERO_UNCOUNTABLE, None,
-                "free summand with multiplication by %d: images d^k Z descend strictly, "
-                "Mittag-Leffler fails, and the first derived limit of such a tower is "
-                "uncountable" % bad[0])
-    return LimOutcome(UNKNOWN, None,
-                      "image chain did not stabilize within %d steps and no diagonal "
-                      "certificate applies" % k_max)
+    A = tower.stages[-1]
+    return LimOutcome(
+        NONZERO_UNCOUNTABLE, None,
+        "images of the tail still descend strictly at step %d, by which an image chain on "
+        "%s that stabilizes has stopped; Mittag-Leffler fails, and the first derived limit "
+        "of a tower of countable groups that is not Mittag-Leffler is uncountable"
+        % (_chain_bound(A), A.describe()))
 
 
-def lim_higher(tower, i, k_max=DEFAULT_KMAX):
+def lim_higher(tower, i):
     """lim^i for i >= 2 vanishes for every countable tower of abelian groups."""
     if i < 2:
         raise ValueError("lim_higher handles i >= 2; use lim or lim1")
@@ -307,8 +314,8 @@ class ColimOutcome:
     from the prefix stages (the last one doubling as the map from the tail
     stage). kind "symbolic": the colimit is certified not finitely
     generated, and ``description`` names it (Z[1/d] summands when the
-    induced endomorphism is diagonal). kind "unknown": the kernel chain did
-    not stabilize within k_max steps.
+    induced endomorphism is diagonal). No other kind occurs: the kernel
+    chain of a tail always stabilizes within ``_chain_bound`` steps.
     """
 
     kind: str
@@ -332,10 +339,11 @@ def _prefix_composites_to_last(maps, stages):
     return comps
 
 
-def colim(telescope, k_max=DEFAULT_KMAX):
+def colim(telescope):
     """Direct limit of a telescope, exact whenever it is finitely generated.
 
-    With a periodic tail f the kernels ker(f^k) stabilize; modding them out
+    With a periodic tail f the kernels ker(f^k) stabilize within
+    ``_chain_bound`` steps; modding them out
     leaves an injective induced endomorphism. If that endomorphism is also
     surjective the colimit is the quotient itself; otherwise the colimit is
     a strictly increasing union, certified not finitely generated and
@@ -352,16 +360,15 @@ def colim(telescope, k_max=DEFAULT_KMAX):
     rel = A.relation_matrix()
     kernels = kernel_lattice(f.matrix, A.orders)
     current = column_basis(hstack(kernels, rel)) if rel.cols else column_basis(kernels)
-    steps = None
-    for step in range(k_max):
+    bound = _chain_bound(A)
+    for steps in range(bound + 1):
         nxt = _preimage_lattice(f, current, rel)
         if lattice_equal(nxt, current):
-            steps = step
             break
         current = nxt
-    if steps is None:
-        return ColimOutcome(UNKNOWN, None,
-                            "kernel chain still growing after %d steps" % k_max, "unknown")
+    else:
+        raise AssertionError("kernel chain of the tail on %s still grows past the bound of "
+                             "%d steps" % (A.describe(), bound))
     quot = Subquotient(IntMatrix.identity(A.n_gens), current)
     abar = quot.group
     fbar = GroupMap(abar, abar, quot.coords_matrix(f.matrix * quot.lifts))
@@ -449,18 +456,17 @@ class IsoReport:
                 "verified": self.verified, "detail": self.detail}
 
 
-def hom_into_colim_check(telescope, coefficients, k_max=DEFAULT_KMAX):
+def hom_into_colim_check(telescope, coefficients):
     """Construct Hom(colim, G) -> lim Hom(stages, G) and verify it is an
     isomorphism. Raises NotComparable when the colimit is not finitely
-    generated or the Hom tower's limit resists exact computation."""
-    co = colim(telescope, k_max)
+    generated; when it is, the tail's image chain stabilizes on a direct
+    summand, so the Hom tower is Mittag-Leffler and its limit exact."""
+    co = colim(telescope)
     if co.kind != EXACT:
         raise NotComparable("colimit is %s; Hom comparison needs a finitely generated colimit"
                             % co.kind)
     tower, homs = hom_tower(telescope, coefficients)
-    limres = lim(tower, k_max)
-    if not limres.is_exact:
-        raise NotComparable("limit of the Hom tower is %s" % limres.kind)
+    limres = lim(tower)
     hom_colim = HomGroup(co.group, coefficients)
     nat = limres.presentation.map_into(hom_colim.pullback(co.injections[-1], homs[-1]))
     ok = is_isomorphism(nat)
@@ -490,41 +496,37 @@ class SixTermReport:
                 "notes": list(self.notes)}
 
 
-def six_term_check(telescope, coefficients, k_max=DEFAULT_KMAX):
+def six_term_check(telescope, coefficients):
     homtw, _homs = hom_tower(telescope, coefficients)
     exttw, exts = ext_tower(telescope, coefficients)
-    l1h = lim1(homtw, k_max)
-    le = lim(exttw, k_max)
-    l2h = lim_higher(homtw, 2, k_max)
-    co = colim(telescope, k_max)
+    l1h = lim1(homtw)
+    le = lim(exttw)
+    l2h = lim_higher(homtw, 2)
+    co = colim(telescope)
     notes = []
     iso = None
     if co.kind == EXACT:
         ext_co = ExtGroup(co.group, coefficients)
-        if not le.is_exact:
-            ext_colim = LimOutcome(UNKNOWN, None, "lim Ext did not resolve")
-        else:
-            nat = le.presentation.map_into(ext_co.pullback(co.injections[-1], exts[-1]))
-            ok = is_isomorphism(nat)
-            iso = IsoReport("Ext(colim, G) -> lim Ext", ext_co.group,
-                            le.group, nat, ok,
-                            "kernel and cokernel trivial" if ok else "not an isomorphism")
-            ext_colim = _outcome(ext_co.group,
-                                 "colimit is finitely generated; Ext computed directly")
-            if l1h.kind not in (ZERO, UNKNOWN):
-                notes.append("lim1 Hom is %s yet Ext(colim) is finitely generated; "
-                             "sequence cannot be exact" % l1h.kind)
+        # the Ext tower consists of finite groups, so its limit is exact
+        nat = le.presentation.map_into(ext_co.pullback(co.injections[-1], exts[-1]))
+        ok = is_isomorphism(nat)
+        iso = IsoReport("Ext(colim, G) -> lim Ext", ext_co.group,
+                        le.group, nat, ok,
+                        "kernel and cokernel trivial" if ok else "not an isomorphism")
+        ext_colim = _outcome(ext_co.group,
+                             "colimit is finitely generated; Ext computed directly")
+        if l1h.kind != ZERO:
+            notes.append("lim1 Hom is %s yet Ext(colim) is finitely generated; "
+                         "sequence cannot be exact" % l1h.kind)
     else:
-        if l1h.kind == ZERO and le.is_exact:
+        if l1h.kind == ZERO:
             ext_colim = LimOutcome(
                 le.kind, le.group,
                 "lim1 Hom vanishes and lim2 Hom vanishes, so Ext(colim, G) = lim Ext exactly")
-        elif l1h.kind == NONZERO_UNCOUNTABLE:
+        else:
             ext_colim = LimOutcome(
                 NONZERO_UNCOUNTABLE, None,
                 "Ext(colim, G) contains lim1 Hom as a subgroup, and lim1 Hom is uncountable")
-        else:
-            ext_colim = LimOutcome(UNKNOWN, None, "ends of the sequence did not both resolve")
         notes.append("colimit is %s (%s)" % (co.kind, co.description))
     return SixTermReport(l1h, ext_colim, le, l2h, iso, tuple(notes))
 
@@ -543,18 +545,16 @@ class ShiftReport:
                 "lim_hom_i2": self.lim_hom_i2.to_json(), "consistent": self.consistent}
 
 
-def shift_isomorphism_check(telescope, coefficients, i, k_max=DEFAULT_KMAX):
+def shift_isomorphism_check(telescope, coefficients, i):
     """Check the degree-shift identification lim^i Ext = lim^{i+2} Hom.
 
     For i >= 1 the Ext towers consist of finite groups, so their derived
     limits are certified Zero by Mittag-Leffler, matching the vanishing of
-    lim^{i+2} of any countable Hom tower.
+    lim^{i+2} of any countable Hom tower. Towers whose limits vanish
+    outright are never built.
     """
     if i < 1:
         raise ValueError("shift comparison needs i >= 1")
-    homtw, _ = hom_tower(telescope, coefficients)
-    exttw, _ = ext_tower(telescope, coefficients)
-    left = lim1(exttw, k_max) if i == 1 else lim_higher(exttw, i, k_max)
-    right = lim_higher(homtw, i + 2, k_max)
-    consistent = (left.kind == right.kind) or UNKNOWN in (left.kind, right.kind)
-    return ShiftReport(i, left, right, consistent)
+    left = lim1(ext_tower(telescope, coefficients)[0]) if i == 1 else lim_higher(None, i)
+    right = lim_higher(None, i + 2)
+    return ShiftReport(i, left, right, left.kind == right.kind)

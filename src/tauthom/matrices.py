@@ -149,12 +149,18 @@ class IntMatrix:
     @classmethod
     def from_json(cls, obj):
         """Accept either the explicit {"rows","cols","entries"} form or a
-        bare list of rows (shape inferred; [] means 0 x 0)."""
+        bare list of rows (shape inferred; [] means 0 x 0). Entries must be
+        integers: booleans, floats and strings are rejected, not coerced."""
+        if not isinstance(obj, (dict, list)):
+            raise ValueError("matrix JSON must be an object or a list of rows")
+        entries = obj["entries"] if isinstance(obj, dict) else obj
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError("matrix entry [%d][%d] must be an integer, got %r" % (i, j, x))
         if isinstance(obj, dict):
-            return cls(int(obj["rows"]), int(obj["cols"]), obj["entries"])
-        if isinstance(obj, list):
-            return cls.from_rows(obj)
-        raise ValueError("matrix JSON must be an object or a list of rows")
+            return cls(int(obj["rows"]), int(obj["cols"]), entries)
+        return cls.from_rows(entries)
 
 
 def hstack(*mats):

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 from .groups import (GroupMap, PresentedGroup, cokernel, ext_group, hom_group,
                      kernel)
-from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, DEFAULT_KMAX,
-                     LimOutcome, Telescope, Tower, hom_tower, lim, lim1,
-                     lim_higher)
+from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, LimOutcome,
+                     Telescope, Tower, hom_tower, lim, lim1, lim_higher)
 from .matrices import IntMatrix
 
 VERIFIED = "Verified"
@@ -172,7 +171,7 @@ class ComparisonReport:
                 "cokernel": self.cokernel.to_json()}
 
 
-def comparison_into_limit(tower_data, n, k_max=DEFAULT_KMAX):
+def comparison_into_limit(tower_data, n):
     """Build the natural map from the degree-n subspace homology into
     lim of the degree-n homology tower. Raises LimNotExact when the limit
     resists exact computation."""
@@ -180,7 +179,7 @@ def comparison_into_limit(tower_data, n, k_max=DEFAULT_KMAX):
     if sub is None:
         raise ValueError("no subspace homology at degree %d" % n)
     tower = tower_data.homology_tower(n)
-    outcome = lim(tower, k_max)
+    outcome = lim(tower)
     if not outcome.is_exact:
         raise LimNotExact("lim of the degree-%d tower is %s" % (n, outcome.kind))
     nat = outcome.presentation.map_into(sub.maps[-1])
@@ -323,14 +322,14 @@ def _classify_middle(l1, l, supplied):
 
 
 def _short_sequence(name, degree, l1_term, l1, lim_term, l, tower_data, n,
-                    k_max, notes, strict):
+                    notes, strict):
     """Assemble and adjudicate 0 -> l1 -> H_n(A) -> lim -> 0."""
     supplied = tower_data.subspace.get(n)
     middle = _classify_middle(l1, l, supplied)
     label_a = "H_%d(A)" % n
     junctions = []
     if supplied is not None and l.is_exact:
-        rep = comparison_into_limit(tower_data, n, k_max)
+        rep = comparison_into_limit(tower_data, n)
         if l1.kind == ZERO:
             ok = rep.kernel.is_trivial
             junctions.append(Junction(
@@ -338,13 +337,10 @@ def _short_sequence(name, degree, l1_term, l1, lim_term, l, tower_data, n,
                 "kernel %s vs vanishing lim1" % rep.kernel))
         else:
             msg = ("finitely generated subspace homology cannot contain an "
-                   "uncountable lim1 subgroup" if l1.kind == NONZERO_UNCOUNTABLE
-                   else "lim1 unresolved")
-            if l1.kind == NONZERO_UNCOUNTABLE and strict:
+                   "uncountable lim1 subgroup")
+            if strict:
                 raise InconsistentData(msg)
-            junctions.append(Junction("ker(%s -> lim)" % label_a,
-                                      FAILED if l1.kind == NONZERO_UNCOUNTABLE
-                                      else NOT_CHECKABLE, msg))
+            junctions.append(Junction("ker(%s -> lim)" % label_a, FAILED, msg))
         ok = rep.cokernel.is_trivial
         junctions.append(Junction("%s -> lim surjective" % label_a,
                                   VERIFIED if ok else FAILED,
@@ -382,23 +378,23 @@ def _stage_uct_consistency(tower_data, n, coefficients):
                 "Ext + Hom = %s" % (n, k, tower.stages[k], expected))
 
 
-def _lim1_crosscheck(tower_data, n, coefficients, k_max):
+def _lim1_crosscheck(tower_data, n, coefficients):
     """lim1 of the homology tower above degree n must match lim1 of the
     Hom tower of the cohomology telescope in degree n+1 (the Ext towers
     consist of finite groups and contribute nothing). lim1 only ever
     classifies, so agreeing kinds mean agreeing terms. Returns the
     homology lim1, the Hom tower and its lim1."""
-    l1 = lim1(tower_data.homology_tower(n + 1), k_max)
+    l1 = lim1(tower_data.homology_tower(n + 1))
     homtw, _ = hom_tower(tower_data.cohomology_telescope(n + 1), coefficients)
-    other = lim1(homtw, k_max)
-    if UNKNOWN not in (l1.kind, other.kind) and l1.kind != other.kind:
+    other = lim1(homtw)
+    if l1.kind != other.kind:
         raise InconsistentData(
             "lim1 of the degree-%d homology tower is %s, but lim1 Hom of the "
             "degree-%d cohomology is %s" % (n + 1, l1.kind, n + 1, other.kind))
     return l1, homtw, other
 
 
-def tautness_sequence(tower_data, n, coefficients, k_max=DEFAULT_KMAX):
+def tautness_sequence(tower_data, n, coefficients):
     """The countable collapse of the infinite tautness sequence at degree n.
 
     All derived limits of order two and higher vanish for countable towers,
@@ -411,15 +407,15 @@ def tautness_sequence(tower_data, n, coefficients, k_max=DEFAULT_KMAX):
         raise ValueError("tautness sequence needs the cohomology telescopes")
     _stage_uct_consistency(tower_data, n, coefficients)
     _stage_uct_consistency(tower_data, n + 1, coefficients)
-    l1, _, _ = _lim1_crosscheck(tower_data, n, coefficients, k_max)
-    l = lim(tower_data.homology_tower(n), k_max)
-    l2 = lim_higher(tower_data.homology_tower(n + 1), 2, k_max)
+    l1, _, _ = _lim1_crosscheck(tower_data, n, coefficients)
+    l = lim(tower_data.homology_tower(n))
+    l2 = lim_higher(tower_data.homology_tower(n + 1), 2)
     notes = ["lim^i H_{n+1} terms vanish for i >= 2 (countable tower): %s"
              % l2.certificate,
              "junctions of the uncollapsed infinite sequence at i >= 2 are "
              "beyond desk scale"]
     report = _short_sequence("tautness", n, "lim1 H_%d(N)" % (n + 1), l1,
-                             "lim H_%d(N)" % n, l, tower_data, n, k_max,
+                             "lim H_%d(N)" % n, l, tower_data, n,
                              notes, strict=True)
     extra = report.junctions + (Junction("i >= 2 junctions", NOT_CHECKABLE,
                                          "transfinite part of the sequence"),)
@@ -427,18 +423,18 @@ def tautness_sequence(tower_data, n, coefficients, k_max=DEFAULT_KMAX):
                           report.notes)
 
 
-def four_term_sequence(tower_data, n, coefficients, k_max=DEFAULT_KMAX):
+def four_term_sequence(tower_data, n, coefficients):
     """0 -> lim1 Hom(H^{n+1}(N), G) -> H_n(A) -> lim H_n(N) -> lim2 Hom -> 0
     with the lim2 term certified zero for countable towers."""
     if not tower_data.has_cohomology:
         raise ValueError("the four-term sequence needs the cohomology telescopes")
     _stage_uct_consistency(tower_data, n, coefficients)
     _stage_uct_consistency(tower_data, n + 1, coefficients)
-    _, homtw, l1 = _lim1_crosscheck(tower_data, n, coefficients, k_max)
-    l = lim(tower_data.homology_tower(n), k_max)
-    l2 = lim_higher(homtw, 2, k_max)
+    _, homtw, l1 = _lim1_crosscheck(tower_data, n, coefficients)
+    l = lim(tower_data.homology_tower(n))
+    l2 = lim_higher(homtw, 2)
     report = _short_sequence("four-term", n, "lim1 Hom(H^%d(N), G)" % (n + 1),
-                             l1, "lim H_%d(N)" % n, l, tower_data, n, k_max,
+                             l1, "lim H_%d(N)" % n, l, tower_data, n,
                              [], strict=True)
     terms = report.terms + (Term("lim2 Hom(H^%d(N), G)" % (n + 1), l2),)
     junctions = report.junctions + (
@@ -448,7 +444,7 @@ def four_term_sequence(tower_data, n, coefficients, k_max=DEFAULT_KMAX):
                           report.notes)
 
 
-def milnor_sequence(tower_data, n, theory="Milnor", k_max=DEFAULT_KMAX):
+def milnor_sequence(tower_data, n, theory="Milnor"):
     """The homology extension 0 -> lim1 H_{n+1} -> H_n(A) -> lim H_n -> 0.
 
     ``theory`` only labels the report: on their respective categories the
@@ -457,11 +453,11 @@ def milnor_sequence(tower_data, n, theory="Milnor", k_max=DEFAULT_KMAX):
     if theory not in THEORY_TAGS:
         raise ValueError("theory tag must be one of %s" % (THEORY_TAGS,))
     up = tower_data.homology_tower(n + 1)
-    l1 = lim1(up, k_max)
-    l = lim(tower_data.homology_tower(n), k_max)
+    l1 = lim1(up)
+    l = lim(tower_data.homology_tower(n))
     report = _short_sequence("milnor[%s]" % theory, n,
                              "lim1 H_%d(N)" % (n + 1), l1,
-                             "lim H_%d(N)" % n, l, tower_data, n, k_max,
+                             "lim H_%d(N)" % n, l, tower_data, n,
                              [], strict=False)
     return report
 

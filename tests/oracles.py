@@ -361,6 +361,43 @@ def stable_image_oracle(torsion, endo_rows):
     return classify_by_order_counts(count, len(members))
 
 
+# -- endomorphisms of free groups -----------------------------------------------
+
+
+def charpoly_oracle(rows):
+    """Coefficients [c_0, ..., c_n] of det(x*I - M), by the Faddeev-LeVerrier
+    recursion M_k = M*M_{k-1} + c_{n-k+1}*I, c_{n-k} = -trace(M*M_k)/k, in
+    exact rational arithmetic."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] for r in rows]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    aux = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        aux = mul(m, aux)
+        for i in range(n):
+            aux[i][i] += coeffs[n - k + 1]
+        coeffs[n - k] = -sum(mul(m, aux)[i][i] for i in range(n)) / k
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+def image_chain_stabilizes_oracle(rows):
+    """Does Z^n >= M(Z^n) >= M^2(Z^n) >= ... stabilize (Mittag-Leffler)?
+
+    Over Q, M is nilpotent on one summand and invertible on another, U. The
+    chain stabilizes exactly when M restricts to an automorphism of the
+    stable lattice, a full lattice in U, i.e. when det(M on U) = +-1; that
+    determinant is, up to sign, the constant term of the characteristic
+    polynomial once its power of x is divided out."""
+    lowest = next(c for c in charpoly_oracle(rows) if c != 0)
+    return abs(lowest) == 1
+
+
 # -- mosaics ---------------------------------------------------------------------
 
 

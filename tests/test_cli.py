@@ -218,6 +218,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, verb, "--input", path)
         assert code == 2 and "invalid input" in err and "prefix maps" in err
 
+    @pytest.mark.parametrize("verb, obj, field", [
+        ("group", {"free": -1, "torsion": []}, "'free'"),
+        ("group", {"free": 1.5, "torsion": []}, "'free'"),
+        ("group", {"free": 1, "torsion": [0]}, "'torsion'"),
+        ("snf", [[1.9, 0]], "entry [0][0]"),
+        ("snf", [[1, True]], "entry [0][1]"),
+        ("snf", {"rows": 1, "cols": 1, "entries": [["2"]]}, "entry [0][0]"),
+    ])
+    def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
+        path = write_json(tmp_path, "in.json", obj)
+        code, _, err = run_cli(capsys, verb, "--input", path)
+        assert code == 2 and "invalid input" in err and field in err
+
     def test_unknown_verb_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

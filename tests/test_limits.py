@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,9 +11,9 @@ from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
                             six_term_check)
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import (random_finite_telescope, random_finite_tower,
-                               seeded)
+                               random_group_map, seeded)
 
-from oracles import stable_image_oracle
+from oracles import image_chain_stabilizes_oracle, stable_image_oracle
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -157,13 +158,64 @@ class TestLim:
     def test_non_diagonalizable_tail_is_unknown(self):
         g = PresentedGroup(2, ())
         f = GroupMap(g, g, IntMatrix.from_rows([[2, 1], [0, 2]]))
-        assert lim(Tower.periodic(f), 10).kind == "unknown"
-        assert lim1(Tower.periodic(f), 10).kind == "unknown"
+        assert lim(Tower.periodic(f)).kind == "unknown"
+        assert lim1(Tower.periodic(f)).kind == "nonzero-uncountable"
 
     def test_lim1_finite_tower_zero(self):
         rng = seeded(33)
         for _ in range(30):
             assert lim1(random_finite_tower(rng)).kind == "zero"
+
+
+class TestDecidedChains:
+    """Tail chains are followed as far as the stage group allows a chain to
+    go before it stabilizes, so lim1 and colim are always decided."""
+
+    @pytest.mark.parametrize("entries", [(2, 3, 5), (2, -3, 5)])
+    def test_coprime_diagonal_tail_is_fast(self, entries):
+        g = PresentedGroup(3, ())
+        t = Tower.periodic(GroupMap(g, g, IntMatrix.diagonal(entries)))
+        start = time.perf_counter()
+        assert lim(t).kind == "zero"
+        assert lim1(t).kind == "nonzero-uncountable"
+        assert time.perf_counter() - start < 1.0
+
+    def test_chain_longer_than_64_steps(self):
+        # x2 on Z/2^70 takes 70 steps to kill the group
+        big = PresentedGroup(0, (2 ** 70,))
+        t = Tower.periodic(times(2, big))
+        assert lim(t).kind == "zero"
+        assert lim1(t).kind == "zero"
+        out = colim(Telescope.periodic(times(2, big)))
+        assert out.kind == "exact" and out.description == "0"
+
+    def test_lim1_matches_characteristic_polynomial(self):
+        rng = seeded(36)
+        for _ in range(200):
+            r = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+            g = PresentedGroup(r, ())
+            out = lim1(Tower.periodic(GroupMap(g, g, IntMatrix.from_rows(rows))))
+            stable = image_chain_stabilizes_oracle(rows)
+            assert out.kind == ("zero" if stable else "nonzero-uncountable"), rows
+
+    def test_lim_matches_stable_image_on_long_torsion_chains(self):
+        # groups where a chain can take Omega(|T|) = 3 or 4 strict steps
+        rng = seeded(37)
+        for orders in ((2, 2, 2), (16,), (3, 9)):
+            g = PresentedGroup(0, orders)
+            for _ in range(30):
+                f = random_group_map(rng, g, g)
+                expected = stable_image_oracle(orders, [list(r) for r in f.matrix.data])
+                assert lim(Tower.periodic(f)).group.torsion == expected
+
+    def test_colim_never_unknown(self):
+        rng = seeded(38)
+        for _ in range(100):
+            g = PresentedGroup(rng.randint(0, 2),
+                               rng.choice(((), (2,), (2, 4), (3, 9), (2, 2, 2))))
+            out = colim(Telescope.periodic(random_group_map(rng, g, g)))
+            assert out.kind in ("exact", "symbolic")
 
 
 class TestColim:

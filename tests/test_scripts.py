@@ -1,0 +1,25 @@
+"""Smoke runs of the experiment scripts under ``scripts/`` at small sizes."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / ("%s.py" % name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("solenoid_report", ["--degrees", "2"]),
+    ("homology_survey", ["--models", "arc-circle:4", "--coefficients", "Z",
+                         "--chains", "2"]),
+])
+def test_script_main_exits_zero(capsys, name, argv):
+    assert load_script(name).main(argv) == 0
+    assert capsys.readouterr().out
