@@ -8,10 +8,10 @@ Everything is integer arithmetic; every nontrivial computation carries or
 re-checks its own certificate.
 """
 
-from .matrices import (IntMatrix, SmithForm, determinant, hstack,
-                       kernel_basis, column_basis, lattice_contains,
-                       lattice_equal, matrix_power, smith_normal_form,
-                       solve_columns, vstack)
+from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
+                       hermite_form, hstack, kernel_basis, column_basis,
+                       lattice_contains, lattice_equal, matrix_power,
+                       smith_normal_form, solve_columns, vstack)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
                      ext_group, hom_group, image, inverse, is_injective,

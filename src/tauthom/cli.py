@@ -40,10 +40,6 @@ _CHECK_ERRORS = (CertificateFailure, PipelineMismatch, ConditionViolated,
                  InconsistentData, LimNotExact)
 
 
-class CheckFailed(Exception):
-    """A requested verification did not come back clean."""
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog=PROG,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .groups import (GroupMap, PresentedGroup, Subquotient,
                      _relations_for_orders, ext_group, hom_group, kernel,
                      cokernel, kernel_lattice, same_subgroup, tensor_identity)
-from .matrices import (IntMatrix, column_basis, hstack, kernel_basis,
-                       smith_normal_form, solve_columns)
+from .matrices import IntMatrix, column_basis, hstack, kernel_basis, solve_columns
 
 
 class DegreeOutOfRange(ValueError):
@@ -264,12 +263,10 @@ class _Resolver:
         because C^n / Z^n is torsion-free (it embeds in C^{n+1})."""
         if n not in self._p:
             z = self.cocycles(n)
-            s = smith_normal_form(z)
-            if any(d != 1 for d in s.diagonal):
+            p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
+            if p is None:
                 raise CertificateFailure("cocycle lattice of degree %d is not a direct summand" % n)
-            top = IntMatrix.from_rows([s.u.row(i) for i in range(z.cols)]) if z.cols \
-                else IntMatrix.zeros(0, z.rows)
-            self._p[n] = s.v * top
+            self._p[n] = p.transpose()
         return self._p[n]
 
 
@@ -346,9 +343,8 @@ class UctSuite:
         if inside is None:
             raise CertificateFailure("coboundaries escape the cocycle lattice at degree %d" % (n + 1))
         restr = tensor_identity(inside.transpose(), m)
-        denom = hstack(restr, _relations_for_orders(G.orders * bb.cols)) \
-            if bb.cols * m else IntMatrix.zeros(bb.cols * m, 0)
-        ext_sq = Subquotient(IntMatrix.identity(bb.cols * m), denom)
+        ext_sq = Subquotient(IntMatrix.identity(bb.cols * m),
+                             hstack(restr, _relations_for_orders(G.orders * bb.cols)))
         ext_term = ext_sq.group
 
         ext_reference = ext_group(res.cohomology_sq(n + 1).group, G).group

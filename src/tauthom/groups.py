@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from math import gcd
 
-from .matrices import (IntMatrix, column_basis, hstack, kernel_basis,
+from .matrices import (IntMatrix, hermite_form, hstack, kernel_basis,
                        lattice_equal, smith_normal_form, solve_columns)
 
 
@@ -126,13 +126,7 @@ class PresentedGroup:
         orders = [int(d) for d in orders]
         if any(d < 0 for d in orders):
             raise ValueError("cyclic orders must be nonnegative")
-        rows = []
-        for i, d in enumerate(orders):
-            if d:
-                row = [0] * len(orders)
-                row[i] = d
-                rows.append(row)
-        return normalize(IntMatrix(len(rows), len(orders), rows))
+        return normalize(_relations_for_orders(orders).transpose())
 
     def direct_sum(self, *others):
         orders = list(self.orders)
@@ -210,9 +204,10 @@ class Subquotient:
     """(column span of numerator) / (column span of denominator) inside Z^n.
 
     This is the single engine behind normalization, kernels, images,
-    cokernels and homology. It keeps enough of the two Smith forms around
-    to convert both ways between ambient coordinates and canonical
-    generator coordinates:
+    cokernels and homology. It keeps the Hermite form of the numerator and
+    the Smith form of the denominator's coordinates in it, enough to
+    convert both ways between ambient coordinates and canonical generator
+    coordinates:
 
     - ``group``       the quotient in invariant-factor form,
     - ``lifts``       ambient representatives of the canonical generators,
@@ -220,34 +215,30 @@ class Subquotient:
                       lie in the numerator lattice).
     """
 
-    __slots__ = ("ambient_dim", "group", "lifts", "_basis", "_proj")
+    __slots__ = ("ambient_dim", "group", "lifts", "_hf", "_proj")
 
     def __init__(self, numerator, denominator):
         if numerator.rows != denominator.rows:
             raise ValueError("numerator and denominator live in different ambient ranks")
-        n = numerator.rows
-        self.ambient_dim = n
-        basis = column_basis(numerator)
-        inside = solve_columns(basis, denominator)
+        self.ambient_dim = numerator.rows
+        self._hf = hermite_form(numerator)
+        inside = self._hf.solve(denominator)
         if inside is None:
             raise ValueError("denominator lattice is not contained in the numerator lattice")
         s = smith_normal_form(inside)
-        p = basis.cols
+        p = inside.rows
         diag = s.diagonal
         orders = [diag[i] if i < len(diag) else 0 for i in range(p)]
         free_idx = [i for i in range(p) if orders[i] == 0]
         tors_idx = [i for i in range(p) if orders[i] >= 2]
         kept = free_idx + tors_idx
         self.group = PresentedGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-        self.lifts = IntMatrix.from_columns(
-            [ (basis * IntMatrix.from_columns([s.uinv.column(i)], p)).column(0) for i in kept ], n)
-        self._basis = basis
-        self._proj = IntMatrix.from_rows([s.u.row(i) for i in kept]) if kept \
-            else IntMatrix.zeros(0, p)
+        self.lifts = self._hf.h * IntMatrix.from_columns([s.uinv.column(i) for i in kept], p)
+        self._proj = IntMatrix(len(kept), p, [s.u.row(i) for i in kept])
 
     def coords_matrix(self, mat):
         """Canonical coordinates of each column of ``mat``."""
-        t = solve_columns(self._basis, mat)
+        t = self._hf.solve(mat)
         if t is None:
             raise ValueError("vector lies outside the numerator lattice")
         raw = self._proj * t
@@ -257,13 +248,6 @@ class Subquotient:
 
     def coords(self, vec):
         return self.coords_matrix(IntMatrix.from_columns([list(vec)], self.ambient_dim)).column(0)
-
-    def contains(self, vec):
-        return solve_columns(self._basis,
-                             IntMatrix.from_columns([list(vec)], self.ambient_dim)) is not None
-
-    def in_denominator(self, vec):
-        return all(x == 0 for x in self.coords(vec))
 
 
 def normalize(presentation):
@@ -370,13 +354,15 @@ def _relations_for_orders(orders):
     return IntMatrix.from_columns(cols, n)
 
 
+def _preimage(matrix, lattice):
+    """Generators of {x in Z^cols : matrix*x in the column span of ``lattice``}."""
+    kb = kernel_basis(hstack(matrix, lattice))
+    return IntMatrix(matrix.cols, kb.cols, kb.data[:matrix.cols])
+
+
 def kernel_lattice(matrix, target_orders):
     """Generators of {x in Z^cols : matrix*x == 0 modulo the target relations}."""
-    rel = _relations_for_orders(tuple(target_orders))
-    full = hstack(matrix, rel) if rel.cols else matrix
-    kb = kernel_basis(full)
-    return IntMatrix.from_rows([kb.data[i] for i in range(matrix.cols)]) if matrix.cols \
-        else IntMatrix.zeros(0, kb.cols)
+    return _preimage(matrix, _relations_for_orders(tuple(target_orders)))
 
 
 def kernel(f):
@@ -400,16 +386,12 @@ def cokernel(f):
     return sq.group, GroupMap(f.target, sq.group, sq.coords_matrix(IntMatrix.identity(n)))
 
 
-def subgroup_lattice(into_map):
-    """Ambient lattice (in the target's generator space) of the image of a map."""
-    return hstack(into_map.matrix, into_map.target.relation_matrix())
-
-
 def same_subgroup(f, g):
     """Do two maps into a common target have the same image subgroup?"""
     if f.target != g.target:
         raise ValueError("maps land in different groups")
-    return lattice_equal(subgroup_lattice(f), subgroup_lattice(g))
+    rel = f.target.relation_matrix()
+    return lattice_equal(hstack(f.matrix, rel), hstack(g.matrix, rel))
 
 
 def is_injective(f):
@@ -424,27 +406,13 @@ def is_isomorphism(f):
     return is_injective(f) and is_surjective(f)
 
 
-def preimage_vector(f, vec):
-    """Some x with f(x) == vec in the target, or None."""
-    rel = f.target.relation_matrix()
-    full = hstack(f.matrix, rel) if rel.cols else f.matrix
-    sol = solve_columns(full, IntMatrix.from_columns([f.target.reduce(vec)], f.target.n_gens))
-    if sol is None:
-        return None
-    return f.source.reduce(sol.column(0)[:f.source.n_gens])
-
-
 def inverse(f):
     """Inverse GroupMap of an isomorphism, or None when f is not one."""
-    cols = []
-    for i in range(f.target.n_gens):
-        e = [0] * f.target.n_gens
-        e[i] = 1
-        x = preimage_vector(f, e)
-        if x is None:
-            return None
-        cols.append(list(x))
-    g = GroupMap(f.target, f.source, IntMatrix.from_columns(cols, f.source.n_gens))
+    n, m = f.target.n_gens, f.source.n_gens
+    sol = solve_columns(hstack(f.matrix, f.target.relation_matrix()), IntMatrix.identity(n))
+    if sol is None:
+        return None
+    g = GroupMap(f.target, f.source, IntMatrix(m, n, sol.data[:m]))
     if not (f @ g).is_identity or not (g @ f).is_identity:
         return None
     return g
@@ -545,10 +513,9 @@ class ExtGroup:
     0 -> Z^t --R--> Z^n -> A -> 0, i.e. the cokernel of
     Hom(Z^n, G) --(R transposed)--> Hom(Z^t, G).
 
-    Elements are carried as G-tuples indexed by the torsion relations of A;
-    ``project``/``lift`` convert between that raw space and canonical
-    coordinates, and ``pullback`` gives the contravariant action by lifting
-    a map of groups to a map of resolutions.
+    Elements are carried as G-tuples indexed by the torsion relations of A,
+    and ``pullback`` gives the contravariant action by lifting a map of
+    groups to a map of resolutions.
     """
 
     __slots__ = ("source", "coefficients", "_sq", "group")
@@ -560,18 +527,9 @@ class ExtGroup:
         m = coefficients.n_gens
         rel_t = source.relation_matrix().transpose()          # t x n
         restr = tensor_identity(rel_t, m)                     # (t*m) x (n*m)
-        denom = hstack(restr, _relations_for_orders(coefficients.orders * t)) \
-            if t * m else IntMatrix.zeros(t * m, 0)
-        self._sq = Subquotient(IntMatrix.identity(t * m), denom)
+        self._sq = Subquotient(IntMatrix.identity(t * m),
+                               hstack(restr, _relations_for_orders(coefficients.orders * t)))
         self.group = self._sq.group
-
-    def lift(self, coords):
-        """Raw G-tuple (one block per torsion relation of A) representing
-        the class at the given canonical coordinates."""
-        return self._sq.lifts.apply(self.group.reduce(coords))
-
-    def project(self, raw):
-        return self._sq.coords(raw)
 
     def pullback(self, f, dest):
         """Contravariant action: f: B -> A induces Ext(A,G) -> Ext(B,G)."""
@@ -585,13 +543,7 @@ class ExtGroup:
         if lifted is None:
             raise AssertionError("resolution lift must exist for a well-defined map")
         push = tensor_identity(lifted.transpose(), m)         # (t_B*m) x (t_A*m)
-        cols = []
-        for k in range(self.group.n_gens):
-            e = [0] * self.group.n_gens
-            e[k] = 1
-            cols.append(list(dest.project(push.apply(self.lift(e)))))
-        return GroupMap(self.group, dest.group,
-                        IntMatrix.from_columns(cols, dest.group.n_gens))
+        return GroupMap(self.group, dest.group, dest._sq.coords_matrix(push * self._sq.lifts))
 
 
 def hom_group(source, coefficients):

@@ -5,14 +5,15 @@ derived limits.
 A tower or telescope is a finite prefix of groups and connecting maps,
 optionally continued forever by an endomorphism of the last prefix group;
 the two differ only in the direction of their maps. Whether a tail's
-image or kernel chain stabilizes is decided by following it up to a bound
-computed from the stage group. ``lim`` is a subgroup of the last prefix
-stage: the whole stage, the stable image of the tail, or the unit part of
-a diagonal free tail; otherwise it is unknown. ``lim1`` is Zero
-(Mittag-Leffler) or NonzeroUncountable, and ``colim`` is exact or certified
-not finitely generated. For a countable sequence, lim^i vanishes for all
-i >= 2. Every outcome carries a human-readable certificate explaining
-which criterion fired.
+image or kernel chain stabilizes is decided by comparing the canonical
+(Hermite) bases of its lattices, step by step up to a bound computed from
+the stage group. ``lim`` is a subgroup of the last prefix stage: the whole
+stage, the stable image of the tail, or the unit part of a diagonal free
+tail; otherwise it is unknown. ``lim1`` is Zero (Mittag-Leffler) or
+NonzeroUncountable, and ``colim`` is exact or certified not finitely
+generated. For a countable sequence, lim^i vanishes for all i >= 2. Every
+outcome carries a human-readable certificate explaining which criterion
+fired.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
-                     Subquotient, cokernel, is_isomorphism, kernel_lattice)
-from .matrices import (IntMatrix, column_basis, hstack, kernel_basis,
-                       lattice_equal, smith_normal_form)
+                     Subquotient, _preimage, cokernel, is_isomorphism,
+                     kernel_lattice)
+from .matrices import IntMatrix, column_basis, hstack, smith_normal_form
 
 
 class MalformedTower(ValueError):
@@ -204,21 +205,27 @@ def _chain_bound(A):
     return A.free_rank + sum(d.bit_length() - 1 for d in A.torsion)
 
 
-def _image_chain(endo):
-    """Iterate L_{k+1} = endo(L_k) + relations until the lattice stabilizes.
-
-    Returns (stable_lattice, steps), or (last_lattice, None) when the chain
-    is still descending past ``_chain_bound``, i.e. never stabilizes.
-    """
-    A = endo.source
-    rel = A.relation_matrix()
-    current = column_basis(hstack(IntMatrix.identity(A.n_gens), rel))
-    for step in range(_chain_bound(A) + 1):
-        nxt = column_basis(hstack(endo.matrix * current, rel))
-        if lattice_equal(nxt, current):
-            return current, step
+def _stable_lattice(start, step, bound):
+    """Follow the chain L_{k+1} = step(L_k) of canonical (Hermite) bases
+    from ``start`` for at most ``bound`` + 1 steps. Returns (stable basis,
+    steps taken), or (last basis, None) when it still moves at the end."""
+    current = start
+    for steps in range(bound + 1):
+        nxt = step(current)
+        if nxt == current:
+            return current, steps
         current = nxt
     return current, None
+
+
+def _image_chain(endo):
+    """The image chain endo^k(A) + relations, as ``_stable_lattice`` returns
+    it; a chain still descending past ``_chain_bound`` never stabilizes."""
+    A = endo.source
+    rel = A.relation_matrix()
+    return _stable_lattice(IntMatrix.identity(A.n_gens),
+                           lambda L: column_basis(hstack(endo.matrix * L, rel)),
+                           _chain_bound(A))
 
 
 def _diagonal_tail(endo):
@@ -357,16 +364,11 @@ def colim(telescope):
                             stages[-1].describe(), tuple(comps))
     A = stages[-1]
     f = telescope.tail
-    rel = A.relation_matrix()
-    kernels = kernel_lattice(f.matrix, A.orders)
-    current = column_basis(hstack(kernels, rel)) if rel.cols else column_basis(kernels)
+    # f is well defined, so its kernel lattice and every preimage hold the relations
     bound = _chain_bound(A)
-    for steps in range(bound + 1):
-        nxt = _preimage_lattice(f, current, rel)
-        if lattice_equal(nxt, current):
-            break
-        current = nxt
-    else:
+    current, steps = _stable_lattice(column_basis(kernel_lattice(f.matrix, A.orders)),
+                                     lambda L: column_basis(_preimage(f.matrix, L)), bound)
+    if steps is None:
         raise AssertionError("kernel chain of the tail on %s still grows past the bound of "
                              "%d steps" % (A.describe(), bound))
     quot = Subquotient(IntMatrix.identity(A.n_gens), current)
@@ -389,15 +391,6 @@ def colim(telescope):
         "has cokernel %s; the colimit is a strictly increasing union, hence not finitely "
         "generated" % (steps, coker_group.describe()),
         desc)
-
-
-def _preimage_lattice(f, lattice, rel):
-    """Generators of {x : f(x) in span(lattice)} inside the source's gens."""
-    n = f.source.n_gens
-    stacked = hstack(f.matrix, lattice) if lattice.cols else f.matrix
-    kb = kernel_basis(stacked)
-    pre = IntMatrix.from_rows([kb.data[i] for i in range(n)]) if n else IntMatrix.zeros(0, kb.cols)
-    return column_basis(hstack(pre, rel) if rel.cols else pre)
 
 
 def _symbolic_description(abar, fbar):

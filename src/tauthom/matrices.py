@@ -1,10 +1,13 @@
-"""Exact integer matrix arithmetic: Smith normal form, integer linear
-solving, and lattice bases.
+"""Exact integer matrix arithmetic: the Hermite normal form behind every
+lattice operation, the Smith normal form for invariant factors, and
+determinants.
 
 Everything works over Python's arbitrary-precision integers; no floating
-point is used anywhere. Smith reduction follows a deterministic pivot rule
-(smallest magnitude nonzero entry, ties broken in row-major order) so that
-every factorization is reproducible across runs and platforms.
+point is used anywhere. Spans, kernels, integer solving and lattice
+comparison all go through one canonical column Hermite form, so equal
+lattices have equal bases. Smith reduction follows a deterministic pivot
+rule (smallest magnitude nonzero entry, ties broken in row-major order) so
+that every factorization is reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -139,9 +142,6 @@ class IntMatrix:
 
     def diagonal_entries(self):
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def max_abs(self):
-        return max((abs(x) for row in self.data for x in row), default=0)
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols, "entries": [list(r) for r in self.data]}
@@ -322,6 +322,92 @@ def smith_normal_form(mat):
     return SmithForm(u, uinv, d, v, vinv)
 
 
+@dataclass(frozen=True)
+class HermiteForm:
+    """M * V == [H | 0] with V unimodular and H the column Hermite normal
+    form of M: column k of H has a positive pivot in row ``pivots[k]``,
+    zeros above it, and every earlier column reduced into [0, pivot) in
+    that row. H depends only on the column span of M."""
+
+    h: IntMatrix
+    v: IntMatrix
+    pivots: tuple
+
+    def solve(self, rhs):
+        """The Y with H * Y == rhs by forward substitution on the pivots, or
+        None when some column of ``rhs`` lies outside the lattice."""
+        if rhs.rows != self.h.rows:
+            raise ValueError("shape mismatch in solve")
+        hcols = self.h.columns()
+        ys = []
+        for b in rhs.columns():
+            y = []
+            for col, i in zip(hcols, self.pivots):
+                q, rem = divmod(b[i], col[i])
+                if rem:
+                    return None
+                b = [x - q * c for x, c in zip(b, col)] if q else b
+                y.append(q)
+            if any(b):
+                return None
+            ys.append(y)
+        return IntMatrix.from_columns(ys, len(self.pivots))
+
+
+def _hermite_core(mat):
+    r, c = mat.rows, mat.cols
+    A = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
+    V = [[int(i == j) for i in range(c)] for j in range(c)]
+    pivots = []
+
+    def col_sub(j, k, q):
+        # col_j -= q * col_k
+        if not q:
+            return
+        A[j] = [a - q * b for a, b in zip(A[j], A[k])]
+        V[j] = [a - q * b for a, b in zip(V[j], V[k])]
+
+    for i in range(r):
+        k = len(pivots)
+        # Euclidean reduction of row i over the columns without a pivot,
+        # smallest entry first, rounding to the nearest quotient
+        live = [j for j in range(k, c) if A[j][i]]
+        while len(live) > 1:
+            j = min(live, key=lambda j: abs(A[j][i]))
+            A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
+            p = A[k][i]
+            for j in range(k + 1, c):
+                if A[j][i]:
+                    col_sub(j, k, (2 * A[j][i] + p) // (2 * p))
+            live = [j for j in range(k, c) if A[j][i]]
+        if not live:
+            continue
+        j = live[0]
+        A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
+        if A[k][i] < 0:
+            A[k], V[k] = [-x for x in A[k]], [-x for x in V[k]]
+        for j in range(k):
+            col_sub(j, k, A[j][i] // A[k][i])
+        pivots.append(i)
+    return IntMatrix.from_columns(A[:len(pivots)], r), IntMatrix.from_columns(V, c), tuple(pivots)
+
+
+@functools.lru_cache(maxsize=4096)
+def hermite_form(mat):
+    """Column Hermite normal form with its unimodular transform.
+
+    The identity M*V == [H | 0] is re-verified on every call; a failure
+    would mean corrupted bookkeeping and raises immediately.
+
+    >>> hermite_form(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]])).h
+    IntMatrix(2, 2, [[2, 0], [0, 1]])
+    """
+    h, v, pivots = _hermite_core(mat)
+    if mat * v != hstack(h, IntMatrix.zeros(mat.rows, mat.cols - h.cols)):
+        raise AssertionError("Hermite reduction bookkeeping failed")
+    return HermiteForm(h, v, pivots)
+
+
 def determinant(mat):
     """Exact determinant via fraction-free Bareiss elimination."""
     if mat.rows != mat.cols:
@@ -351,60 +437,37 @@ def solve_columns(mat, rhs):
     """Solve mat * X == rhs over the integers, columnwise.
 
     Returns an IntMatrix X (mat.cols x rhs.cols) or None when some column
-    has no integral solution. Free coordinates are set to zero, so the
-    answer is deterministic.
+    has no integral solution. The answer is the one without a component
+    along ``kernel_basis(mat)``, so it is deterministic.
     """
-    if mat.rows != rhs.rows:
-        raise ValueError("shape mismatch in solve")
-    s = smith_normal_form(mat)
-    y = s.u * rhs
-    diag = s.diagonal
-    rank = s.rank
-    zdata = [[0] * rhs.cols for _ in range(mat.cols)]
-    for i in range(mat.rows):
-        d = diag[i] if i < len(diag) else 0
-        for j in range(rhs.cols):
-            val = y.data[i][j]
-            if d == 0 or i >= rank:
-                if val != 0:
-                    return None
-            else:
-                if val % d:
-                    return None
-                zdata[i][j] = val // d
-    return s.v * IntMatrix(mat.cols, rhs.cols, zdata)
-
-
-def solve_vector(mat, vec):
-    x = solve_columns(mat, IntMatrix.from_columns([list(vec)], mat.rows))
-    return None if x is None else x.column(0)
+    hf = hermite_form(mat)
+    y, r = hf.solve(rhs), hf.h.cols
+    return None if y is None else IntMatrix(mat.cols, r, [row[:r] for row in hf.v.data]) * y
 
 
 def kernel_basis(mat):
     """Columns form a basis of the integer kernel lattice of ``mat``."""
-    s = smith_normal_form(mat)
-    cols = [s.v.column(j) for j in range(s.rank, mat.cols)]
-    return IntMatrix.from_columns(cols, mat.cols)
+    hf = hermite_form(mat)
+    r = hf.h.cols
+    return IntMatrix(mat.cols, mat.cols - r, [row[r:] for row in hf.v.data])
 
 
 def column_basis(mat):
-    """Columns form a basis of the column span lattice of ``mat``."""
-    s = smith_normal_form(mat)
-    diag = s.diagonal
-    cols = [tuple(d * x for x in s.uinv.column(i)) for i, d in enumerate(diag) if d]
-    return IntMatrix.from_columns(cols, mat.rows)
+    """The canonical basis of the column span lattice of ``mat``: its
+    Hermite form, equal for two matrices exactly when their spans are."""
+    return hermite_form(mat).h
 
 
 def lattice_contains(generators, candidates):
     """Do all columns of ``candidates`` lie in the column span of ``generators``?"""
-    return solve_columns(generators, candidates) is not None
+    return hermite_form(generators).solve(candidates) is not None
 
 
 def lattice_equal(a, b):
     """Column-span equality of two generator matrices over the same ambient rank."""
     if a.rows != b.rows:
         raise ValueError("lattices live in different ambient ranks")
-    return lattice_contains(a, b) and lattice_contains(b, a)
+    return column_basis(a) == column_basis(b)
 
 
 def matrix_power(mat, k):

@@ -70,6 +70,43 @@ def snf_divisors_oracle(rows):
     return tuple(out)
 
 
+def hermite_oracle(rows, cols):
+    """Column Hermite normal form by pairwise extended gcd (Cohen, GTM 138,
+    Alg. 2.4.5, run top-down on columns): returns the rows of H, whose
+    column k has a positive pivot in a row where all later columns vanish,
+    zeros above it, and earlier columns reduced into [0, pivot) there."""
+    m = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(cols)]
+    n = len(rows)
+
+    def xgcd(a, b):
+        if b == 0:
+            return (abs(a), 1 if a >= 0 else -1, 0)
+        g, x, y = xgcd(b, a % b)
+        return g, y, x - (a // b) * y
+
+    k = 0
+    for i in range(n):
+        if k == cols:
+            break
+        for j in range(k + 1, cols):
+            a, b = m[k][i], m[j][i]
+            if b == 0:
+                continue
+            g, x, y = xgcd(a, b)
+            ck, cj = m[k], m[j]
+            m[k] = [x * p + y * q for p, q in zip(ck, cj)]
+            m[j] = [(a // g) * q - (b // g) * p for p, q in zip(ck, cj)]
+        if m[k][i] == 0:
+            continue
+        if m[k][i] < 0:
+            m[k] = [-p for p in m[k]]
+        for j in range(k):
+            q = m[j][i] // m[k][i]
+            m[j] = [p - q * r for p, r in zip(m[j], m[k])]
+        k += 1
+    return [[m[j][i] for j in range(k)] for i in range(n)]
+
+
 def _det(rows):
     n = len(rows)
     if n == 0:

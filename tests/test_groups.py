@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauthom.groups
+import tauthom.matrices
 from tauthom.groups import (GroupMap, GroupParseError, IllFormedMap,
                             PresentedGroup, Subquotient, cokernel, ext_group,
                             hom_group, image, inverse, is_injective,
@@ -256,7 +257,9 @@ def test_hom_ext_of_finite_parts_match_formula(a, g):
     assert ext_group(a, g).group.free_rank == 0
 
 
-def test_module_doctests():
-    # pytest collects only tests/, so the examples in the groups docstrings
+@pytest.mark.parametrize("module, examples", [(tauthom.groups, 6), (tauthom.matrices, 1)],
+                         ids=["groups", "matrices"])
+def test_module_doctests(module, examples):
+    # pytest collects only tests/, so the examples in the module docstrings
     # run here
-    assert doctest.testmod(tauthom.groups) == (0, 6)
+    assert doctest.testmod(module) == (0, examples)

@@ -189,6 +189,18 @@ class TestDecidedChains:
         out = colim(Telescope.periodic(times(2, big)))
         assert out.kind == "exact" and out.description == "0"
 
+    def test_non_diagonal_tail_with_torsion_is_fast(self):
+        # the image chain of this tail never stabilizes; unreduced bases
+        # grew to 726 758-bit entries within the bound
+        g = PresentedGroup(3, (2, 4))
+        rows = [[0, -3, -2, 0, 0], [-3, -3, 3, 0, 0], [1, -3, 3, 0, 0],
+                [0, 0, 1, 1, 1], [2, 0, 1, 0, 1]]
+        t = Tower.periodic(GroupMap(g, g, IntMatrix.from_rows(rows)))
+        start = time.perf_counter()
+        assert lim(t).kind == "unknown"
+        assert lim1(t).kind == "nonzero-uncountable"
+        assert time.perf_counter() - start < 1.0
+
     def test_lim1_matches_characteristic_polynomial(self):
         rng = seeded(36)
         for _ in range(200):

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauthom.matrices import (IntMatrix, column_basis, determinant, hstack,
-                              kernel_basis, lattice_contains, lattice_equal,
-                              matrix_power, smith_normal_form, solve_columns,
-                              vstack)
+from tauthom.matrices import (IntMatrix, column_basis, determinant,
+                              hermite_form, hstack, kernel_basis,
+                              lattice_contains, lattice_equal, matrix_power,
+                              smith_normal_form, solve_columns, vstack)
 
-from oracles import minors_gcd_divisors, rank_oracle, snf_divisors_oracle
+from oracles import (_det, hermite_oracle, minors_gcd_divisors, rank_oracle,
+                     snf_divisors_oracle)
 
 
 def rand_matrix(rng, rows, cols, bound=6):
@@ -103,6 +104,61 @@ class TestSmith:
         for _ in range(60):
             m = rand_matrix(rng, rng.randrange(0, 6), rng.randrange(0, 6))
             assert smith_normal_form(m).rank == rank_oracle(m.data)
+
+
+def random_unimodular(rng, n, steps=8):
+    """A product of random elementary column operations on the identity."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+    if n:
+        cols[0] = [-a for a in cols[0]]
+    return IntMatrix.from_columns(cols, n)
+
+
+class TestHermite:
+    def test_known_form(self):
+        hf = hermite_form(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]]))
+        assert hf.h == IntMatrix.from_rows([[2, 0], [0, 1]])
+        assert hf.pivots == (0, 1)
+
+    def test_oracle_cross_check(self):
+        rng = random.Random(906)
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        for t in range(320):
+            r, c = shapes[t] if t < len(shapes) else (rng.randrange(0, 6), rng.randrange(0, 7))
+            m = rand_matrix(rng, r, c)
+            if t % 4 == 1 and r and c > 1:
+                # rank-deficient: the last column is a combination of the others
+                cols = m.columns()
+                combo = [2 * a - b for a, b in zip(cols[0], cols[1])]
+                m = IntMatrix.from_columns(cols[:-1] + [combo], r)
+            if t % 4 == 2 and c > 1:
+                cols = m.columns()
+                m = IntMatrix.from_columns(cols[:-1] + [cols[0]], r)
+            hf = hermite_form(m)
+            assert [list(row) for row in hf.h.data] == hermite_oracle(
+                [list(row) for row in m.data], c), m
+            assert m * hf.v == hstack(hf.h, IntMatrix.zeros(r, c - hf.h.cols))
+            assert abs(_det([list(row) for row in hf.v.data])) == 1
+
+    def test_canonical_under_column_operations(self):
+        rng = random.Random(907)
+        for _ in range(150):
+            r, c = rng.randrange(0, 5), rng.randrange(0, 6)
+            m = rand_matrix(rng, r, c)
+            h = column_basis(m)
+            assert column_basis(m * random_unimodular(rng, c)) == h
+            x = rand_matrix(rng, c, rng.randrange(0, 4), 3)
+            assert column_basis(hstack(m, m * x)) == h
+
+    def test_solve_outside_lattice(self):
+        hf = hermite_form(IntMatrix.from_rows([[2, 0], [1, 3], [0, 0]]))
+        assert hf.solve(IntMatrix.from_rows([[2], [4], [0]])) is not None
+        assert hf.solve(IntMatrix.from_rows([[1], [0], [0]])) is None
+        assert hf.solve(IntMatrix.from_rows([[2], [1], [1]])) is None
 
 
 class TestDeterminant:
