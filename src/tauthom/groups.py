@@ -179,7 +179,14 @@ def parse_group(text):
         return PresentedGroup(0, ())
     if stripped == "":
         raise GroupParseError("empty group expression", 0)
+    chunks = []
     for chunk in text.split("+"):
+        # a sign right after ^ or / belongs to that summand's number
+        if chunks and chunks[-1].rstrip().endswith(("^", "/")):
+            chunks[-1] += "+" + chunk
+        else:
+            chunks.append(chunk)
+    for chunk in chunks:
         term = chunk.strip()
         offset = pos + (len(chunk) - len(chunk.lstrip()))
         if term == "Z":

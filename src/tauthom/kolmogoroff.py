@@ -391,23 +391,6 @@ class KolmogoroffChain:
     def zero(cls, nerve, degree, coefficients):
         return cls(nerve, degree, coefficients, {})
 
-    @classmethod
-    def from_items(cls, nerve, degree, coefficients, items):
-        """Build a chain from (tuple, value) pairs in arbitrary argument
-        order; alternation is normalized at insertion and repeated-argument
-        tuples contribute nothing."""
-        acc = {}
-        for tup, vec in items:
-            s, sign = _sort_with_sign(tuple(tup))
-            if s is None:
-                continue
-            vec = tuple(sign * int(v) for v in vec)
-            if s in acc:
-                acc[s] = tuple(a + b for a, b in zip(acc[s], vec))
-            else:
-                acc[s] = vec
-        return cls(nerve, degree, coefficients, acc)
-
     def evaluate_blocks(self, blocks):
         """Value on an arbitrary tuple of block indices."""
         g = self.coefficients.n_gens
@@ -504,12 +487,13 @@ class KolmogoroffChain:
         ``support`` optionally replaces U by a smaller admissible bounded
         set (a set of block indices); it must still contain every block
         whose closure meets a tuple the result is evaluated on, which is
-        checked, so the boundary never depends on the choice.
+        checked, so the boundary never depends on the choice. As f(b, tau)
+        vanishes unless (b,) + tau sorts to a key of ``values``, only those
+        keys' faces tau and the block b each one omits are summed.
         """
         n = self.degree
         if n == 0:
             return _EmptyChain(self.nerve, self.coefficients)
-        blocks = range(len(self.nerve.partition))
         if support is not None:
             support = set(int(b) for b in support)
             for s in self.nerve.simplices[n]:
@@ -519,15 +503,16 @@ class KolmogoroffChain:
                         raise ValueError(
                             "support omits block %d whose closure meets %r; not an "
                             "admissible bounded neighborhood" % (extra, tau))
-            blocks = sorted(support)
-        out = {}
-        g = self.coefficients.n_gens
-        for tau in self.nerve.simplices[n - 1]:
-            total = (0,) * g
-            for b in blocks:
+        sums = {}
+        for s in self.values:
+            for i, b in enumerate(s):
+                tau = s[:i] + s[i + 1:]
                 v = self.evaluate_blocks((b,) + tau)
-                total = tuple(x + y for x, y in zip(total, v))
-            total = self.coefficients.reduce(total)
+                total = sums.get(tau)
+                sums[tau] = v if total is None else tuple(x + y for x, y in zip(total, v))
+        out = {}
+        for tau in sorted(sums):
+            total = self.coefficients.reduce(sums[tau])
             if any(total):
                 out[tau] = total
         return KolmogoroffChain(self.nerve, n - 1, self.coefficients, out)
@@ -622,21 +607,17 @@ def _generator_boundary_matrix(nerve, n, coefficients):
     """Columns: Delta evaluated on each one-generator chain of degree n,
     expressed in the degree n-1 coordinate layout."""
     g = coefficients.n_gens
-    m_out = nerve.count(n - 1) * g
+    lower = nerve.index[n - 1] if 0 <= n - 1 <= nerve.dimension else {}
     cols = []
-    tau_index = nerve.index[n - 1] if 0 <= n - 1 <= nerve.dimension else {}
     for s in nerve.simplices[n] if n <= nerve.dimension else ():
         for j in range(g):
             unit = tuple(int(i == j) for i in range(g))
+            col = [0] * (len(lower) * g)
             chain = KolmogoroffChain(nerve, n, coefficients, {s: unit})
-            b = chain.boundary()
-            col = [0] * m_out
-            for tau, vec in b.values.items():
-                base = tau_index[tau] * g
-                for i, v in enumerate(vec):
-                    col[base + i] = v
+            for tau, vec in chain.boundary().values.items():
+                col[lower[tau] * g:(lower[tau] + 1) * g] = vec
             cols.append(col)
-    return IntMatrix.from_columns(cols, m_out)
+    return IntMatrix.from_columns(cols, len(lower) * g)
 
 
 def kolmogoroff_homology(model, partition, coefficients):
@@ -719,14 +700,6 @@ class RefinementMap:
     def cochain_matrix(self, n):
         """Pullback on integral cochains, from the coarse nerve to the fine."""
         return self.chain_matrix(n).transpose()
-
-    def push_chain(self, chain):
-        """Push a G-valued simplicial chain from the fine nerve forward."""
-        if chain.nerve != self.fine:
-            raise NotARefinement("chain does not live on the fine nerve")
-        mat = tensor_identity(self.chain_matrix(chain.degree), chain.coefficients.n_gens)
-        return NerveGChain(self.coarse, chain.degree, chain.coefficients,
-                           mat.apply(chain.coords))
 
     def compose(self, other):
         """self after other: other maps finest to middle, self middle to coarse."""

@@ -355,6 +355,9 @@ def colim(telescope):
     surjective the colimit is the quotient itself; otherwise the colimit is
     a strictly increasing union, certified not finitely generated and
     described symbolically.
+
+    A finitely generated colimit is always of kind ``exact``, even when it is
+    trivial (``lim`` and ``lim1`` report a trivial answer as ``zero``).
     """
     stages, maps = telescope.stages, telescope.maps
     if telescope.tail is None:

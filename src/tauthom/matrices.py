@@ -37,6 +37,13 @@ class IntMatrix:
         self.data = data
 
     @classmethod
+    def _trusted(cls, rows, cols, data):
+        """Wrap int tuples of the declared shape built here, unchecked."""
+        mat = object.__new__(cls)
+        mat.rows, mat.cols, mat.data = rows, cols, data
+        return mat
+
+    @classmethod
     def from_rows(cls, entries):
         entries = [list(row) for row in entries]
         rows = len(entries)
@@ -98,19 +105,29 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [[x * other for x in row] for row in self.data])
+            return IntMatrix._trusted(self.rows, self.cols, tuple(
+                tuple(x * other for x in row) for row in self.data))
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
-        data = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        return IntMatrix(self.rows, other.cols, data)
+        # row i sums a * (row k of other) over the nonzero a = self[i][k]
+        m = other.cols
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        data = []
+        for row in self.data:
+            acc = [0] * m
+            for a, bk in zip(row, sparse_rows):
+                if a:
+                    for j, b in bk:
+                        acc[j] += a * b
+            data.append(tuple(acc))
+        return IntMatrix._trusted(self.rows, m, tuple(data))
 
     __rmul__ = __mul__
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows, list(zip(*self.data)) if self.rows else
-                         [[] for _ in range(self.cols)])
+        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data)) if self.rows
+                                  else ((),) * self.cols)
 
     def row(self, i):
         return self.data[i]
@@ -164,38 +181,35 @@ class IntMatrix:
 
 
 def hstack(*mats):
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("hstack of nothing")
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return IntMatrix(rows, sum(m.cols for m in mats), data)
+    data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
+    return IntMatrix._trusted(rows, sum(m.cols for m in mats), data)
 
 
 def vstack(*mats):
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("vstack of nothing")
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack column mismatch")
-    data = [row for m in mats for row in m.data]
-    return IntMatrix(sum(m.rows for m in mats), cols, data)
+    data = tuple(row for m in mats for row in m.data)
+    return IntMatrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
 @dataclass(frozen=True)
 class SmithForm:
     """U * M * V == D with U, V unimodular and D diagonal, nonnegative,
-    each diagonal entry dividing the next. ``uinv`` and ``vinv`` are the
-    exact integer inverses, maintained during the reduction."""
+    each diagonal entry dividing the next. ``uinv`` is the exact integer
+    inverse of U, maintained during the reduction."""
 
     u: IntMatrix
     uinv: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    vinv: IntMatrix
 
     @property
     def diagonal(self):
@@ -212,7 +226,6 @@ def _smith_core(mat):
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     Ui = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
-    Vi = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -238,7 +251,6 @@ def _smith_core(mat):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_add(i, j, q):
         # col_i += q * col_j
@@ -246,7 +258,6 @@ def _smith_core(mat):
             row[i] += q * row[j]
         for row in V:
             row[i] += q * row[j]
-        Vi[j] = [a - q * b for a, b in zip(Vi[j], Vi[i])]
 
     t = 0
     mn = min(r, c)
@@ -305,21 +316,21 @@ def _smith_core(mat):
         if ok:
             t += 1
 
-    return (IntMatrix(r, r, U), IntMatrix(r, r, Ui), IntMatrix(r, c, A),
-            IntMatrix(c, c, V), IntMatrix(c, c, Vi))
+    return tuple(IntMatrix._trusted(len(M), cols, tuple(map(tuple, M)))
+                 for M, cols in ((U, r), (Ui, r), (A, c), (V, c)))
 
 
 @functools.lru_cache(maxsize=4096)
 def smith_normal_form(mat):
-    """Smith normal form with unimodular transforms and their inverses.
+    """Smith normal form with unimodular transforms and the inverse of U.
 
     The identity U*M*V == D is re-verified on every call; a failure would
     mean corrupted bookkeeping and raises immediately.
     """
-    u, uinv, d, v, vinv = _smith_core(mat)
+    u, uinv, d, v = _smith_core(mat)
     if u * mat * v != d:
         raise AssertionError("Smith reduction bookkeeping failed")
-    return SmithForm(u, uinv, d, v, vinv)
+    return SmithForm(u, uinv, d, v)
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,8 @@ class HermiteForm:
             if any(b):
                 return None
             ys.append(y)
-        return IntMatrix.from_columns(ys, len(self.pivots))
+        return IntMatrix._trusted(len(self.pivots), len(ys),
+                                  tuple(zip(*ys)) if ys else ((),) * len(self.pivots))
 
 
 def _hermite_core(mat):
@@ -389,7 +401,9 @@ def _hermite_core(mat):
         for j in range(k):
             col_sub(j, k, A[j][i] // A[k][i])
         pivots.append(i)
-    return IntMatrix.from_columns(A[:len(pivots)], r), IntMatrix.from_columns(V, c), tuple(pivots)
+    h = tuple(zip(*A[:len(pivots)])) if pivots else ((),) * r
+    return IntMatrix._trusted(r, len(pivots), h), IntMatrix._trusted(c, c, tuple(zip(*V))), \
+        tuple(pivots)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -442,14 +456,15 @@ def solve_columns(mat, rhs):
     """
     hf = hermite_form(mat)
     y, r = hf.solve(rhs), hf.h.cols
-    return None if y is None else IntMatrix(mat.cols, r, [row[:r] for row in hf.v.data]) * y
+    return None if y is None else \
+        IntMatrix._trusted(mat.cols, r, tuple(row[:r] for row in hf.v.data)) * y
 
 
 def kernel_basis(mat):
     """Columns form a basis of the integer kernel lattice of ``mat``."""
     hf = hermite_form(mat)
     r = hf.h.cols
-    return IntMatrix(mat.cols, mat.cols - r, [row[r:] for row in hf.v.data])
+    return IntMatrix._trusted(mat.cols, mat.cols - r, tuple(row[r:] for row in hf.v.data))
 
 
 def column_basis(mat):

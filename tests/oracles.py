@@ -398,6 +398,49 @@ def stable_image_oracle(torsion, endo_rows):
     return classify_by_order_counts(count, len(members))
 
 
+# -- products and boundaries -----------------------------------------------------
+
+
+def matmul_oracle(a, b, cols):
+    """Rows of the product of the row lists ``a`` (n x k) and ``b``
+    (k x cols), by the plain triple loop over every entry, zeros included."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            total = 0
+            for t in range(len(b)):
+                total += row[t] * b[t][j]
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+def full_sum_boundary_oracle(values, faces, n_blocks, orders):
+    """Delta f(tau) = sum of f(b, tau) over every block b, for every tau in
+    ``faces``. ``values`` maps strictly increasing block tuples to vectors;
+    f(b, tau) is the value of the sorted tuple times the sign of the sorting
+    permutation (its inversion count), zero on a repeated block or a tuple
+    without a value. Coordinates are reduced modulo ``orders`` (0 = free).
+    Returns (tau, vector) pairs in the order of ``faces``, zeros dropped."""
+    out = []
+    for tau in faces:
+        total = [0] * len(orders)
+        for b in range(n_blocks):
+            args = (b,) + tuple(tau)
+            key = tuple(sorted(args))
+            if len(set(key)) < len(key) or key not in values:
+                continue
+            inversions = sum(1 for i in range(len(args))
+                             for j in range(i + 1, len(args)) if args[i] > args[j])
+            for g, v in enumerate(values[key]):
+                total[g] += (-1) ** inversions * v
+        total = tuple(x % d if d else x for x, d in zip(total, orders))
+        if any(total):
+            out.append((tuple(tau), total))
+    return out
+
+
 # -- endomorphisms of free groups -----------------------------------------------
 
 

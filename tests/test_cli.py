@@ -193,6 +193,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "group", "--coefficients", "Q/3")
         assert code == 2
 
+    def test_signed_exponent_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "group", "--coefficients", "Z^+1")
+        assert code == 2 and "'Z^+1'" in err
+
     def test_missing_input_is_two(self, capsys):
         code, _, err = run_cli(capsys, "lim")
         assert code == 2 and "--input" in err

@@ -69,6 +69,17 @@ class TestPresentedGroup:
         with pytest.raises(GroupParseError):
             parse_group("")
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("Z^+1", "bad free rank 'Z^+1'", 0),
+        ("Z/+3", "bad cyclic order 'Z/+3'", 0),
+        ("Z + Z/+3", "bad cyclic order 'Z/+3'", 4),
+    ])
+    def test_signed_number_named_whole(self, text, message, position):
+        # the + after ^ or / is part of the summand, not a separator
+        with pytest.raises(GroupParseError) as e:
+            parse_group(text)
+        assert message in str(e.value) and e.value.position == position
+
     def test_json_round_trip(self):
         g = PresentedGroup(2, (3, 9))
         assert PresentedGroup.from_json(g.to_json()) == g

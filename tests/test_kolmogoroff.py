@@ -7,7 +7,8 @@ from tauthom.complexes import CertificateFailure, CoefficientComplex
 from tauthom.groups import GroupMap, PresentedGroup
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NotACover,
-                                 NotARefinement, Partition, arc_circle,
+                                 NotARefinement, Partition,
+                                 _generator_boundary_matrix, arc_circle,
                                  free_colimit_basis, kolmogoroff_homology,
                                  kolmogoroff_uct_check, model_preset, mosaic,
                                  octahedron, projective_plane, random_chain,
@@ -16,12 +17,23 @@ from tauthom.limits import Telescope
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import seeded
 
-from oracles import (expected_mosaic_blocks, mosaic_conditions_hold,
-                     occurrence_systems)
+from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
+                     mosaic_conditions_hold, occurrence_systems)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
 Z4 = PresentedGroup(0, (4,))
+ZZ4 = PresentedGroup(1, (4,))
+
+
+def torus_grid(n):
+    """The n x n triangulated torus: two triangles per grid square."""
+    def v(i, j):
+        return (i % n) * n + j % n
+    faces = [f for i in range(n) for j in range(n)
+             for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                       (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    return FiniteModel(n * n, faces)
 
 
 class TestMosaic:
@@ -179,6 +191,60 @@ class TestKolmogoroffChains:
         assert v1 == v2
         with pytest.raises(ValueError):
             f.boundary_value((0,), frozenset({0, 1}))  # misses block 5
+
+    def test_boundary_against_full_sum(self):
+        # the coface-restricted sum equals the sum over every face and block
+        rng = seeded(45)
+        models = [arc_circle(7), octahedron(), projective_plane()]
+        partitions = [Partition.singletons(m.atoms) for m in models] + \
+            [Partition([[0, 1], [2], [3, 4], [5, 6]])]
+        for m, p in zip(models + [models[0]], partitions):
+            nerve = NerveComplex(m, p)
+            for g in (Z, Z2, ZZ4):
+                for deg in range(1, nerve.dimension + 1):
+                    for keep in (1.0, 0.3):
+                        f = random_chain(rng, nerve, deg, g)
+                        f = KolmogoroffChain(nerve, deg, g, {
+                            s: v for s, v in f.values.items() if rng.random() < keep})
+                        want = full_sum_boundary_oracle(
+                            f.values, nerve.simplices[deg - 1], len(p), g.orders)
+                        assert list(f.boundary().values.items()) == want
+
+    def test_boundary_support(self):
+        # blocks 3 and 4 lie on no 2-simplex, so the star {0, 1, 2} of
+        # block 0 is an admissible support in degree 2
+        nerve = NerveComplex(FiniteModel(5, [(0, 1, 2), (2, 3), (3, 4)]),
+                             Partition.singletons(5))
+        f = KolmogoroffChain(nerve, 2, ZZ4, {(0, 1, 2): (1, 3)})
+        assert f.boundary(support=range(5)) == f.boundary()
+        assert f.boundary(support=frozenset({0, 1, 2})) == f.boundary()
+        with pytest.raises(ValueError, match="omits block 2"):
+            f.boundary(support=frozenset({0, 1, 3, 4}))
+        g = KolmogoroffChain(nerve, 1, Z4, {(2, 3): (1,), (3, 4): (2,)})
+        assert g.boundary(support=range(5)) == g.boundary()
+        with pytest.raises(ValueError, match="omits block 4"):
+            g.boundary(support=frozenset({0, 1, 2, 3}))
+
+    @pytest.mark.parametrize("model, degree, coefficients", [
+        (arc_circle(40), 1, Z2), (arc_circle(40), 1, ZZ4),
+        (torus_grid(4), 1, Z), (torus_grid(4), 2, ZZ4)],
+        ids=["circle40-Z/2", "circle40-Z+Z/4", "torus4-Z", "torus4-deg2-Z+Z/4"])
+    def test_generator_boundary_evaluations_scale_with_simplices(
+            self, monkeypatch, model, degree, coefficients):
+        # one evaluation per face of each generator; summing over every
+        # (n-1)-simplex and block instead would make |S_{n-1}| * blocks each
+        evaluate = KolmogoroffChain.evaluate_blocks
+        calls = []
+
+        def counting(self, blocks):
+            calls.append(blocks)
+            return evaluate(self, blocks)
+
+        nerve = NerveComplex(model, Partition.singletons(model.atoms))
+        monkeypatch.setattr(KolmogoroffChain, "evaluate_blocks", counting)
+        _generator_boundary_matrix(nerve, degree, coefficients)
+        assert 0 < len(calls) <= \
+            (degree + 1) * nerve.count(degree) * coefficients.n_gens
 
     def test_double_boundary_vanishes(self):
         # the degree-0 boundary is the identically-zero degree -1 function

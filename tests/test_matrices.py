@@ -8,8 +8,8 @@ from tauthom.matrices import (IntMatrix, column_basis, determinant,
                               lattice_contains, lattice_equal, matrix_power,
                               smith_normal_form, solve_columns, vstack)
 
-from oracles import (_det, hermite_oracle, minors_gcd_divisors, rank_oracle,
-                     snf_divisors_oracle)
+from oracles import (_det, hermite_oracle, matmul_oracle, minors_gcd_divisors,
+                     rank_oracle, snf_divisors_oracle)
 
 
 def rand_matrix(rng, rows, cols, bound=6):
@@ -64,6 +64,43 @@ class TestArithmetic:
         assert IntMatrix.from_json([]) == IntMatrix.zeros(0, 0)
 
 
+def sparse_matrix(rng, rows, cols, density, bound):
+    return IntMatrix(rows, cols, [[rng.randint(-bound, bound) if rng.random() < density else 0
+                                   for _ in range(cols)] for _ in range(rows)])
+
+
+class TestProductOracle:
+    def test_against_triple_loop(self):
+        rng = random.Random(910)
+        shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1)]
+        big = 0
+        for t in range(300):
+            r, k, c = shapes[t] if t < len(shapes) else \
+                (rng.randrange(0, 9), rng.randrange(0, 9), rng.randrange(0, 9))
+            density = (0.1, 0.4, 1.0)[t % 3]
+            bound = 2 ** 220 if t % 4 == 3 else 9
+            a = sparse_matrix(rng, r, k, density, bound)
+            b = sparse_matrix(rng, k, c, density, bound)
+            got = a * b
+            assert got == IntMatrix(r, c, matmul_oracle(a.data, b.data, c))
+            assert all(type(x) is int for row in got.data for x in row)
+            s = rng.randint(-bound, bound)
+            scalar = [[s * int(i == j) for j in range(k)] for i in range(k)]
+            assert s * a == a * s == IntMatrix(r, k, matmul_oracle(a.data, scalar, k))
+            big = max([big] + [x.bit_length() for row in got.data for x in row])
+        assert big >= 200
+
+    def test_dense_transforms(self):
+        # the dense bignum products that re-verify u * m * v == d
+        rng = random.Random(911)
+        for n in (16, 24):
+            m = sparse_matrix(rng, n, n, 1.0, 99)
+            s = smith_normal_form(m)
+            um = IntMatrix(n, n, matmul_oracle(s.u.data, m.data, n))
+            assert s.u * m == um
+            assert um * s.v == IntMatrix(n, n, matmul_oracle(um.data, s.v.data, n)) == s.d
+
+
 class TestSmith:
     def test_known_form(self):
         m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -71,7 +108,7 @@ class TestSmith:
         assert [x for x in s.diagonal if x] == [2, 2, 156]
         assert s.u * m * s.v == s.d
         assert s.u * s.uinv == IntMatrix.identity(3)
-        assert s.vinv * s.v == IntMatrix.identity(3)
+        assert abs(determinant(s.v)) == 1
 
     def test_oracle_cross_check(self):
         rng = random.Random(901)
