@@ -36,9 +36,9 @@ from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           refinement_map, regularize)
 from .tautness import (ComparisonReport, InconsistentData, LimNotExact,
                        NeighborhoodTower, SequenceReport, SubspaceData,
-                       comparison_into_limit, extension_candidates,
-                       four_term_sequence, milnor_sequence,
-                       reports_consistent, solenoid_tower, tautness_preset,
-                       tautness_sequence, trivially_taut_tower)
+                       comparison_into_limit, four_term_sequence,
+                       milnor_sequence, reports_consistent, solenoid_tower,
+                       tautness_preset, tautness_sequence,
+                       trivially_taut_tower)
 
 __version__ = "0.1.0"

@@ -274,8 +274,8 @@ def _blocks_to_map(pairvec, blocks, coefficients, source_group):
     """Reinterpret a block-major G-tuple vector (one block per generator of
     ``source_group``) as a GroupMap source_group -> coefficients."""
     m = coefficients.n_gens
-    cols = [list(pairvec[k * m:(k + 1) * m]) for k in range(blocks)]
-    return GroupMap(source_group, coefficients, IntMatrix.from_columns(cols, m))
+    cols = tuple(pairvec[k * m:(k + 1) * m] for k in range(blocks))
+    return GroupMap(source_group, coefficients, IntMatrix._trusted(blocks, m, cols).transpose())
 
 
 def _coboundary_push(suite, n):
@@ -296,12 +296,11 @@ def _cocycle_evaluation(suite, n, chains):
     homg = hom_group(h_sq.group, G)
     evaluate = tensor_identity(h_sq.lifts.transpose(), G.n_gens)
     cols = []
-    for k in range(chains.group.n_gens):
-        pairvec = evaluate.apply(chains.lifts.column(k))
-        f = _blocks_to_map(pairvec, h_sq.group.n_gens, G, h_sq.group)
-        cols.append(list(homg.from_map(f)))
-    return homg, GroupMap(chains.group, homg.group,
-                          IntMatrix.from_columns(cols, homg.group.n_gens))
+    for lift in chains.lifts.transpose().data:
+        f = _blocks_to_map(evaluate.apply(lift), h_sq.group.n_gens, G, h_sq.group)
+        cols.append(homg.from_map(f))
+    return homg, GroupMap(chains.group, homg.group, IntMatrix._trusted(
+        len(cols), homg.group.n_gens, tuple(cols)).transpose())
 
 
 def _check_short_exact(n, include, evaluate, left):
@@ -363,17 +362,13 @@ class UctSuite:
         project = res.cocycles(n) * p                    # C^n -> Z^n along a complement
         h_of_basis = h_sq.coords_matrix(project)         # H^n coords of each projected basis vector
         split_cols = []
-        for k in range(hom_term.n_gens):
-            e = [0] * hom_term.n_gens
-            e[k] = 1
+        for e in IntMatrix.identity(hom_term.n_gens).data:
             images = homg.to_map(e).matrix               # m x h
             phi = images * h_of_basis                    # m x rank(C^n)
-            pairvec = []
-            for c in range(self.base.rank(n)):
-                pairvec.extend(phi.column(c))
-            split_cols.append(list(mid_sq.coords(pairvec)))
-        splitting = GroupMap(hom_term, middle,
-                             IntMatrix.from_columns(split_cols, middle.n_gens))
+            pairvec = [x for col in phi.transpose().data for x in col]
+            split_cols.append(mid_sq.coords(pairvec))
+        splitting = GroupMap(hom_term, middle, IntMatrix._trusted(
+            len(split_cols), middle.n_gens, tuple(split_cols)).transpose())
 
         cert = UctCertificate(n, ext_term, hom_term, middle, injection, surjection, splitting)
         self._verify(cert)

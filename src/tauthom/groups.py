@@ -20,7 +20,7 @@ kept reduced modulo the row's annihilator, so equal maps compare equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .matrices import (IntMatrix, hermite_form, hstack, kernel_basis,
@@ -41,16 +41,10 @@ class GroupParseError(ValueError):
 
 @dataclass(frozen=True)
 class PresentedGroup:
-    """A finitely generated abelian group in invariant-factor form.
-
-    ``presentation`` optionally retains the relation matrix the normal form
-    was derived from; it is provenance only and never takes part in
-    equality or hashing.
-    """
+    """A finitely generated abelian group in invariant-factor form."""
 
     free_rank: int
     torsion: tuple = ()
-    presentation: IntMatrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -122,11 +116,26 @@ class PresentedGroup:
 
     @classmethod
     def from_orders(cls, orders):
-        """Normal form of a direct sum of cyclic groups Z/d (d=0 meaning Z)."""
+        """Normal form of a direct sum of cyclic groups Z/d (d=0 meaning Z).
+
+        Each zero is a free summand; the nonzero orders are swept pairwise,
+        (a_i, a_j) -> (gcd, lcm) for i < j, and the resulting 1s dropped.
+        Proof: after pass i, a_i divides every later entry, so the result is a divisor chain;
+        each step sends the p-exponents (e, f) to (min, max), so the prime-power multiset stays.
+        """
         orders = [int(d) for d in orders]
         if any(d < 0 for d in orders):
             raise ValueError("cyclic orders must be nonnegative")
-        return normalize(_relations_for_orders(orders).transpose())
+        chain = [d for d in orders if d]
+        for i, a in enumerate(chain):
+            for j in range(i + 1, len(chain)):
+                b = chain[j]
+                if b % a:
+                    g = gcd(a, b)
+                    chain[j] = a // g * b
+                    a = g
+            chain[i] = a
+        return cls(len(orders) - len(chain), tuple(d for d in chain if d != 1))
 
     def direct_sum(self, *others):
         orders = list(self.orders)
@@ -189,16 +198,17 @@ def parse_group(text):
     for chunk in chunks:
         term = chunk.strip()
         offset = pos + (len(chunk) - len(chunk.lstrip()))
+        body = term[2:]
+        # only ASCII digits: str.isdigit also accepts superscripts such as '²'
+        digits = body.isascii() and body.isdigit()
         if term == "Z":
             orders.append(0)
         elif term.startswith("Z^"):
-            body = term[2:]
-            if not body.isdigit() or int(body) < 0:
+            if not digits:
                 raise GroupParseError("bad free rank %r" % term, offset)
             orders.extend([0] * int(body))
         elif term.startswith("Z/"):
-            body = term[2:]
-            if not body.isdigit() or int(body) < 1:
+            if not digits or int(body) < 1:
                 raise GroupParseError("bad cyclic order %r" % term, offset)
             orders.append(int(body))
         else:
@@ -240,8 +250,9 @@ class Subquotient:
         tors_idx = [i for i in range(p) if orders[i] >= 2]
         kept = free_idx + tors_idx
         self.group = PresentedGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-        self.lifts = self._hf.h * IntMatrix.from_columns([s.uinv.column(i) for i in kept], p)
-        self._proj = IntMatrix(len(kept), p, [s.u.row(i) for i in kept])
+        self.lifts = self._hf.h * IntMatrix._trusted(
+            p, len(kept), tuple(tuple(row[i] for i in kept) for row in s.uinv.data))
+        self._proj = IntMatrix._trusted(len(kept), p, tuple(s.u.data[i] for i in kept))
 
     def coords_matrix(self, mat):
         """Canonical coordinates of each column of ``mat``."""
@@ -249,12 +260,16 @@ class Subquotient:
         if t is None:
             raise ValueError("vector lies outside the numerator lattice")
         raw = self._proj * t
-        orders = self.group.orders
-        data = [[x % d if d else x for x in row] for row, d in zip(raw.data, orders)]
-        return IntMatrix(self.group.n_gens, mat.cols, data)
+        return IntMatrix._trusted(self.group.n_gens, mat.cols,
+                                  _reduce_rows(raw.data, self.group.orders))
 
     def coords(self, vec):
-        return self.coords_matrix(IntMatrix.from_columns([list(vec)], self.ambient_dim)).column(0)
+        vec = tuple(vec)
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector has %d coordinates, expected %d"
+                             % (len(vec), self.ambient_dim))
+        col = IntMatrix._trusted(self.ambient_dim, 1, tuple((x,) for x in vec))
+        return self.coords_matrix(col).column(0)
 
 
 def normalize(presentation):
@@ -267,8 +282,7 @@ def normalize(presentation):
     'Z^3'
     """
     n = presentation.cols
-    sq = Subquotient(IntMatrix.identity(n), presentation.transpose())
-    return replace(sq.group, presentation=presentation)
+    return Subquotient(IntMatrix.identity(n), presentation.transpose()).group
 
 
 class GroupMap:
@@ -286,8 +300,8 @@ class GroupMap:
             raise IllFormedMap("matrix is %dx%d but the groups need %dx%d"
                                % (matrix.rows, matrix.cols, target.n_gens, source.n_gens))
         tgt_orders = target.orders
-        data = [[x % d if d else x for x in row] for row, d in zip(matrix.data, tgt_orders)]
-        canon = IntMatrix(matrix.rows, matrix.cols, data)
+        canon = IntMatrix._trusted(matrix.rows, matrix.cols,
+                                   _reduce_rows(matrix.data, tgt_orders))
         for j, dj in enumerate(source.orders):
             if dj == 0:
                 continue
@@ -350,21 +364,22 @@ class GroupMap:
 # -- kernels, images, cokernels ------------------------------------------
 
 
+def _reduce_rows(data, orders):
+    """Rows of ``data`` with row i reduced modulo orders[i] (0: left alone)."""
+    return tuple(tuple(x % d for x in row) if d else row for row, d in zip(data, orders))
+
+
 def _relations_for_orders(orders):
-    cols = []
-    n = len(orders)
-    for i, d in enumerate(orders):
-        if d:
-            col = [0] * n
-            col[i] = d
-            cols.append(col)
-    return IntMatrix.from_columns(cols, n)
+    """One column d * e_i per nonzero order d = orders[i]."""
+    nonzero = [i for i, d in enumerate(orders) if d]
+    return IntMatrix._trusted(len(orders), len(nonzero), tuple(
+        tuple(d if i == k else 0 for k in nonzero) for i, d in enumerate(orders)))
 
 
 def _preimage(matrix, lattice):
     """Generators of {x in Z^cols : matrix*x in the column span of ``lattice``}."""
     kb = kernel_basis(hstack(matrix, lattice))
-    return IntMatrix(matrix.cols, kb.cols, kb.data[:matrix.cols])
+    return IntMatrix._trusted(matrix.cols, kb.cols, kb.data[:matrix.cols])
 
 
 def kernel_lattice(matrix, target_orders):
@@ -419,7 +434,7 @@ def inverse(f):
     sol = solve_columns(hstack(f.matrix, f.target.relation_matrix()), IntMatrix.identity(n))
     if sol is None:
         return None
-    g = GroupMap(f.target, f.source, IntMatrix(m, n, sol.data[:m]))
+    g = GroupMap(f.target, f.source, IntMatrix._trusted(m, n, sol.data[:m]))
     if not (f @ g).is_identity or not (g @ f).is_identity:
         return None
     return g
@@ -437,7 +452,7 @@ def tensor_identity(mat, block):
             if x:
                 for g in range(block):
                     data[i * block + g][j * block + g] = x
-    return IntMatrix(rows, cols, data)
+    return IntMatrix._trusted(rows, cols, tuple(map(tuple, data)))
 
 
 # -- Hom and Ext -----------------------------------------------------------
@@ -480,8 +495,8 @@ class HomGroup:
         data = [[0] * self.source.n_gens for _ in range(self.coefficients.n_gens)]
         for (j, i, c, _), val in zip(self.pairs, t):
             data[i][j] += val * c
-        return GroupMap(self.source, self.coefficients,
-                        IntMatrix(self.coefficients.n_gens, self.source.n_gens, data))
+        return GroupMap(self.source, self.coefficients, IntMatrix._trusted(
+            self.coefficients.n_gens, self.source.n_gens, tuple(map(tuple, data))))
 
     def from_map(self, f):
         """Canonical coordinates of a homomorphism source -> coefficients."""
@@ -506,13 +521,10 @@ class HomGroup:
         if f.target != self.source or dest.source != f.source \
                 or dest.coefficients != self.coefficients:
             raise IllFormedMap("pullback groups do not line up")
-        cols = []
-        for k in range(self.group.n_gens):
-            e = [0] * self.group.n_gens
-            e[k] = 1
-            cols.append(list(dest.from_map(self.to_map(e) @ f)))
+        cols = tuple(dest.from_map(self.to_map(e) @ f)
+                     for e in IntMatrix.identity(self.group.n_gens).data)
         return GroupMap(self.group, dest.group,
-                        IntMatrix.from_columns(cols, dest.group.n_gens))
+                        IntMatrix._trusted(len(cols), dest.group.n_gens, cols).transpose())
 
 
 class ExtGroup:

@@ -22,6 +22,8 @@ class IntMatrix:
     Explicit row/column counts are kept so that empty shapes (0 x n and
     n x 0) round-trip correctly; those degenerate shapes show up constantly
     as relation matrices of free groups and boundaries of empty complexes.
+    The constructor checks the shape and rejects any entry that is not an
+    int (bools, floats and strings included) rather than coercing it.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -29,7 +31,12 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(map(tuple, entries))
+        for i, row in enumerate(data):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError("matrix entry [%d][%d] must be an integer, got %r"
+                                     % (i, j, x))
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entries do not match the declared %dx%d shape" % (rows, cols))
         self.rows = rows
@@ -64,11 +71,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None):
@@ -92,13 +99,14 @@ class IntMatrix:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [[-x for x in row] for row in self.data])
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(tuple(-x for x in row) for row in self.data))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return IntMatrix._trusted(self.rows, self.cols, tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -170,14 +178,9 @@ class IntMatrix:
         integers: booleans, floats and strings are rejected, not coerced."""
         if not isinstance(obj, (dict, list)):
             raise ValueError("matrix JSON must be an object or a list of rows")
-        entries = obj["entries"] if isinstance(obj, dict) else obj
-        for i, row in enumerate(entries):
-            for j, x in enumerate(row):
-                if type(x) is not int:
-                    raise ValueError("matrix entry [%d][%d] must be an integer, got %r" % (i, j, x))
         if isinstance(obj, dict):
-            return cls(int(obj["rows"]), int(obj["cols"]), entries)
-        return cls.from_rows(entries)
+            return cls(int(obj["rows"]), int(obj["cols"]), obj["entries"])
+        return cls.from_rows(obj)
 
 
 def hstack(*mats):
@@ -349,9 +352,9 @@ class HermiteForm:
         None when some column of ``rhs`` lies outside the lattice."""
         if rhs.rows != self.h.rows:
             raise ValueError("shape mismatch in solve")
-        hcols = self.h.columns()
+        hcols = self.h.transpose().data
         ys = []
-        for b in rhs.columns():
+        for b in rhs.transpose().data:
             y = []
             for col, i in zip(hcols, self.pivots):
                 q, rem = divmod(b[i], col[i])

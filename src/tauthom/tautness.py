@@ -31,7 +31,6 @@ being resolved silently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groups import (GroupMap, PresentedGroup, cokernel, ext_group, hom_group,
@@ -246,65 +245,6 @@ class SequenceReport:
                 "terms": [t.to_json() for t in self.terms],
                 "junctions": [j.to_json() for j in self.junctions],
                 "notes": list(self.notes), "failed": self.failed}
-
-
-def extension_candidates(sub, quotient, limit=512):
-    """All invariant-factor forms of finite abelian extensions of
-    ``quotient`` by ``sub``: groups H admitting an injection of sub with
-    quotient isomorphic to ``quotient``. Never resolves the ambiguity; the
-    caller reports the whole set."""
-    if sub.free_rank or quotient.free_rank:
-        raise ValueError("extension enumeration needs finite end terms")
-    total = sub.cardinality() * quotient.cardinality()
-    if total > limit:
-        raise ValueError("extension enumeration capped at order %d" % limit)
-    out = []
-    for h in _groups_of_order(total):
-        if _is_extension(sub, h, quotient):
-            out.append(h)
-    return tuple(out)
-
-
-def _groups_of_order(n):
-    def chains(rest, smallest):
-        if rest == 1:
-            yield ()
-            return
-        d = smallest
-        while d * d <= rest or d <= rest:
-            if d > rest:
-                break
-            if rest % d == 0 and d >= smallest:
-                for tail in chains(rest // d, d):
-                    yield (d,) + tail
-            d += 1
-    seen = []
-    for chain in chains(n, 2):
-        ordered = tuple(sorted(chain))
-        ok = all(ordered[i + 1] % ordered[i] == 0 for i in range(len(ordered) - 1))
-        if ok:
-            g = PresentedGroup(0, ordered)
-            if g not in seen:
-                seen.append(g)
-    return seen
-
-
-def _is_extension(sub, h, quotient):
-    gens = sub.n_gens
-    if gens == 0:
-        return h == quotient
-    element_lists = [list(h.elements())] * gens
-    for images in itertools.product(*element_lists):
-        cols = [list(v) for v in images]
-        try:
-            f = GroupMap(sub, h, IntMatrix.from_columns(cols, h.n_gens))
-        except Exception:
-            continue
-        if not kernel(f)[0].is_trivial:
-            continue
-        if cokernel(f)[0] == quotient:
-            return True
-    return False
 
 
 def _classify_middle(l1, l, supplied):

@@ -218,6 +218,24 @@ def _prime_powers(total):
     return out
 
 
+def invariant_factors_oracle(orders):
+    """(free rank, invariant factors) of the direct sum of Z/d over
+    ``orders`` (0 meaning Z) by primary decomposition: factor each order by
+    trial division, sort each prime's exponents from largest down, and
+    multiply the k-th largest power of every prime into the k-th largest
+    invariant factor."""
+    exponents = {}
+    for d in orders:
+        if d:
+            for p, e in _prime_powers(d).items():
+                exponents.setdefault(p, []).append(e)
+    factors = [1] * max((len(es) for es in exponents.values()), default=0)
+    for p, es in exponents.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            factors[k] *= p ** e
+    return list(orders).count(0), tuple(sorted(factors))
+
+
 def classify_by_order_counts(count_fn, total):
     """The unique divisor chain whose m-torsion counts match count_fn.
 

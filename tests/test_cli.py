@@ -197,6 +197,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "group", "--coefficients", "Z^+1")
         assert code == 2 and "'Z^+1'" in err
 
+    def test_superscript_exponent_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "group", "--coefficients", "Z^\u00b2")
+        assert code == 2 and "'Z^\u00b2' (at position 0)" in err
+
     def test_missing_input_is_two(self, capsys):
         code, _, err = run_cli(capsys, "lim")
         assert code == 2 and "--input" in err

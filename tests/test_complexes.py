@@ -161,6 +161,26 @@ class TestUct:
         hh = seq.hom_cohomology.cardinality()
         assert seq.cycles.cardinality() == hb * hh
 
+    def test_certificates_build_no_validated_matrices(self, monkeypatch):
+        # the validated constructor re-checks every entry; matrices the
+        # package builds itself must bypass it on the certificate path
+        rng = seeded(31)
+        complexes = [random_free_cochain_complex(rng)[0] for _ in range(8)]
+        calls = []
+        validated = IntMatrix.__init__
+
+        def counting(self, rows, cols, entries):
+            calls.append((rows, cols))
+            validated(self, rows, cols, entries)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        for cx in complexes:
+            for g in (Z, Z2, Z12, MIXED):
+                uct_certificates(cx, g)
+        assert calls == []
+        IntMatrix(1, 1, [[1]])
+        assert calls == [(1, 1)]
+
     def test_shared_resolver_consistency(self):
         from tauthom.complexes import _Resolver
         cx, _ = random_free_cochain_complex(seeded(24))

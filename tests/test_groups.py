@@ -10,11 +10,13 @@ from tauthom.groups import (GroupMap, GroupParseError, IllFormedMap,
                             PresentedGroup, Subquotient, cokernel, ext_group,
                             hom_group, image, inverse, is_injective,
                             is_isomorphism, is_surjective, kernel,
-                            kernel_lattice, parse_group, tensor_identity)
+                            kernel_lattice, normalize, parse_group,
+                            tensor_identity)
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import random_finite_group, random_group, seeded
 
-from oracles import all_finite_groups_to, ext_oracle, hom_oracle
+from oracles import (all_finite_groups_to, ext_oracle, hom_oracle,
+                     invariant_factors_oracle)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -80,9 +82,36 @@ class TestPresentedGroup:
             parse_group(text)
         assert message in str(e.value) and e.value.position == position
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("Z^\u00b2", "bad free rank 'Z^\u00b2'", 0),
+        ("Z/2 + Z/\u00b2", "bad cyclic order 'Z/\u00b2'", 6),
+        ("Z/\u0663", "bad cyclic order 'Z/\u0663'", 0),
+    ], ids=["superscript-rank", "superscript-order", "arabic-indic-order"])
+    def test_non_ascii_digit_named_whole(self, text, message, position):
+        # str.isdigit accepts all three; the group grammar takes ASCII digits only
+        with pytest.raises(GroupParseError) as e:
+            parse_group(text)
+        assert message in str(e.value) and e.value.position == position
+
     def test_json_round_trip(self):
         g = PresentedGroup(2, (3, 9))
         assert PresentedGroup.from_json(g.to_json()) == g
+
+    def test_from_orders_matches_primary_decomposition(self):
+        rng = random.Random(2024)
+        small = [0, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 32, 49, 60, 97, 210]
+        # pairwise coprime values of 60 bits and more, all smooth enough
+        # for the trial-division oracle
+        big = [2 ** 61, 3 ** 39, 5 ** 27 * 7, 11 ** 18, 13 ** 17 * 17 ** 2]
+        for _ in range(300):
+            orders = [rng.choice(small) for _ in range(rng.randrange(0, 7))]
+            orders += rng.sample(big, rng.randrange(0, 3))
+            orders += [rng.choice([2, 3, 4, 8, 9, 16])] * rng.randrange(0, 4)
+            rng.shuffle(orders)
+            expected = invariant_factors_oracle(orders)
+            g = PresentedGroup.from_orders(orders)
+            assert (g.free_rank, g.torsion) == expected, orders
+            assert normalize(IntMatrix.diagonal(orders)) == g
 
 
 class TestGroupMap:

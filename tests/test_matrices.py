@@ -63,6 +63,12 @@ class TestArithmetic:
         assert IntMatrix.from_json([[1, -2, 3]]) == a
         assert IntMatrix.from_json([]) == IntMatrix.zeros(0, 0)
 
+    @pytest.mark.parametrize("entry", [2.7, True, "3"], ids=["float", "bool", "str"])
+    def test_constructor_rejects_non_int_entries(self, entry):
+        # coercion would turn 2.7 into 2 and True into 1
+        with pytest.raises(ValueError, match=r"matrix entry \[1\]\[0\] must be an integer"):
+            IntMatrix(2, 1, [[1], [entry]])
+
 
 def sparse_matrix(rng, rows, cols, density, bound):
     return IntMatrix(rows, cols, [[rng.randint(-bound, bound) if rng.random() < density else 0

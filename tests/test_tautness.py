@@ -9,14 +9,13 @@ from tauthom.tautness import (BY_CLASSIFICATION, FAILED, NOT_CHECKABLE,
                               THEORY_TAGS, VERIFIED, InconsistentData,
                               LimNotExact, NeighborhoodTower, SequenceReport,
                               SubspaceData, comparison_into_limit,
-                              extension_candidates, four_term_sequence,
-                              milnor_sequence, reports_consistent,
-                              solenoid_tower, tautness_preset,
-                              tautness_sequence, trivially_taut_tower)
+                              four_term_sequence, milnor_sequence,
+                              reports_consistent, solenoid_tower,
+                              tautness_preset, tautness_sequence,
+                              trivially_taut_tower)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
-Z3 = PresentedGroup(0, (3,))
 Z4 = PresentedGroup(0, (4,))
 TRIVIAL = PresentedGroup(0, ())
 
@@ -267,31 +266,6 @@ class TestReportsConsistent:
     def test_self_consistency(self):
         rep = milnor_sequence(solenoid_tower(3), 0)
         assert reports_consistent(rep, rep)
-
-
-class TestExtensionCandidates:
-    def test_two_by_two(self):
-        cands = extension_candidates(Z2, Z2)
-        assert set(cands) == {Z4, PresentedGroup(0, (2, 2))}
-
-    def test_coprime_orders_force_cyclic(self):
-        assert extension_candidates(Z3, Z2) == (PresentedGroup(0, (6,)),)
-
-    def test_two_by_four(self):
-        cands = extension_candidates(Z2, Z4)
-        assert set(cands) == {PresentedGroup(0, (8,)), PresentedGroup(0, (2, 4))}
-
-    def test_trivial_sub(self):
-        assert extension_candidates(TRIVIAL, Z4) == (Z4,)
-
-    def test_free_ends_rejected(self):
-        with pytest.raises(ValueError):
-            extension_candidates(Z, Z2)
-
-    def test_order_cap(self):
-        big = PresentedGroup(0, (32,))
-        with pytest.raises(ValueError):
-            extension_candidates(big, big)
 
 
 class TestReportRendering:
