@@ -41,17 +41,23 @@ class GroupParseError(ValueError):
 
 @dataclass(frozen=True)
 class PresentedGroup:
-    """A finitely generated abelian group in invariant-factor form."""
+    """A finitely generated abelian group in invariant-factor form. The free
+    rank and the torsion coefficients must be ints; anything else, bools
+    and floats included, raises ValueError rather than being coerced."""
 
     free_rank: int
     torsion: tuple = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            raise ValueError("free rank must be an integer, got %r" % (self.free_rank,))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
+            if type(d) is not int:
+                raise ValueError("torsion coefficients must be integers, got %r" % (d,))
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")
             if prev is not None and d % prev:
@@ -123,9 +129,12 @@ class PresentedGroup:
         Proof: after pass i, a_i divides every later entry, so the result is a divisor chain;
         each step sends the p-exponents (e, f) to (min, max), so the prime-power multiset stays.
         """
-        orders = [int(d) for d in orders]
-        if any(d < 0 for d in orders):
-            raise ValueError("cyclic orders must be nonnegative")
+        orders = list(orders)
+        for d in orders:
+            if type(d) is not int:
+                raise ValueError("cyclic orders must be integers, got %r" % (d,))
+            if d < 0:
+                raise ValueError("cyclic orders must be nonnegative")
         chain = [d for d in orders if d]
         for i, a in enumerate(chain):
             for j in range(i + 1, len(chain)):

@@ -271,7 +271,8 @@ class NerveComplex:
                 for i in range(n + 1):
                     face = s[:i] + s[i + 1:]
                     rows[lower[face]][j] += (-1) ** i
-            diffs[n] = IntMatrix(len(self.simplices[n - 1]), len(self.simplices[n]), rows)
+            diffs[n] = IntMatrix._trusted(len(self.simplices[n - 1]), len(self.simplices[n]),
+                                          tuple(map(tuple, rows)))
         self.chain = FreeComplex("chain", 0, dim,
                                  [len(level) for level in self.simplices], diffs)
 
@@ -616,8 +617,8 @@ def _generator_boundary_matrix(nerve, n, coefficients):
             chain = KolmogoroffChain(nerve, n, coefficients, {s: unit})
             for tau, vec in chain.boundary().values.items():
                 col[lower[tau] * g:(lower[tau] + 1) * g] = vec
-            cols.append(col)
-    return IntMatrix.from_columns(cols, len(lower) * g)
+            cols.append(tuple(col))
+    return IntMatrix._trusted(len(cols), len(lower) * g, tuple(cols)).transpose()
 
 
 def kolmogoroff_homology(model, partition, coefficients):
@@ -689,8 +690,8 @@ class RefinementMap:
             image, sign = _sort_with_sign(tuple(self.vertex_map[b] for b in s))
             if image is not None:
                 col[self.coarse.index[n][image]] = sign
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows)
+            cols.append(tuple(col))
+        return IntMatrix._trusted(len(cols), rows, tuple(cols)).transpose()
 
     def chain_matrix(self, n):
         if n in self._chain:

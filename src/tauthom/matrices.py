@@ -8,12 +8,20 @@ comparison all go through one canonical column Hermite form, so equal
 lattices have equal bases. Smith reduction follows a deterministic pivot
 rule (smallest magnitude nonzero entry, ties broken in row-major order) so
 that every factorization is reproducible across runs and platforms.
+
+Both reductions cost time in proportion to the nonzeros they touch, not
+the matrix dimension: each row or column operation runs over the nonzeros
+of its pivot line only, the pivot scan stops at the first unit entry, and
+a unit pivot skips the divisibility sweep. The pivot rule and the order of
+elementary operations are those of the plain dense elimination, so every
+transform and form is the same, entry for entry.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress, islice
 
 
 class IntMatrix:
@@ -174,12 +182,17 @@ class IntMatrix:
     @classmethod
     def from_json(cls, obj):
         """Accept either the explicit {"rows","cols","entries"} form or a
-        bare list of rows (shape inferred; [] means 0 x 0). Entries must be
-        integers: booleans, floats and strings are rejected, not coerced."""
+        bare list of rows (shape inferred; [] means 0 x 0). Entries and the
+        row and column counts must be integers: booleans, floats and strings
+        are rejected, not coerced."""
         if not isinstance(obj, (dict, list)):
             raise ValueError("matrix JSON must be an object or a list of rows")
         if isinstance(obj, dict):
-            return cls(int(obj["rows"]), int(obj["cols"]), obj["entries"])
+            rows, cols = obj["rows"], obj["cols"]
+            for name, n in (("rows", rows), ("cols", cols)):
+                if type(n) is not int:
+                    raise ValueError("matrix field '%s' must be an integer, got %r" % (name, n))
+            return cls(rows, cols, obj["entries"])
         return cls.from_rows(obj)
 
 
@@ -223,104 +236,113 @@ class SmithForm:
         return sum(1 for x in self.diagonal if x != 0)
 
 
+def _nonzeros(line, start=0):
+    """The (index, entry) pairs of the nonzero entries of ``line`` from ``start`` on."""
+    return [(k, line[k]) for k in compress(range(start, len(line)), islice(line, start, None))]
+
+
+def _identity_lines(n):
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def _smith_core(mat):
     r, c = mat.rows, mat.cols
     A = [list(row) for row in mat.data]
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    Ui = [[int(i == j) for j in range(r)] for i in range(r)]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Ui:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Ui:
-            row[i] = -row[i]
-
-    def row_add(i, j, q):
-        # row_i += q * row_j; the inverse transform is a column op on Ui
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for row in Ui:
-            row[j] -= q * row[i]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, q):
-        # col_i += q * col_j
-        for row in A:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
+    U = _identity_lines(r)
+    # U^-1 and V only ever change by column operations, so they are kept as
+    # lists of columns and transposed once at the end
+    Uic, Vc = _identity_lines(r), _identity_lines(c)
+    # Rows above t are zero from column t on: every operation at step t
+    # combines rows t.. and columns t.., whose entries above row t are 0.
     t = 0
     mn = min(r, c)
     while t < mn:
-        # deterministic pivot: smallest |entry|, first such in row-major order
+        # deterministic pivot: smallest |entry|, first such in row-major
+        # order; no nonzero is smaller than a unit, so the scan stops there
         best = None
         pi = pj = -1
         for i in range(t, r):
             Ai = A[i]
-            for j in range(t, c):
+            for j in compress(range(t, c), islice(Ai, t, None)):
                 x = Ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best:
-                        best, pi, pj = ax, i, j
+                ax = -x if x < 0 else x
+                if best is None or ax < best:
+                    best, pi, pj = ax, i, j
+                    if ax == 1:
+                        break
+            if best == 1:
+                break
         if best is None:
             break
         if pi != t:
-            row_swap(t, pi)
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+            Uic[t], Uic[pi] = Uic[pi], Uic[t]
         if pj != t:
-            col_swap(t, pj)
+            for i in range(t, r):
+                Ai = A[i]
+                Ai[t], Ai[pj] = Ai[pj], Ai[t]
+            Vc[t], Vc[pj] = Vc[pj], Vc[t]
         if A[t][t] < 0:
-            row_neg(t)
-        p = A[t][t]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+            Uic[t] = [-x for x in Uic[t]]
+        At, Uit = A[t], Uic[t]
+        p = At[t]
         dirty = False
-        for i in range(t + 1, r):
-            x = A[i][t]
-            if x:
-                q = x // p
-                if q:
-                    row_add(i, t, -q)
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, c):
-            x = A[t][j]
-            if x:
-                q = x // p
-                if q:
-                    col_add(j, t, -q)
-                if A[t][j]:
-                    dirty = True
+        # row_i -= q * row_t for the rows below; row t stays fixed meanwhile,
+        # and the inverse transform is col_t += q * col_i on U^-1
+        rows = [i for i in range(t + 1, r) if A[i][t]]
+        if rows:
+            a_nz, u_nz = _nonzeros(At, t), _nonzeros(U[t])
+        for i in rows:
+            Ai = A[i]
+            q = Ai[t] // p
+            if q:
+                for j, b in a_nz:
+                    Ai[j] -= q * b
+                Ui = U[i]
+                for j, b in u_nz:
+                    Ui[j] -= q * b
+                src = Uic[i]
+                for k in compress(range(r), src):
+                    Uit[k] += q * src[k]
+            if Ai[t]:
+                dirty = True
+        # col_j -= q * col_t for the columns to the right; column t stays
+        # fixed meanwhile, and At[j] changes only when column j is reduced
+        cols = _nonzeros(At, t + 1)
+        if cols:
+            col_nz = [(i, A[i][t]) for i in range(t, r) if A[i][t]]
+            v_nz = _nonzeros(Vc[t])
+        for j, x in cols:
+            q = x // p
+            if q:
+                for i, b in col_nz:
+                    A[i][j] -= q * b
+                Vj = Vc[j]
+                for k, b in v_nz:
+                    Vj[k] -= q * b
+            if At[j]:
+                dirty = True
         if dirty:
             continue
-        d = A[t][t]
-        ok = True
-        for i in range(t + 1, r):
-            Ai = A[i]
-            for j in range(t + 1, c):
-                if Ai[j] % d:
-                    # pull the offending row up so the next pass shrinks the pivot to a gcd
-                    row_add(t, i, 1)
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            t += 1
+        # a unit pivot divides everything; otherwise find the first row
+        # holding an entry it does not divide
+        i = None if p == 1 else next(
+            (i for i in range(t + 1, r) if any(x % p for x in islice(A[i], t + 1, None))), None)
+        if i is not None:
+            # pull the offending row up so the next pass shrinks the pivot to a gcd
+            A[t] = [a + b for a, b in zip(At, A[i])]
+            U[t] = [a + b for a, b in zip(U[t], U[i])]
+            Uic[i] = [a - b for a, b in zip(Uic[i], Uit)]
+            continue
+        t += 1
 
-    return tuple(IntMatrix._trusted(len(M), cols, tuple(map(tuple, M)))
-                 for M, cols in ((U, r), (Ui, r), (A, c), (V, c)))
+    return (IntMatrix._trusted(r, r, tuple(map(tuple, U))),
+            IntMatrix._trusted(r, r, tuple(zip(*Uic))),
+            IntMatrix._trusted(r, c, tuple(map(tuple, A))),
+            IntMatrix._trusted(c, c, tuple(zip(*Vc))))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -372,15 +394,16 @@ class HermiteForm:
 def _hermite_core(mat):
     r, c = mat.rows, mat.cols
     A = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
-    V = [[int(i == j) for i in range(c)] for j in range(c)]
+    V = _identity_lines(c)
     pivots = []
 
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        if not q:
-            return
-        A[j] = [a - q * b for a, b in zip(A[j], A[k])]
-        V[j] = [a - q * b for a, b in zip(V[j], V[k])]
+    def col_sub(j, a_nz, v_nz, q):
+        # col_j -= q * col_k in place, over the nonzeros of col_k in A and V
+        Aj, Vj = A[j], V[j]
+        for m, b in a_nz:
+            Aj[m] -= q * b
+        for m, b in v_nz:
+            Vj[m] -= q * b
 
     for i in range(r):
         k = len(pivots)
@@ -391,18 +414,26 @@ def _hermite_core(mat):
             j = min(live, key=lambda j: abs(A[j][i]))
             A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
             p = A[k][i]
-            for j in range(k + 1, c):
-                if A[j][i]:
-                    col_sub(j, k, (2 * A[j][i] + p) // (2 * p))
-            live = [j for j in range(k, c) if A[j][i]]
+            a_nz, v_nz = _nonzeros(A[k]), _nonzeros(V[k])
+            # only the live columns can be nonzero in row i
+            rest = [j for j in live if j > k and A[j][i]]
+            for j in rest:
+                q = (2 * A[j][i] + p) // (2 * p)
+                if q:
+                    col_sub(j, a_nz, v_nz, q)
+            live = [k] + [j for j in rest if A[j][i]]
         if not live:
             continue
         j = live[0]
         A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
         if A[k][i] < 0:
             A[k], V[k] = [-x for x in A[k]], [-x for x in V[k]]
-        for j in range(k):
-            col_sub(j, k, A[j][i] // A[k][i])
+        p = A[k][i]
+        back = [(j, q) for j in range(k) if (q := A[j][i] // p)]
+        if back:
+            a_nz, v_nz = _nonzeros(A[k]), _nonzeros(V[k])
+        for j, q in back:
+            col_sub(j, a_nz, v_nz, q)
         pivots.append(i)
     h = tuple(zip(*A[:len(pivots)])) if pivots else ((),) * r
     return IntMatrix._trusted(r, len(pivots), h), IntMatrix._trusted(c, c, tuple(zip(*V))), \

@@ -70,6 +70,153 @@ def snf_divisors_oracle(rows):
     return tuple(out)
 
 
+def smith_core_reference(mat):
+    """The dense Smith core the library used before its reductions touched
+    only nonzeros, kept as the reference for bit-identical transforms. It
+    reads ``mat.rows``, ``mat.cols`` and ``mat.data`` and returns U, U^-1,
+    D and V as (rows, cols, row tuples) triples."""
+    r, c = mat.rows, mat.cols
+    A = [list(row) for row in mat.data]
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    Ui = [[int(i == j) for j in range(r)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        for row in Ui:
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+        for row in Ui:
+            row[i] = -row[i]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j; the inverse transform is a column op on Ui
+        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        for row in Ui:
+            row[j] -= q * row[i]
+
+    def col_swap(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, q):
+        # col_i += q * col_j
+        for row in A:
+            row[i] += q * row[j]
+        for row in V:
+            row[i] += q * row[j]
+
+    t = 0
+    mn = min(r, c)
+    while t < mn:
+        # deterministic pivot: smallest |entry|, first such in row-major order
+        best = None
+        pi = pj = -1
+        for i in range(t, r):
+            Ai = A[i]
+            for j in range(t, c):
+                x = Ai[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best is None or ax < best:
+                        best, pi, pj = ax, i, j
+        if best is None:
+            break
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if A[t][t] < 0:
+            row_neg(t)
+        p = A[t][t]
+        dirty = False
+        for i in range(t + 1, r):
+            x = A[i][t]
+            if x:
+                q = x // p
+                if q:
+                    row_add(i, t, -q)
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, c):
+            x = A[t][j]
+            if x:
+                q = x // p
+                if q:
+                    col_add(j, t, -q)
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        d = A[t][t]
+        ok = True
+        for i in range(t + 1, r):
+            Ai = A[i]
+            for j in range(t + 1, c):
+                if Ai[j] % d:
+                    # pull the offending row up so the next pass shrinks the pivot to a gcd
+                    row_add(t, i, 1)
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            t += 1
+
+    return tuple((len(M), cols, tuple(map(tuple, M)))
+                 for M, cols in ((U, r), (Ui, r), (A, c), (V, c)))
+
+
+def hermite_core_reference(mat):
+    """The dense column Hermite core the library used before its reductions
+    touched only nonzeros, kept as the reference for bit-identical
+    transforms. Returns H and V as (rows, cols, row tuples) triples and the
+    pivot rows."""
+    r, c = mat.rows, mat.cols
+    A = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
+    V = [[int(i == j) for i in range(c)] for j in range(c)]
+    pivots = []
+
+    def col_sub(j, k, q):
+        # col_j -= q * col_k
+        if not q:
+            return
+        A[j] = [a - q * b for a, b in zip(A[j], A[k])]
+        V[j] = [a - q * b for a, b in zip(V[j], V[k])]
+
+    for i in range(r):
+        k = len(pivots)
+        # Euclidean reduction of row i over the columns without a pivot,
+        # smallest entry first, rounding to the nearest quotient
+        live = [j for j in range(k, c) if A[j][i]]
+        while len(live) > 1:
+            j = min(live, key=lambda j: abs(A[j][i]))
+            A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
+            p = A[k][i]
+            for j in range(k + 1, c):
+                if A[j][i]:
+                    col_sub(j, k, (2 * A[j][i] + p) // (2 * p))
+            live = [j for j in range(k, c) if A[j][i]]
+        if not live:
+            continue
+        j = live[0]
+        A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
+        if A[k][i] < 0:
+            A[k], V[k] = [-x for x in A[k]], [-x for x in V[k]]
+        for j in range(k):
+            col_sub(j, k, A[j][i] // A[k][i])
+        pivots.append(i)
+    h = tuple(zip(*A[:len(pivots)])) if pivots else ((),) * r
+    return (r, len(pivots), h), (c, c, tuple(zip(*V))), tuple(pivots)
+
+
 def hermite_oracle(rows, cols):
     """Column Hermite normal form by pairwise extended gcd (Cohen, GTM 138,
     Alg. 2.4.5, run top-down on columns): returns the rows of H, whose
@@ -552,3 +699,30 @@ def occurrence_systems(n_sets, max_atoms):
             sets = [frozenset(a for a, p in enumerate(pats) if i in p)
                     for i in range(n_sets)]
             yield sets, len(pats)
+
+
+# -- model faces -------------------------------------------------------------------
+
+
+def torus_faces(n):
+    """Facets of the n x n triangulated torus on atoms 0..n*n-1: two
+    triangles per grid square."""
+    def v(i, j):
+        return (i % n) * n + j % n
+    return [f for i in range(n) for j in range(n)
+            for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
+def starred_sphere_faces(rng, k, stars):
+    """(atoms, facets) of the boundary of the k-simplex, a (k-1)-sphere,
+    with ``stars`` random facets each replaced by the cone from a new atom
+    over its boundary."""
+    facets = set(combinations(range(k + 1), k))
+    atoms = k + 1
+    for _ in range(stars):
+        facet = rng.choice(sorted(facets))
+        facets.remove(facet)
+        facets.update(tuple(sorted(set(facet) - {x})) + (atoms,) for x in facet)
+        atoms += 1
+    return atoms, sorted(facets)

@@ -233,6 +233,8 @@ class TestExitCodes:
         ("snf", [[1.9, 0]], "entry [0][0]"),
         ("snf", [[1, True]], "entry [0][1]"),
         ("snf", {"rows": 1, "cols": 1, "entries": [["2"]]}, "entry [0][0]"),
+        ("snf", {"rows": 1.9, "cols": 1, "entries": [[4]]}, "'rows'"),
+        ("snf", {"rows": 1, "cols": True, "entries": [[4]]}, "'cols'"),
     ])
     def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
         path = write_json(tmp_path, "in.json", obj)

@@ -42,6 +42,18 @@ class TestPresentedGroup:
         with pytest.raises(ValueError):
             PresentedGroup(0, (3, 4))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PresentedGroup.from_orders([2.5, True, 0.0]), "cyclic orders must be integers"),
+        (lambda: PresentedGroup.from_orders([4, True]), "cyclic orders must be integers"),
+        (lambda: PresentedGroup(0, (2.9,)), "torsion coefficients must be integers"),
+        (lambda: PresentedGroup(True, ()), "free rank must be an integer"),
+        (lambda: PresentedGroup(1.0, ()), "free rank must be an integer"),
+    ], ids=["orders-float", "orders-bool", "torsion-float", "free-bool", "free-float"])
+    def test_non_int_rejected(self, make, message):
+        # int() coercion would give Z + Z/2, Z + Z/4, Z/2, Z and Z instead
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_cardinality_and_elements(self):
         g = PresentedGroup(0, (2, 4))
         assert g.cardinality() == 8

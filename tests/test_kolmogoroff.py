@@ -18,7 +18,7 @@ from tauthom.matrices import IntMatrix
 from tauthom.randomgen import seeded
 
 from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
-                     mosaic_conditions_hold, occurrence_systems)
+                     mosaic_conditions_hold, occurrence_systems, torus_faces)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -28,12 +28,7 @@ ZZ4 = PresentedGroup(1, (4,))
 
 def torus_grid(n):
     """The n x n triangulated torus: two triangles per grid square."""
-    def v(i, j):
-        return (i % n) * n + j % n
-    faces = [f for i in range(n) for j in range(n)
-             for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                       (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
-    return FiniteModel(n * n, faces)
+    return FiniteModel(n * n, torus_faces(n))
 
 
 class TestMosaic:
@@ -300,6 +295,29 @@ class TestHomology:
                 hom = kolmogoroff_homology(m, p, g)
                 dual = CoefficientComplex(nerve.cochain_complex(), g)
                 assert hom == dual.homology_all()
+
+    def test_nerve_path_builds_no_validated_matrices(self, monkeypatch):
+        # the validated constructor re-checks every entry; boundary,
+        # generator-boundary and refinement matrices the package builds
+        # itself must bypass it
+        calls = []
+        validated = IntMatrix.__init__
+
+        def counting(self, rows, cols, entries):
+            calls.append((rows, cols))
+            validated(self, rows, cols, entries)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        for m in (torus_grid(3), arc_circle(9), projective_plane()):
+            for g in (Z, Z2):
+                kolmogoroff_homology(m, Partition.singletons(m.atoms), g)
+        m = arc_circle(8)
+        fine = NerveComplex(m, Partition.singletons(8))
+        coarse = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
+        refinement_map(fine, coarse)
+        assert calls == []
+        IntMatrix(1, 1, [[1]])
+        assert calls == [(1, 1)]
 
 
 class TestRefinements:

@@ -3,13 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauthom.matrices import (IntMatrix, column_basis, determinant,
-                              hermite_form, hstack, kernel_basis,
-                              lattice_contains, lattice_equal, matrix_power,
-                              smith_normal_form, solve_columns, vstack)
+from tauthom.kolmogoroff import FiniteModel, NerveComplex, Partition
+from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
+                              column_basis, determinant, hermite_form, hstack,
+                              kernel_basis, lattice_contains, lattice_equal,
+                              matrix_power, smith_normal_form, solve_columns,
+                              vstack)
 
-from oracles import (_det, hermite_oracle, matmul_oracle, minors_gcd_divisors,
-                     rank_oracle, snf_divisors_oracle)
+from oracles import (_det, hermite_core_reference, hermite_oracle,
+                     matmul_oracle, minors_gcd_divisors, rank_oracle,
+                     smith_core_reference, snf_divisors_oracle,
+                     starred_sphere_faces, torus_faces)
 
 
 def rand_matrix(rng, rows, cols, bound=6):
@@ -68,6 +72,13 @@ class TestArithmetic:
         # coercion would turn 2.7 into 2 and True into 1
         with pytest.raises(ValueError, match=r"matrix entry \[1\]\[0\] must be an integer"):
             IntMatrix(2, 1, [[1], [entry]])
+
+    @pytest.mark.parametrize("field, value", [("rows", 1.9), ("cols", True), ("rows", "1")])
+    def test_from_json_rejects_non_int_shape(self, field, value):
+        # int() would read {"rows": 1.9, ...} as a 1 x 1 matrix
+        obj = {"rows": 1, "cols": 1, "entries": [[4]], field: value}
+        with pytest.raises(ValueError, match="matrix field '%s' must be an integer" % field):
+            IntMatrix.from_json(obj)
 
 
 def sparse_matrix(rng, rows, cols, density, bound):
@@ -147,6 +158,55 @@ class TestSmith:
         for _ in range(60):
             m = rand_matrix(rng, rng.randrange(0, 6), rng.randrange(0, 6))
             assert smith_normal_form(m).rank == rank_oracle(m.data)
+
+
+def _relabelled_boundaries(rng, atoms, faces):
+    perm = list(range(atoms))
+    rng.shuffle(perm)
+    model = FiniteModel(atoms, [[perm[a] for a in f] for f in faces])
+    nerve = NerveComplex(model, Partition.singletons(atoms))
+    return [nerve.boundary_matrix(n) for n in range(1, nerve.dimension + 1)]
+
+
+def reference_corpus():
+    """Matrices the cores meet: nerve boundaries, their transposes and
+    relation-stacked forms [d | 2I], sparse and dense random matrices with
+    non-unit pivots and bignum growth, and degenerate shapes."""
+    rng = random.Random(1215)
+    models = [(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 12, 30)]
+    models += [(n * n, torus_faces(n)) for n in (3, 4)]
+    models += [starred_sphere_faces(rng, k, stars) for k, stars in ((3, 3), (4, 2), (5, 1))]
+    mats = []
+    for atoms, faces in models:
+        for d in _relabelled_boundaries(rng, atoms, faces):
+            mats += [d, d.transpose(), hstack(d, IntMatrix.identity(d.rows) * 2)]
+    for _ in range(60):
+        r, c = rng.randrange(1, 12), rng.randrange(1, 12)
+        mats.append(sparse_matrix(rng, r, c, rng.choice((0.15, 0.4, 1.0)), rng.choice((1, 3, 12))))
+    for n in (16, 24, 32):
+        mats.append(sparse_matrix(rng, n, n, 1.0, 99))
+    mats += [IntMatrix.zeros(r, c) for r, c in ((0, 0), (0, 4), (4, 0), (3, 5))]
+    return mats
+
+
+class TestReferenceCores:
+    """The cores touch only nonzeros but keep the pivot rule and the order
+    of elementary operations of the dense references, so every transform
+    they return is the same, entry for entry."""
+
+    def test_smith_matches_reference(self):
+        big = 0
+        for m in reference_corpus():
+            got = tuple((x.rows, x.cols, x.data) for x in _smith_core(m))
+            assert got == smith_core_reference(m), m
+            big = max([big] + [x.bit_length() for row in got[3][2] for x in row])
+        assert big >= 64
+
+    def test_hermite_matches_reference(self):
+        for m in reference_corpus():
+            h, v, pivots = _hermite_core(m)
+            assert ((h.rows, h.cols, h.data), (v.rows, v.cols, v.data), pivots) == \
+                hermite_core_reference(m), m
 
 
 def random_unimodular(rng, n, steps=8):
