@@ -277,6 +277,9 @@ def _cmd_tautness(args):
     data = _ntower_from_args(args)
     n = _need_degree(args)
     coeffs = parse_group(args.coefficients or "Z")
+    if args.preset is not None and coeffs != PresentedGroup(1, ()):
+        raise ValueError("tautness presets carry integral homology; --coefficients "
+                         "must be Z with --preset, got %s" % coeffs.describe())
     taut = tautness_sequence(data, n, coeffs)
     four = four_term_sequence(data, n, coeffs)
     agree = reports_consistent(taut, four)

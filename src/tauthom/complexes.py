@@ -2,6 +2,12 @@
 complexes Hom(C, G), and machine-checked universal-coefficient
 certificates.
 
+Every group-only homology computation (``homology``, ``homology_all`` and
+``homology_groups``) first unit-reduces the complex: isomorphism components
+between coordinates of equal order are split off by Gaussian elimination,
+so the Hermite and Smith work runs on what is left. Certificates keep the
+full-size ``CoefficientComplex.homology_subquotient``, whose lifts they need.
+
 A certificate for degree n packages the short exact sequence
 
     0 -> Ext(H^{n+1}(C), G) -> H_n(Hom(C, G)) -> Hom(H^n(C), G) -> 0
@@ -15,7 +21,10 @@ compared; a disagreement raises instead of returning.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
 
 from .groups import (GroupMap, PresentedGroup, Subquotient,
                      _relations_for_orders, ext_group, hom_group, kernel,
@@ -34,6 +43,120 @@ class NotFree(ValueError):
 class CertificateFailure(AssertionError):
     """An exactness or splitting identity failed while building a
     certificate; valid inputs can never trigger this."""
+
+
+def _is_unit(x, d):
+    """Does x generate Z/d (Z when d == 0)?"""
+    return x in (1, -1) if d == 0 else gcd(x, d) == 1
+
+
+def homology_groups(mats, orders):
+    """Homology of a bounded chain complex of finitely generated groups.
+
+    ``orders[n]`` lists the order of each degree-n coordinate (0: a free
+    coordinate), so degree n is the sum of the cyclic groups Z/orders[n][i];
+    ``mats[n]`` is the differential from degree n to degree n-1, an absent
+    matrix (or degree) being zero. Returns {n: H_n} for every n in ``orders``.
+
+    Before any lattice work the complex is unit-reduced: an entry e of a
+    differential D_n between coordinates b -> a of the same order d that is a
+    unit modulo d (+-1 when d == 0) is an isomorphism <b> -> <a>, and by
+    Gaussian elimination (Bar-Natan, Lemma 4.2) the complex is homotopy
+    equivalent to the one without b and a, where D_n becomes its Schur
+    complement beta - gamma e^-1 delta (torsion rows reduced modulo their
+    order), D_{n+1} loses row b and D_{n-1} loses column a. Pivots are taken
+    degree by degree, the column with the fewest nonzeros first, then among
+    its candidate rows the one with the fewest nonzeros (ties by index).
+    Eliminating in D_n only deletes entries of D_{n-1} and D_{n+1}, so one
+    pass in ascending degree leaves no unit pivot. Each group is then
+    Subquotient(kernel_lattice(D_n), [D_{n+1} | relations]) on what is left.
+    """
+    ords = {n: tuple(o) for n, o in orders.items()}
+    alive = {n: set(range(len(o))) for n, o in ords.items()}
+    cols, rows = {}, {}
+    for n, mat in mats.items():
+        src, tgt = ords.get(n, ()), ords.get(n - 1, ())
+        if (mat.rows, mat.cols) != (len(tgt), len(src)):
+            raise ValueError("differential at degree %d is %dx%d, expected %dx%d"
+                             % (n, mat.rows, mat.cols, len(tgt), len(src)))
+        C = {b: {} for b in range(mat.cols)}
+        R = {}
+        for a, (row, d) in enumerate(zip(mat.data, tgt)):
+            Ra = R[a] = {}
+            for b in compress(range(mat.cols), row):
+                x = row[b] % d if d else row[b]
+                if x:
+                    C[b][a] = Ra[b] = x
+        cols[n], rows[n] = C, R
+
+    def drop_row(n, a):
+        if n in rows:
+            C = cols[n]
+            for b in rows[n].pop(a):
+                del C[b][a]
+
+    def drop_col(n, b):
+        if n in cols:
+            R = rows[n]
+            for a in cols[n].pop(b):
+                del R[a][b]
+
+    for n in sorted(cols):
+        C, R = cols[n], rows[n]
+        src, tgt = ords.get(n, ()), ords.get(n - 1, ())
+        heap = [(len(col), b) for b, col in C.items() if col]
+        heapq.heapify(heap)
+        while heap:
+            k, b = heapq.heappop(heap)
+            col = C.get(b)
+            if col is None or len(col) != k:
+                continue
+            d = src[b]
+            found = [(len(R[a]), a) for a, x in col.items() if tgt[a] == d and _is_unit(x, d)]
+            if not found:
+                continue
+            a = min(found)[1]
+            gamma, delta = C.pop(b), R.pop(a)
+            e = gamma.pop(a)
+            del delta[b]
+            inv = e if d == 0 else pow(e, -1, d)
+            for i in gamma:
+                del R[i][b]
+            for j, x in delta.items():
+                Cj = C[j]
+                del Cj[a]
+                f = inv * x
+                for i, y in gamma.items():
+                    o = tgt[i]
+                    z = Cj.get(i, 0) - y * f
+                    if o:
+                        z %= o
+                    if z:
+                        Cj[i] = R[i][j] = z
+                    elif i in Cj:
+                        del Cj[i], R[i][j]
+                heapq.heappush(heap, (len(Cj), j))
+            drop_row(n + 1, b)
+            drop_col(n - 1, a)
+            alive[n].discard(b)
+            alive[n - 1].discard(a)
+
+    kept = {n: sorted(live) for n, live in alive.items()}
+
+    def reduced(n):
+        src, tgt = kept.get(n, []), kept.get(n - 1, [])
+        C = cols.get(n)
+        data = tuple(tuple(C[b].get(a, 0) for b in src) for a in tgt) if C else \
+            ((0,) * len(src),) * len(tgt)
+        return IntMatrix._trusted(len(tgt), len(src), data)
+
+    def left(n):
+        o = ords.get(n, ())
+        return tuple(o[i] for i in kept.get(n, ()))
+
+    return {n: Subquotient(kernel_lattice(reduced(n), left(n - 1)),
+                           hstack(reduced(n + 1), _relations_for_orders(left(n)))).group
+            for n in sorted(ords)}
 
 
 class FreeComplex:
@@ -96,17 +219,17 @@ class FreeComplex:
 
     def homology(self, n):
         """Integral (co)homology at degree n in invariant-factor form."""
-        return self.homology_subquotient(n).group
-
-    def homology_subquotient(self, n):
         if not self.lo <= n <= self.hi:
             raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, self.lo, self.hi))
-        out = self.diff(n)
-        inn = self.diff(n + 1 if self.direction == "chain" else n - 1)
-        return Subquotient(kernel_basis(out), inn)
+        return self.homology_all()[n]
 
     def homology_all(self):
-        return {n: self.homology(n) for n in self.degrees()}
+        """Every (co)homology group, from the unit-reduced complex; a
+        cochain complex is read as a chain complex in degree -n."""
+        sign = 1 if self.direction == "chain" else -1
+        groups = homology_groups({sign * n: m for n, m in self.diffs.items()},
+                                 {sign * n: (0,) * self.rank(n) for n in self.degrees()})
+        return {n: groups[sign * n] for n in self.degrees()}
 
     def dualize(self, coefficients):
         """Hom(C, G) of a cochain complex: a chain complex of G-powers with
@@ -170,10 +293,13 @@ class CoefficientComplex:
     def homology(self, n):
         if not self.lo <= n <= self.hi:
             raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, self.lo, self.hi))
-        return self.homology_subquotient(n).group
+        return self.homology_all()[n]
 
     def homology_all(self):
-        return {n: self.homology(n) for n in range(self.lo, self.hi + 1)}
+        """Every homology group, from the unit-reduced complex."""
+        degrees = range(self.lo, self.hi + 1)
+        return homology_groups({n: self.diff_matrix(n) for n in degrees},
+                               {n: self.orders(n) for n in degrees})
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ The homology of this chain complex is computed twice, by construction
 routes that share no code path: once from boundary matrices obtained by
 evaluating Delta on generator chains, and once from the nerve of the
 partition via coefficient complexes over its integral cochain complex.
-Any disagreement raises PipelineMismatch.
+Only the last step is common: each complex is unit-reduced and its groups
+read off by ``homology_groups``. Any disagreement raises PipelineMismatch.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import CertificateFailure, CoefficientComplex, FreeComplex, uct_certificates
-from .groups import (GroupMap, PresentedGroup, Subquotient, _relations_for_orders,
-                     kernel_lattice, tensor_identity)
+from .complexes import (CertificateFailure, CoefficientComplex, FreeComplex,
+                        homology_groups, uct_certificates)
+from .groups import GroupMap, PresentedGroup, tensor_identity
 from .limits import Telescope, colim
-from .matrices import IntMatrix, hstack
+from .matrices import IntMatrix
 
 
 class NotACover(ValueError):
@@ -626,27 +627,21 @@ def kolmogoroff_homology(model, partition, coefficients):
 
     Computed from boundary matrices assembled by evaluating Delta on
     generator chains, then recomputed from the nerve's integral cochain
-    complex with coefficients; the two must agree degree by degree.
+    complex with coefficients; the two must agree degree by degree. Each
+    pipeline splits off the unit pivots of its complex (``homology_groups``)
+    before the lattice work.
     """
     nerve = NerveComplex(model, partition)
     dim = nerve.dimension
-    g = coefficients.n_gens
-    deltas = {n: _generator_boundary_matrix(nerve, n, coefficients)
-              for n in range(dim + 2)}
-    direct = {}
+    direct = homology_groups(
+        {n: _generator_boundary_matrix(nerve, n, coefficients) for n in range(1, dim + 1)},
+        {n: coefficients.orders * nerve.count(n) for n in range(dim + 1)})
+    nerve_side = CoefficientComplex(nerve.cochain_complex(), coefficients).homology_all()
     for n in range(dim + 1):
-        orders_n = coefficients.orders * nerve.count(n)
-        orders_out = coefficients.orders * nerve.count(n - 1)
-        num = kernel_lattice(deltas[n], orders_out)
-        den = hstack(deltas[n + 1], _relations_for_orders(orders_n))
-        direct[n] = Subquotient(num, den).group
-    dual = CoefficientComplex(nerve.cochain_complex(), coefficients)
-    for n in range(dim + 1):
-        other = dual.homology(n)
-        if other != direct[n]:
+        if nerve_side[n] != direct[n]:
             raise PipelineMismatch(
                 "degree %d: boundary-evaluation pipeline gives %s, nerve pipeline "
-                "gives %s" % (n, direct[n], other))
+                "gives %s" % (n, direct[n], nerve_side[n]))
     return direct
 
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written from scratch against the textbook
 definitions, using only the standard library: no imports from the package
 under test. Values are exchanged as plain ints, tuples and lists so the
-tests can compare them against the package's outputs.
+tests can compare them against the package's outputs. The one exception is
+the section on unreduced homology at the end, which replays the package's
+full-size homology route through its own lattice engine as the reference
+for the unit-reduced one.
 """
 
 from fractions import Fraction
@@ -726,3 +729,63 @@ def starred_sphere_faces(rng, k, stars):
         facets.update(tuple(sorted(set(facet) - {x})) + (atoms,) for x in facet)
         atoms += 1
     return atoms, sorted(facets)
+
+
+# -- unreduced homology ------------------------------------------------------------
+
+
+def unreduced_homology_groups(mats, orders):
+    """Every group of a chain complex of cyclic sums by the full-size
+    formula, with no unit pivot split off: mats[n] maps degree n to n-1 (an
+    absent matrix is zero) and orders[n] lists the orders of the degree-n
+    coordinates (0: free)."""
+    from tauthom.groups import Subquotient, _relations_for_orders, kernel_lattice
+    from tauthom.matrices import IntMatrix, hstack
+
+    def mat(n):
+        return mats.get(n) or IntMatrix.zeros(len(orders.get(n - 1, ())),
+                                              len(orders.get(n, ())))
+    return {n: Subquotient(kernel_lattice(mat(n), orders.get(n - 1, ())),
+                           hstack(mat(n + 1), _relations_for_orders(orders[n]))).group
+            for n in sorted(orders)}
+
+
+def unreduced_homology(cx):
+    """Every group of a FreeComplex or CoefficientComplex by the full-size
+    route: the Subquotient of the kernel of the outgoing differential by the
+    image of the incoming one, for a CoefficientComplex the
+    homology_subquotient that certificates keep using."""
+    from tauthom.complexes import FreeComplex
+    from tauthom.groups import Subquotient
+    from tauthom.matrices import kernel_basis
+
+    def free_group(n):
+        out = cx.diff(n)
+        inn = cx.diff(n + 1 if cx.direction == "chain" else n - 1)
+        return Subquotient(kernel_basis(out), inn).group
+
+    if isinstance(cx, FreeComplex):
+        return {n: free_group(n) for n in cx.degrees()}
+    return {n: cx.homology_subquotient(n).group for n in range(cx.lo, cx.hi + 1)}
+
+
+def unreduced_kolmogoroff_groups(model, partition, coefficients):
+    """The boundary-evaluation pipeline of kolmogoroff_homology as it was
+    before unit reduction: kernel lattice and Subquotient on the full
+    generator boundary matrices, degree by degree."""
+    from tauthom.groups import Subquotient, _relations_for_orders, kernel_lattice
+    from tauthom.kolmogoroff import NerveComplex, _generator_boundary_matrix
+    from tauthom.matrices import hstack
+
+    nerve = NerveComplex(model, partition)
+    dim = nerve.dimension
+    deltas = {n: _generator_boundary_matrix(nerve, n, coefficients)
+              for n in range(dim + 2)}
+    direct = {}
+    for n in range(dim + 1):
+        orders_n = coefficients.orders * nerve.count(n)
+        orders_out = coefficients.orders * nerve.count(n - 1)
+        num = kernel_lattice(deltas[n], orders_out)
+        den = hstack(deltas[n + 1], _relations_for_orders(orders_n))
+        direct[n] = Subquotient(num, den).group
+    return direct

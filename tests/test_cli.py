@@ -185,6 +185,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "kolmogoroff", "--preset", "torus")
         assert code == 2 and "invalid input" in err
 
+    @pytest.mark.parametrize("coefficients", ["Z/2", "Z^2", "Z+Z/4"])
+    def test_tautness_preset_with_other_coefficients_is_two(self, capsys, coefficients):
+        # the presets carry integral homology, so a non-Z request does not fit them
+        code, out, err = run_cli(capsys, "tautness", "--preset", "solenoid:3",
+                                 "--coefficients", coefficients, "--degree", "0")
+        assert code == 2 and out == ""
+        assert "invalid input" in err and "--coefficients" in err
+
+    def test_tautness_preset_with_z_coefficients_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "tautness", "--preset", "solenoid:3",
+                               "--coefficients", "Z", "--degree", "0")
+        assert code == 0 and "junction agreement: yes" in out
+
     def test_missing_degree_is_two(self, capsys):
         code, _, err = run_cli(capsys, "tautness", "--preset", "solenoid:2")
         assert code == 2 and "--degree" in err

@@ -2,19 +2,21 @@ import pytest
 
 from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                DegreeOutOfRange, FreeComplex, UctSuite,
-                               cycle_boundary_sequence, uct_certificate,
-                               uct_certificates)
+                               cycle_boundary_sequence, homology_groups,
+                               uct_certificate, uct_certificates)
 from tauthom.groups import PresentedGroup, hom_group, ext_group, parse_group
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
-from oracles import ext_oracle, hom_oracle, rank_oracle
+from oracles import (ext_oracle, hom_oracle, rank_oracle, unreduced_homology,
+                     unreduced_homology_groups)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
 Z4 = PresentedGroup(0, (4,))
 Z12 = PresentedGroup(0, (12,))
 MIXED = PresentedGroup(1, (4,))
+COEFFICIENTS = [parse_group(g) for g in ("Z", "Z/2", "Z/12", "Z+Z/4", "Z/2+Z/6")]
 
 
 def circle_chain():
@@ -95,6 +97,89 @@ class TestCoefficientComplex:
                 expected = ext_group(above, g).group.direct_sum(
                     hom_group(known[n], g).group)
                 assert cc.homology(n) == expected
+
+
+def transposed_chain(cx):
+    """The chain complex whose differential out of degree n+1 is the
+    transpose of the cochain differential out of degree n."""
+    return FreeComplex("chain", cx.lo, cx.hi, cx.ranks,
+                       {n + 1: m.transpose() for n, m in cx.diffs.items()})
+
+
+def m(rows):
+    return IntMatrix.from_rows(rows)
+
+
+class TestUnitReduction:
+    """homology_groups splits off unit pivots before the lattice work; the
+    groups must equal those of the full-size route in tests/oracles.py."""
+
+    def test_random_complexes_both_directions(self):
+        rng = seeded(41)
+        for _ in range(40):
+            cx, known = random_free_cochain_complex(rng)
+            assert cx.homology_all() == unreduced_homology(cx) == known
+            chain = transposed_chain(cx)
+            assert chain.homology_all() == unreduced_homology(chain)
+
+    def test_coefficient_complexes(self):
+        rng = seeded(42)
+        for _ in range(15):
+            cx, _ = random_free_cochain_complex(rng)
+            for g in COEFFICIENTS:
+                cc = CoefficientComplex(cx, g)
+                assert cc.homology_all() == unreduced_homology(cc)
+
+    @pytest.mark.parametrize("mats, orders, expected", [
+        # 3 is a unit modulo 4 only: the pivot splits off, the Schur
+        # complement 0 - 2 * 3^-1 * 1 = -6 is reduced modulo 4 to 2
+        ({1: m([[3, 1], [2, 0]])}, {0: (4, 4), 1: (4, 4)}, {0: "Z/2", 1: "Z/2"}),
+        ({1: m([[3, 1], [2, 2]])}, {0: (4, 4), 1: (4, 4)}, {0: "Z/4", 1: "Z/4"}),
+        ({1: m([[3]])}, {0: (4,), 1: (4,)}, {0: "0", 1: "0"}),
+        # a free coordinate onto a torsion one is no isomorphism
+        ({1: m([[1]])}, {0: (2,), 1: (0,)}, {0: "0", 1: "Z"}),
+        # nor is Z/4 -> Z/2, although 1 is a unit modulo 2
+        ({1: m([[1]])}, {0: (2,), 1: (4,)}, {0: "0", 1: "Z/2"}),
+        # no unit entry anywhere
+        ({1: m([[2, 0], [0, 6]])}, {0: (0, 0), 1: (0, 0)}, {0: "Z/2 + Z/6", 1: "0"}),
+        ({1: m([[3]])}, {0: (9,), 1: (9,)}, {0: "Z/3", 1: "Z/3"}),
+        ({1: m([[2]]), 2: m([[0]])}, {0: (0,), 1: (0,), 2: (0,)},
+         {0: "Z/2", 1: "0", 2: "Z"}),
+        # zero and empty degrees, absent differentials and a gap in the degrees
+        ({1: IntMatrix.zeros(0, 2)}, {0: (), 1: (0, 0), 2: ()}, {0: "0", 1: "Z^2", 2: "0"}),
+        ({}, {0: (0,), 2: (3,)}, {0: "Z", 2: "Z/3"}),
+        ({1: IntMatrix.zeros(1, 1)}, {0: (0,), 1: (0,)}, {0: "Z", 1: "Z"}),
+        # two edges joining two vertices and bounding a disc, plus a loop: the
+        # Schur complement of the first pivot cancels the second edge
+        ({1: m([[-1, -1, 0], [1, 1, 0]]), 2: m([[1], [-1], [0]])},
+         {0: (0, 0), 1: (0, 0, 0), 2: (0,)}, {0: "Z", 1: "Z", 2: "0"}),
+    ])
+    def test_hand_made_cases(self, mats, orders, expected):
+        got = homology_groups(mats, orders)
+        assert got == unreduced_homology_groups(mats, orders)
+        assert {n: g.describe() for n, g in got.items()} == expected
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            homology_groups({1: IntMatrix.zeros(2, 1)}, {0: (0,), 1: (0,)})
+
+    def test_lattice_work_sees_the_reduced_complex(self, monkeypatch):
+        # a 12-gon: eleven unit pivots leave one vertex and one edge
+        import tauthom.complexes as complexes
+        d1 = IntMatrix._trusted(12, 12, tuple(
+            tuple((1 if i == (j + 1) % 12 else 0) - (1 if i == j else 0) for j in range(12))
+            for i in range(12)))
+        shapes = []
+        lattice = complexes.kernel_lattice
+
+        def recording(mat, orders):
+            shapes.append((mat.rows, mat.cols))
+            return lattice(mat, orders)
+
+        monkeypatch.setattr(complexes, "kernel_lattice", recording)
+        cx = FreeComplex("chain", 0, 1, [12, 12], {1: d1})
+        assert cx.homology_all() == {0: Z, 1: Z}
+        assert max(max(s) for s in shapes) == 1
 
 
 class TestUct:

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from tauthom import kolmogoroff
+from tauthom.cli import main
 from tauthom.complexes import CertificateFailure, CoefficientComplex
-from tauthom.groups import GroupMap, PresentedGroup
+from tauthom.groups import GroupMap, PresentedGroup, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NotACover,
-                                 NotARefinement, Partition,
+                                 NotARefinement, Partition, PipelineMismatch,
                                  _generator_boundary_matrix, arc_circle,
                                  free_colimit_basis, kolmogoroff_homology,
                                  kolmogoroff_uct_check, model_preset, mosaic,
@@ -18,7 +20,9 @@ from tauthom.matrices import IntMatrix
 from tauthom.randomgen import seeded
 
 from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
-                     mosaic_conditions_hold, occurrence_systems, torus_faces)
+                     mosaic_conditions_hold, occurrence_systems,
+                     starred_sphere_faces, torus_faces, unreduced_homology,
+                     unreduced_kolmogoroff_groups)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -307,10 +311,15 @@ class TestHomology:
             calls.append((rows, cols))
             validated(self, rows, cols, entries)
 
+        models = (torus_grid(3), arc_circle(9), projective_plane())
+        nerves = [NerveComplex(m, Partition.singletons(m.atoms)) for m in models]
+        complexes = [c for nv in nerves for c in (nv.chain, nv.cochain_complex())]
         monkeypatch.setattr(IntMatrix, "__init__", counting)
-        for m in (torus_grid(3), arc_circle(9), projective_plane()):
+        for m in models:
             for g in (Z, Z2):
                 kolmogoroff_homology(m, Partition.singletons(m.atoms), g)
+        for cx in complexes:
+            cx.homology_all()
         m = arc_circle(8)
         fine = NerveComplex(m, Partition.singletons(8))
         coarse = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
@@ -318,6 +327,70 @@ class TestHomology:
         assert calls == []
         IntMatrix(1, 1, [[1]])
         assert calls == [(1, 1)]
+
+
+def reduction_corpus():
+    """Closure models whose nerves have mostly unit boundary entries; the
+    projective plane keeps a non-unit 2 over Z."""
+    rng = seeded(43)
+    spheres = [FiniteModel(*starred_sphere_faces(rng, k, stars))
+               for k, stars in ((3, 2), (4, 2), (5, 1))]
+    return [arc_circle(5), arc_circle(12), torus_grid(3), torus_grid(4),
+            projective_plane()] + spheres
+
+
+class TestUnitReduction:
+    """Both pipelines split off unit pivots; the groups must equal the
+    full-size route kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("coefficients", ["Z", "Z/2", "Z/12", "Z+Z/4", "Z/2+Z/6"])
+    def test_nerves_match_unreduced_route(self, coefficients):
+        g = parse_group(coefficients)
+        for m in reduction_corpus():
+            p = Partition.singletons(m.atoms)
+            assert kolmogoroff_homology(m, p, g) == unreduced_kolmogoroff_groups(m, p, g)
+
+    def test_nerve_complexes_match_unreduced_route(self):
+        for m in reduction_corpus():
+            nerve = NerveComplex(m, Partition.singletons(m.atoms))
+            for cx in (nerve.chain, nerve.cochain_complex()):
+                assert cx.homology_all() == unreduced_homology(cx)
+
+    def test_projective_plane_keeps_its_torsion(self):
+        m = projective_plane()
+        nerve = NerveComplex(m, Partition.singletons(6))
+        assert nerve.chain.homology_all()[1] == Z2
+        assert nerve.cochain_complex().homology_all()[2] == Z2
+
+
+def corrupt_first_entry(monkeypatch):
+    """Make the boundary-evaluation pipeline zero the first nonzero entry of
+    each generator boundary matrix, so the two pipelines disagree."""
+    original = kolmogoroff._generator_boundary_matrix
+
+    def corrupted(nerve, n, coefficients):
+        mat = original(nerve, n, coefficients)
+        rows = [list(row) for row in mat.data]
+        i = next(i for i, row in enumerate(rows) if any(row))
+        j = next(j for j, x in enumerate(rows[i]) if x)
+        rows[i][j] = 0
+        return IntMatrix(mat.rows, mat.cols, rows)
+
+    monkeypatch.setattr(kolmogoroff, "_generator_boundary_matrix", corrupted)
+
+
+class TestPipelineCrossCheck:
+    def test_corrupted_boundary_raises(self, monkeypatch):
+        corrupt_first_entry(monkeypatch)
+        with pytest.raises(PipelineMismatch):
+            kolmogoroff_homology(arc_circle(4), Partition.singletons(4), Z)
+
+    def test_cli_reports_check_failed(self, monkeypatch, capsys):
+        corrupt_first_entry(monkeypatch)
+        code = main(["kolmogoroff", "--preset", "arc-circle:4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("check failed: degree 0:")
 
 
 class TestRefinements:
