@@ -10,6 +10,7 @@ in the test suite, with only the seeded ``proptest`` battery exposed here.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -62,6 +63,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the proptest battery")
     return p
+
+
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use. ``parse_args`` leaves
+    it unchanged and argparse makes a fresh formatter for every help or
+    error message, so reusing it changes no output."""
+    return build_parser()
 
 
 def _load(args):
@@ -374,7 +383,7 @@ def run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, report = run(args)
     except _CHECK_ERRORS as exc:

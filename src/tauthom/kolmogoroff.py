@@ -23,6 +23,10 @@ evaluating Delta on generator chains, and once from the nerve of the
 partition via coefficient complexes over its integral cochain complex.
 Only the last step is common: each complex is unit-reduced and its groups
 read off by ``homology_groups``. Any disagreement raises PipelineMismatch.
+
+Chains the package builds itself, the one-generator chains behind the
+boundary matrices and every boundary chain, skip re-validation; chains
+constructed by a caller are still validated.
 """
 
 from __future__ import annotations
@@ -365,6 +369,9 @@ class KolmogoroffChain:
     the nerve; every other evaluation is derived (sign under permutation,
     zero on repeats and off the nerve, summation over block decompositions
     for non-block sets), so the three chain axioms hold by construction.
+    The constructor checks and reduces every key and value; chains the
+    package builds itself (generator chains, boundaries) are wrapped by
+    ``_trusted`` instead.
     """
 
     __slots__ = ("nerve", "degree", "coefficients", "values")
@@ -390,16 +397,30 @@ class KolmogoroffChain:
         self.values = cleaned
 
     @classmethod
+    def _trusted(cls, nerve, degree, coefficients, values):
+        """Wrap a value dict built here, unchecked: its keys are strictly
+        increasing degree-n simplices of the nerve and its values reduced,
+        nonzero coefficient vectors."""
+        chain = object.__new__(cls)
+        chain.nerve, chain.degree, chain.coefficients = nerve, degree, coefficients
+        chain.values = values
+        return chain
+
+    @classmethod
     def zero(cls, nerve, degree, coefficients):
         return cls(nerve, degree, coefficients, {})
 
     def evaluate_blocks(self, blocks):
-        """Value on an arbitrary tuple of block indices."""
-        g = self.coefficients.n_gens
+        """Value on an arbitrary tuple of block indices: the stored reduced
+        vector of the sorted tuple, negated and reduced again when sorting
+        is an odd permutation."""
         s, sign = _sort_with_sign(tuple(blocks))
-        if s is None or s not in self.values:
-            return (0,) * g
-        return self.coefficients.reduce(tuple(sign * v for v in self.values[s]))
+        vec = self.values.get(s)
+        if vec is None:
+            return (0,) * self.coefficients.n_gens
+        if sign > 0:
+            return vec
+        return tuple(-x % d if d else -x for x, d in zip(vec, self.coefficients.orders))
 
     def _block_union(self, atom_set):
         atoms = set(int(a) for a in atom_set)
@@ -512,12 +533,13 @@ class KolmogoroffChain:
                 v = self.evaluate_blocks((b,) + tau)
                 total = sums.get(tau)
                 sums[tau] = v if total is None else tuple(x + y for x, y in zip(total, v))
+        orders = self.coefficients.orders
         out = {}
         for tau in sorted(sums):
-            total = self.coefficients.reduce(sums[tau])
+            total = tuple(x % d if d else x for x, d in zip(sums[tau], orders))
             if any(total):
                 out[tau] = total
-        return KolmogoroffChain(self.nerve, n - 1, self.coefficients, out)
+        return KolmogoroffChain._trusted(self.nerve, n - 1, self.coefficients, out)
 
     def to_nerve_chain(self):
         """Restrict to nerve simplices: the simplicial chain with the same
@@ -615,7 +637,7 @@ def _generator_boundary_matrix(nerve, n, coefficients):
         for j in range(g):
             unit = tuple(int(i == j) for i in range(g))
             col = [0] * (len(lower) * g)
-            chain = KolmogoroffChain(nerve, n, coefficients, {s: unit})
+            chain = KolmogoroffChain._trusted(nerve, n, coefficients, {s: unit})
             for tau, vec in chain.boundary().values.items():
                 col[lower[tau] * g:(lower[tau] + 1) * g] = vec
             cols.append(tuple(col))

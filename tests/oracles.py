@@ -609,6 +609,29 @@ def full_sum_boundary_oracle(values, faces, n_blocks, orders):
     return out
 
 
+def generator_boundary_reference(levels, n, n_blocks, orders):
+    """(rows, cols, data) of the degree-n boundary matrix of the set-function
+    complex, from the definition: column (s, j) is Delta of the chain with
+    value e_j on the simplex s and zero elsewhere, each Delta f(tau) summed
+    over every block (full_sum_boundary_oracle). ``levels[d]`` lists the
+    strictly increasing d-simplices of the nerve; coordinates run
+    simplex-major, generator-minor. A degree outside the nerve has no
+    coordinates."""
+    g = len(orders)
+    faces = levels[n - 1] if 1 <= n <= len(levels) else ()
+    sources = levels[n] if 0 <= n < len(levels) else ()
+    position = {tuple(tau): i for i, tau in enumerate(faces)}
+    data = [[0] * (len(sources) * g) for _ in range(len(faces) * g)]
+    for k, s in enumerate(sources):
+        for j in range(g):
+            unit = tuple(int(i == j) for i in range(g))
+            for tau, vec in full_sum_boundary_oracle({tuple(s): unit}, faces,
+                                                     n_blocks, orders):
+                for i, x in enumerate(vec):
+                    data[position[tau] * g + i][k * g + j] = x
+    return len(faces) * g, len(sources) * g, tuple(map(tuple, data))
+
+
 # -- endomorphisms of free groups -----------------------------------------------
 
 
@@ -772,15 +795,17 @@ def unreduced_homology(cx):
 def unreduced_kolmogoroff_groups(model, partition, coefficients):
     """The boundary-evaluation pipeline of kolmogoroff_homology as it was
     before unit reduction: kernel lattice and Subquotient on the full
-    generator boundary matrices, degree by degree."""
+    generator boundary matrices, degree by degree. The matrices come from
+    generator_boundary_reference, not from the package's evaluation."""
     from tauthom.groups import Subquotient, _relations_for_orders, kernel_lattice
-    from tauthom.kolmogoroff import NerveComplex, _generator_boundary_matrix
-    from tauthom.matrices import hstack
+    from tauthom.kolmogoroff import NerveComplex
+    from tauthom.matrices import IntMatrix, hstack
 
     nerve = NerveComplex(model, partition)
     dim = nerve.dimension
-    deltas = {n: _generator_boundary_matrix(nerve, n, coefficients)
-              for n in range(dim + 2)}
+    deltas = {n: IntMatrix(*generator_boundary_reference(
+        nerve.simplices, n, len(partition), coefficients.orders))
+        for n in range(dim + 2)}
     direct = {}
     for n in range(dim + 1):
         orders_n = coefficients.orders * nerve.count(n)

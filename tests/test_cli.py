@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tauthom
+from tauthom import cli
 from tauthom.cli import build_parser, main
 from tauthom.complexes import FreeComplex
 from tauthom.groups import GroupMap, PresentedGroup
@@ -260,6 +265,27 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_reused_parser_matches_fresh_processes(self, capsys):
+        # main builds its parser once per process; two verbs in a row and a
+        # bad --format after them read exactly as in a fresh interpreter
+        runs = [("group", "--coefficients", "Z/6+Z/4", "--format", "json"),
+                ("kolmogoroff", "--preset", "arc-circle:5", "--coefficients", "Z/2"),
+                ("nerve", "--preset", "octahedron", "--format", "yaml")]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tauthom.__file__)))
+        cli._parser.cache_clear()
+        for argv in runs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "tauthom.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 2 and "invalid choice: 'yaml'" in captured.err
+        assert cli._parser.cache_info().misses == 1
+
     def test_json_reports_byte_identical(self, capsys, tower_file):
         outs = []
         for _ in range(2):

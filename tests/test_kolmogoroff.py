@@ -20,7 +20,8 @@ from tauthom.matrices import IntMatrix
 from tauthom.randomgen import seeded
 
 from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
-                     mosaic_conditions_hold, occurrence_systems,
+                     generator_boundary_reference, mosaic_conditions_hold,
+                     occurrence_systems,
                      starred_sphere_faces, torus_faces, unreduced_homology,
                      unreduced_kolmogoroff_groups)
 
@@ -28,6 +29,7 @@ Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
 Z4 = PresentedGroup(0, (4,))
 ZZ4 = PresentedGroup(1, (4,))
+Z2Z6 = PresentedGroup(0, (2, 6))
 
 
 def torus_grid(n):
@@ -245,6 +247,48 @@ class TestKolmogoroffChains:
         assert 0 < len(calls) <= \
             (degree + 1) * nerve.count(degree) * coefficients.n_gens
 
+    def test_trusted_boundary_passes_validation(self):
+        # boundary() wraps its dict unchecked; the validated constructor must
+        # return it unchanged: sorted nerve keys, reduced nonzero values
+        rng = seeded(46)
+        nerves = [make_nerve(name) for name in ("arc-circle:5", "octahedron", "rp2-6vertex")]
+        nerves.append(NerveComplex(arc_circle(7), Partition([[0, 1], [2], [3, 4], [5, 6]])))
+        for nerve in nerves:
+            for g in (Z, Z4, ZZ4, Z2Z6):
+                for deg in range(1, nerve.dimension + 1):
+                    for keep in (1.0, 0.4):
+                        f = random_chain(rng, nerve, deg, g)
+                        f = KolmogoroffChain(nerve, deg, g, {
+                            s: v for s, v in f.values.items() if rng.random() < keep})
+                        d = f.boundary()
+                        checked = KolmogoroffChain(nerve, deg - 1, g, d.values)
+                        assert d == checked
+                        assert list(d.values.items()) == list(checked.values.items())
+
+    def test_odd_permutation_gives_reduced_negation(self):
+        nerve = make_nerve("arc-circle:4")
+        f = KolmogoroffChain(nerve, 1, ZZ4, {(0, 1): (2, 1)})
+        assert f.evaluate_blocks((0, 1)) == (2, 1)
+        assert f.evaluate_blocks((1, 0)) == (-2, 3)
+        h = KolmogoroffChain(nerve, 1, Z2Z6, {(1, 2): (1, 5)})
+        assert h.evaluate_blocks((2, 1)) == (1, 1)
+        assert h.evaluate_blocks((2, 2)) == (0, 0)
+
+    @pytest.mark.parametrize("coefficients", [Z, Z2, PresentedGroup(0, (12,)), ZZ4],
+                             ids=["Z", "Z/2", "Z/12", "Z+Z/4"])
+    def test_generator_boundary_matches_definition(self, coefficients):
+        # every column is Delta of a one-generator chain summed over every
+        # block, as written in tests/oracles.py
+        cases = [(m, Partition.singletons(m.atoms)) for m in reduction_corpus()]
+        cases.append((torus_grid(4), Partition([[0, 5], [1, 2, 7], [3, 8], [4, 9, 14],
+                                                [6, 11], [10, 15], [12, 13]])))
+        for m, p in cases:
+            nerve = NerveComplex(m, p)
+            for n in range(nerve.dimension + 2):
+                mat = _generator_boundary_matrix(nerve, n, coefficients)
+                assert (mat.rows, mat.cols, mat.data) == generator_boundary_reference(
+                    nerve.simplices, n, len(p), coefficients.orders)
+
     def test_double_boundary_vanishes(self):
         # the degree-0 boundary is the identically-zero degree -1 function
         rng = seeded(43)
@@ -327,6 +371,25 @@ class TestHomology:
         assert calls == []
         IntMatrix(1, 1, [[1]])
         assert calls == [(1, 1)]
+
+
+    def test_homology_builds_no_validated_chains(self, monkeypatch):
+        # generator chains and their boundaries are built here and wrapped
+        # unchecked; only user-facing construction validates
+        calls = []
+        validated = KolmogoroffChain.__init__
+
+        def counting(self, nerve, degree, coefficients, values):
+            calls.append(degree)
+            validated(self, nerve, degree, coefficients, values)
+
+        monkeypatch.setattr(KolmogoroffChain, "__init__", counting)
+        for m in (torus_grid(3), arc_circle(9), projective_plane()):
+            for g in (Z, Z2, ZZ4):
+                kolmogoroff_homology(m, Partition.singletons(m.atoms), g)
+        assert calls == []
+        KolmogoroffChain(make_nerve("arc-circle:4"), 1, Z4, {(0, 1): (1,)})
+        assert calls == [1]
 
 
 def reduction_corpus():
