@@ -55,9 +55,6 @@ def build_parser():
                    help="coefficient group, e.g. Z, Z/2, Z+Z/4 (default Z)")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--kmax", type=int, default=None,
-                   help="ignored: tail chains are followed as far as the stage "
-                        "group lets them grow before they stabilize")
     p.add_argument("--reduced", action="store_true",
                    help="use reduced degree-zero data in presets")
     p.add_argument("--seed", type=int, default=0,

@@ -12,11 +12,14 @@ A certificate for degree n packages the short exact sequence
 
     0 -> Ext(H^{n+1}(C), G) -> H_n(Hom(C, G)) -> Hom(H^n(C), G) -> 0
 
-as three explicit GroupMaps (injection, surjection, splitting) whose
-exactness and splitting identities are verified by exact integer
-computation before the certificate is returned. The Ext term is built a
-second way, from the cocycle/coboundary resolution, and the two routes are
-compared; a disagreement raises instead of returning.
+as three explicit GroupMaps: injection i, surjection e and splitting s.
+Before the certificate is returned they are verified by the biproduct
+identities (Mac Lane, *Categories for the Working Mathematician*, VIII.2):
+e∘i = 0 and e∘s = 1, a retraction r solved from i∘r = 1 - s∘e modulo the
+middle group's relations, and r∘i = 1. These make the sequence split exact.
+The Ext term is built a second way, from the cocycle/coboundary
+resolution, and the two routes are compared; a disagreement raises instead
+of returning. The cycle-boundary sequence is built and checked the same way.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
-from .groups import (GroupMap, PresentedGroup, Subquotient,
-                     _relations_for_orders, ext_group, hom_group, kernel,
-                     cokernel, kernel_lattice, same_subgroup, tensor_identity)
+from .groups import (GroupMap, IllFormedMap, PresentedGroup, Subquotient,
+                     _relations_for_orders, ext_group, hom_group,
+                     kernel_lattice, tensor_identity)
 from .matrices import IntMatrix, column_basis, hstack, kernel_basis, solve_columns
 
 
@@ -357,154 +360,121 @@ class CycleBoundarySequence:
                 "verified": True}
 
 
-class _Resolver:
-    """Per-complex caches shared by certificates across degrees and
-    coefficient groups: integral cocycle/coboundary lattices and the
-    integer left inverses of the cocycle bases."""
-
-    def __init__(self, base):
-        self.base = base
-        self._z = {}
-        self._b = {}
-        self._h = {}
-        self._p = {}
-
-    def cocycles(self, n):
-        if n not in self._z:
-            self._z[n] = kernel_basis(self.base.diff(n))
-        return self._z[n]
-
-    def coboundaries(self, n):
-        if n not in self._b:
-            self._b[n] = column_basis(self.base.diff(n - 1))
-        return self._b[n]
-
-    def cohomology_sq(self, n):
-        if n not in self._h:
-            self._h[n] = Subquotient(self.cocycles(n), self.base.diff(n - 1))
-        return self._h[n]
-
-    def cocycle_left_inverse(self, n):
-        """P with P * Z == I for the cocycle basis Z of degree n; exists
-        because C^n / Z^n is torsion-free (it embeds in C^{n+1})."""
-        if n not in self._p:
-            z = self.cocycles(n)
-            p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
-            if p is None:
-                raise CertificateFailure("cocycle lattice of degree %d is not a direct summand" % n)
-            self._p[n] = p.transpose()
-        return self._p[n]
-
-
-def _blocks_to_map(pairvec, blocks, coefficients, source_group):
-    """Reinterpret a block-major G-tuple vector (one block per generator of
-    ``source_group``) as a GroupMap source_group -> coefficients."""
-    m = coefficients.n_gens
-    cols = tuple(pairvec[k * m:(k + 1) * m] for k in range(blocks))
-    return GroupMap(source_group, coefficients, IntMatrix._trusted(blocks, m, cols).transpose())
-
-
-def _coboundary_push(suite, n):
-    """psi |-> psi(d^n written in the degree-(n+1) coboundary basis), as a
-    matrix from Hom(B^{n+1}, G)-tuples to degree-n coefficient chains."""
-    in_b_basis = solve_columns(suite.res.coboundaries(n + 1), suite.base.diff(n))
-    if in_b_basis is None:
-        raise CertificateFailure("d^n does not factor through its own image basis")
-    return tensor_identity(in_b_basis.transpose(), suite.coefficients.n_gens)
-
-
-def _cocycle_evaluation(suite, n, chains):
-    """Evaluate each generator of ``chains`` (a Subquotient of degree-n
-    coefficient chains) on lifted cohomology generators: the map
-    chains.group -> Hom(H^n(C), G), returned with that Hom group."""
-    G = suite.coefficients
-    h_sq = suite.res.cohomology_sq(n)
-    homg = hom_group(h_sq.group, G)
-    evaluate = tensor_identity(h_sq.lifts.transpose(), G.n_gens)
-    cols = []
-    for lift in chains.lifts.transpose().data:
-        f = _blocks_to_map(evaluate.apply(lift), h_sq.group.n_gens, G, h_sq.group)
-        cols.append(homg.from_map(f))
-    return homg, GroupMap(chains.group, homg.group, IntMatrix._trusted(
-        len(cols), homg.group.n_gens, tuple(cols)).transpose())
-
-
-def _check_short_exact(n, include, evaluate, left):
-    """Raise CertificateFailure unless 0 -> . -include-> . -evaluate-> . -> 0
-    is exact; ``left`` names the first term in the messages."""
-    if not kernel(include)[0].is_trivial:
-        raise CertificateFailure("degree %d: %s fails to inject" % (n, left))
-    if not cokernel(evaluate)[0].is_trivial:
-        raise CertificateFailure("degree %d: evaluation fails to surject" % n)
+def _check_split(n, include, evaluate, split, left):
+    """Raise CertificateFailure unless include, evaluate and split extend to
+    a biproduct: e∘i = 0, e∘s = 1, and some r with i∘r = 1 - s∘e and r∘i = 1.
+    These identities make 0 -> . -include-> . -evaluate-> . -> 0 split exact
+    (Mac Lane, VIII.2); ``left`` names the first term in the messages."""
     if not (evaluate @ include).is_zero:
         raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
-    if not same_subgroup(kernel(evaluate)[1], include):
-        raise CertificateFailure("degree %d: kernel of evaluation differs from the image of %s"
+    if not (evaluate @ split).is_identity:
+        raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
+    middle = include.target
+    rest = IntMatrix.identity(middle.n_gens) - split.matrix * evaluate.matrix
+    sol = solve_columns(hstack(include.matrix, middle.relation_matrix()), rest)
+    if sol is None:
+        raise CertificateFailure("degree %d: kernel of evaluation escapes the image of %s"
                                  % (n, left))
+    try:
+        retract = GroupMap(middle, include.source, IntMatrix._trusted(
+            include.source.n_gens, middle.n_gens, sol.data[:include.source.n_gens]))
+    except IllFormedMap:
+        raise CertificateFailure("degree %d: retraction onto %s is not well defined"
+                                 % (n, left)) from None
+    if not (retract @ include).is_identity:
+        raise CertificateFailure("degree %d: %s fails to inject" % (n, left))
 
 
 class UctSuite:
     """Builds universal-coefficient certificates for one (complex, G) pair,
-    sharing the integral lattice work across degrees."""
+    caching the integral lattice work (cocycle and coboundary bases and
+    cohomology), which neighbouring degrees share."""
 
-    def __init__(self, base, coefficients, resolver=None):
+    def __init__(self, base, coefficients):
         self.base = base
         self.coefficients = coefficients
         self.dual = CoefficientComplex(base, coefficients)
-        self.res = resolver if resolver is not None else _Resolver(base)
+        self._cache = {}
+
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def cocycles(self, n):
+        return self._memo(("Z", n), lambda: kernel_basis(self.base.diff(n)))
+
+    def coboundaries(self, n):
+        return self._memo(("B", n), lambda: column_basis(self.base.diff(n - 1)))
+
+    def cohomology_sq(self, n):
+        return self._memo(("H", n), lambda: Subquotient(self.cocycles(n), self.base.diff(n - 1)))
+
+    def _sequence(self, n, left, mid):
+        """The maps of 0 -> left -> mid -> Hom(H^n(C), G) -> 0, where ``left``
+        is a Subquotient of Hom(B^{n+1}, G)-tuples and ``mid`` one of degree-n
+        coefficient cycles: (include, evaluate, split, Hom(H^n(C), G)).
+
+        include:  psi |-> psi o d^n, with d^n written in the coboundary basis;
+        evaluate: a cycle restricted to the lifted cohomology generators;
+        split:    a homomorphism on H^n extended by zero off the cocycle
+                  lattice Z, along the complement cut out by an integer left
+                  inverse P of its basis (P exists because C^n / Z embeds in
+                  the free group C^{n+1}).
+        """
+        G, m = self.coefficients, self.coefficients.n_gens
+        in_b_basis = solve_columns(self.coboundaries(n + 1), self.base.diff(n))
+        if in_b_basis is None:
+            raise CertificateFailure("d^n does not factor through its own image basis")
+        push = tensor_identity(in_b_basis.transpose(), m)
+        include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
+
+        h_sq = self.cohomology_sq(n)
+        H = h_sq.group
+        homg = hom_group(H, G)
+        values = tensor_identity(h_sq.lifts.transpose(), m) * mid.lifts
+        cols = tuple(homg.from_map(GroupMap(H, G, IntMatrix._trusted(
+            H.n_gens, m, tuple(v[k * m:(k + 1) * m] for k in range(H.n_gens))).transpose()))
+            for v in values.transpose().data)
+        evaluate = GroupMap(mid.group, homg.group, IntMatrix._trusted(
+            len(cols), homg.group.n_gens, cols).transpose())
+
+        z = self.cocycles(n)
+        p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
+        if p is None:
+            raise CertificateFailure("cocycle lattice of degree %d is not a direct summand" % n)
+        h_of_basis = h_sq.coords_matrix(z * p.transpose())  # basis of C^n projected, in H^n
+        chains = tuple(tuple(x for col in (homg.to_map(e).matrix * h_of_basis).transpose().data
+                             for x in col)
+                       for e in IntMatrix.identity(homg.group.n_gens).data)
+        split = GroupMap(homg.group, mid.group, mid.coords_matrix(IntMatrix._trusted(
+            len(chains), mid.ambient_dim, chains).transpose()))
+        return include, evaluate, split, homg
 
     def certificate(self, n):
         G = self.coefficients
-        m = G.n_gens
-        res = self.res
-
-        mid_sq = self.dual.homology_subquotient(n)
-        middle = mid_sq.group
-
         # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0
-        zb = res.cocycles(n + 1)
-        bb = res.coboundaries(n + 1)
-        inside = solve_columns(zb, bb)
+        bb = self.coboundaries(n + 1)
+        inside = solve_columns(self.cocycles(n + 1), bb)
         if inside is None:
             raise CertificateFailure("coboundaries escape the cocycle lattice at degree %d" % (n + 1))
-        restr = tensor_identity(inside.transpose(), m)
-        ext_sq = Subquotient(IntMatrix.identity(bb.cols * m),
+        restr = tensor_identity(inside.transpose(), G.n_gens)
+        ext_sq = Subquotient(IntMatrix.identity(bb.cols * G.n_gens),
                              hstack(restr, _relations_for_orders(G.orders * bb.cols)))
-        ext_term = ext_sq.group
-
-        ext_reference = ext_group(res.cohomology_sq(n + 1).group, G).group
-        if ext_term != ext_reference:
+        if ext_sq.group != ext_group(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and functor routes at degree %d" % n)
 
-        push = _coboundary_push(self, n)
-        injection = GroupMap(ext_term, middle, mid_sq.coords_matrix(push * ext_sq.lifts))
-        homg, surjection = _cocycle_evaluation(self, n, mid_sq)
-        hom_term = homg.group
-
-        # splitting: extend a homomorphism on H^n by zero off the cocycle lattice
-        h_sq = res.cohomology_sq(n)
-        p = res.cocycle_left_inverse(n)
-        project = res.cocycles(n) * p                    # C^n -> Z^n along a complement
-        h_of_basis = h_sq.coords_matrix(project)         # H^n coords of each projected basis vector
-        split_cols = []
-        for e in IntMatrix.identity(hom_term.n_gens).data:
-            images = homg.to_map(e).matrix               # m x h
-            phi = images * h_of_basis                    # m x rank(C^n)
-            pairvec = [x for col in phi.transpose().data for x in col]
-            split_cols.append(mid_sq.coords(pairvec))
-        splitting = GroupMap(hom_term, middle, IntMatrix._trusted(
-            len(split_cols), middle.n_gens, tuple(split_cols)).transpose())
-
-        cert = UctCertificate(n, ext_term, hom_term, middle, injection, surjection, splitting)
+        mid_sq = self.dual.homology_subquotient(n)
+        injection, surjection, splitting, homg = self._sequence(n, ext_sq, mid_sq)
+        cert = UctCertificate(n, ext_sq.group, homg.group, mid_sq.group,
+                              injection, surjection, splitting)
         self._verify(cert)
         return cert
 
     def _verify(self, cert):
         n = cert.degree
-        _check_short_exact(n, cert.injection, cert.surjection, "the Ext term")
-        if not (cert.surjection @ cert.splitting).is_identity:
-            raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
+        _check_split(n, cert.injection, cert.surjection, cert.splitting, "the Ext term")
         if cert.middle != cert.ext_term.direct_sum(cert.hom_term):
             raise CertificateFailure("degree %d: middle group is not the direct sum of the ends" % n)
 
@@ -520,9 +490,9 @@ def uct_certificate(base, coefficients, n):
     return UctSuite(base, coefficients).certificate(n)
 
 
-def uct_certificates(base, coefficients, resolver=None):
+def uct_certificates(base, coefficients):
     """Certificates for every degree of the complex, sharing integral work."""
-    suite = UctSuite(base, coefficients, resolver)
+    suite = UctSuite(base, coefficients)
     return {n: suite.certificate(n) for n in base.degrees()}
 
 
@@ -531,13 +501,9 @@ def cycle_boundary_sequence(base, coefficients, n):
     if not base.lo <= n <= base.hi:
         raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, base.lo, base.hi))
     suite = UctSuite(base, coefficients)
-    G, m = coefficients, coefficients.n_gens
-    bb = suite.res.coboundaries(n + 1)
-    homb_sq = Subquotient(IntMatrix.identity(bb.cols * m),
-                          _relations_for_orders(G.orders * bb.cols))
+    orders = coefficients.orders * suite.coboundaries(n + 1).cols
+    homb_sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
     z_sq = suite.dual.cycles_subquotient(n)
-    include = GroupMap(homb_sq.group, z_sq.group,
-                       z_sq.coords_matrix(_coboundary_push(suite, n) * homb_sq.lifts))
-    homg, evaluate = _cocycle_evaluation(suite, n, z_sq)
-    _check_short_exact(n, include, evaluate, "Hom(B^%d, G)" % (n + 1))
+    include, evaluate, split, homg = suite._sequence(n, homb_sq, z_sq)
+    _check_split(n, include, evaluate, split, "Hom(B^%d, G)" % (n + 1))
     return CycleBoundarySequence(n, homb_sq.group, z_sq.group, homg.group, include, evaluate)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .matrices import (IntMatrix, hermite_form, hstack, kernel_basis,
-                       lattice_equal, smith_normal_form, solve_columns)
+                       smith_normal_form, solve_columns)
 
 
 class IllFormedMap(ValueError):
@@ -417,14 +417,6 @@ def cokernel(f):
     return sq.group, GroupMap(f.target, sq.group, sq.coords_matrix(IntMatrix.identity(n)))
 
 
-def same_subgroup(f, g):
-    """Do two maps into a common target have the same image subgroup?"""
-    if f.target != g.target:
-        raise ValueError("maps land in different groups")
-    rel = f.target.relation_matrix()
-    return lattice_equal(hstack(f.matrix, rel), hstack(g.matrix, rel))
-
-
 def is_injective(f):
     return kernel(f)[0].is_trivial
 
@@ -438,12 +430,19 @@ def is_isomorphism(f):
 
 
 def inverse(f):
-    """Inverse GroupMap of an isomorphism, or None when f is not one."""
+    """Inverse GroupMap of an isomorphism, or None when f is not one.
+
+    When f is an isomorphism, every solution of f o g = 1 lifts its inverse
+    and so is well defined; a solution that is not, as for a surjection
+    with a nonzero kernel, shows that f is not invertible."""
     n, m = f.target.n_gens, f.source.n_gens
     sol = solve_columns(hstack(f.matrix, f.target.relation_matrix()), IntMatrix.identity(n))
     if sol is None:
         return None
-    g = GroupMap(f.target, f.source, IntMatrix._trusted(m, n, sol.data[:m]))
+    try:
+        g = GroupMap(f.target, f.source, IntMatrix._trusted(m, n, sol.data[:m]))
+    except IllFormedMap:
+        return None
     if not (f @ g).is_identity or not (g @ f).is_identity:
         return None
     return g

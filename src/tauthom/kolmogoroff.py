@@ -71,6 +71,14 @@ class ConditionViolated(ValueError):
                          % (map_index, witness))
 
 
+def _atom(x):
+    """x itself when it is an int; bools, floats and strings raise
+    ValueError rather than being coerced into another model."""
+    if type(x) is not int:
+        raise ValueError("atoms must be integers, got %r" % (x,))
+    return x
+
+
 class FiniteModel:
     """Atoms 0..atoms-1 plus the downward-closed family of atom subsets
     with commonly intersecting closures. Every singleton is present (each
@@ -80,13 +88,13 @@ class FiniteModel:
     __slots__ = ("atoms", "simplices", "maximal")
 
     def __init__(self, atoms, faces):
-        atoms = int(atoms)
+        atoms = _atom(atoms)
         if atoms <= 0:
             raise ValueError("a model needs at least one atom")
         self.atoms = atoms
         closed = set()
         for face in faces:
-            face = frozenset(int(a) for a in face)
+            face = frozenset(_atom(a) for a in face)
             if not face:
                 continue
             if min(face) < 0 or max(face) >= atoms:
@@ -138,7 +146,7 @@ class Partition:
         cleaned = []
         seen = {}
         for block in blocks:
-            block = tuple(sorted(int(a) for a in block))
+            block = tuple(sorted(_atom(a) for a in block))
             if not block:
                 raise ValueError("empty block")
             if len(set(block)) != len(block):

@@ -111,12 +111,6 @@ class Tower(_Sequence):
 
     inverse = True
 
-    @classmethod
-    def constant(cls, group, length=1):
-        stages = (group,) * length
-        maps = tuple(GroupMap.identity(group) for _ in range(length - 1))
-        return cls(stages, maps, GroupMap.identity(group))
-
 
 class Telescope(_Sequence):
     """Direct sequence A_1 -> A_2 -> ...; maps[k]: stages[k] -> stages[k+1],

@@ -447,10 +447,8 @@ def trivially_taut_tower(stages=3):
     cohomology = {}
     subspace = {}
     for n, g in ((0, zz), (1, z2), (2, _TRIVIAL)):
-        const = Tower.constant(g, stages)
-        tower = Tower(const.stages, const.maps, None)
-        homology[n] = tower
         ident = tuple(GroupMap.identity(g) for _ in range(stages))
+        homology[n] = Tower((g,) * stages, ident[1:], None)
         subspace[n] = SubspaceData(g, ident)
     for n, g in ((0, zz), (1, _TRIVIAL), (2, z2), (3, _TRIVIAL)):
         maps = tuple(GroupMap.identity(g) for _ in range(stages - 1))

@@ -3,10 +3,11 @@
 Everything here is deliberately written from scratch against the textbook
 definitions, using only the standard library: no imports from the package
 under test. Values are exchanged as plain ints, tuples and lists so the
-tests can compare them against the package's outputs. The one exception is
-the section on unreduced homology at the end, which replays the package's
+tests can compare them against the package's outputs. The exceptions are
+the two sections at the end: unreduced homology replays the package's
 full-size homology route through its own lattice engine as the reference
-for the unit-reduced one.
+for the unit-reduced one, and the kernel/cokernel verifier of split short
+exact sequences is the reference for the biproduct check.
 """
 
 from fractions import Fraction
@@ -814,3 +815,45 @@ def unreduced_kolmogoroff_groups(model, partition, coefficients):
         den = hstack(deltas[n + 1], _relations_for_orders(orders_n))
         direct[n] = Subquotient(num, den).group
     return direct
+
+
+# -- kernel/cokernel verifier of split short exact sequences ---------------------
+
+
+def same_subgroup(f, g):
+    """Do two maps into a common target have the same image subgroup?"""
+    from tauthom.matrices import hstack, lattice_equal
+    if f.target != g.target:
+        raise ValueError("maps land in different groups")
+    rel = f.target.relation_matrix()
+    return lattice_equal(hstack(f.matrix, rel), hstack(g.matrix, rel))
+
+
+def check_short_exact(n, include, evaluate, left):
+    """Raise CertificateFailure unless 0 -> . -include-> . -evaluate-> . -> 0
+    is exact, by kernels, cokernels and image equality; ``left`` names the
+    first term in the messages."""
+    from tauthom.complexes import CertificateFailure
+    from tauthom.groups import cokernel, kernel
+    if not kernel(include)[0].is_trivial:
+        raise CertificateFailure("degree %d: %s fails to inject" % (n, left))
+    if not cokernel(evaluate)[0].is_trivial:
+        raise CertificateFailure("degree %d: evaluation fails to surject" % n)
+    if not (evaluate @ include).is_zero:
+        raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
+    if not same_subgroup(kernel(evaluate)[1], include):
+        raise CertificateFailure("degree %d: kernel of evaluation differs from the image of %s"
+                                 % (n, left))
+
+
+def verify_certificate_reference(cert):
+    """The certificate verifier by kernels and cokernels: exactness, the
+    splitting as a right inverse of the surjection, and the middle group as
+    the direct sum of the ends."""
+    from tauthom.complexes import CertificateFailure
+    n = cert.degree
+    check_short_exact(n, cert.injection, cert.surjection, "the Ext term")
+    if not (cert.surjection @ cert.splitting).is_identity:
+        raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
+    if cert.middle != cert.ext_term.direct_sum(cert.hom_term):
+        raise CertificateFailure("degree %d: middle group is not the direct sum of the ends" % n)

@@ -253,6 +253,10 @@ class TestExitCodes:
         ("snf", {"rows": 1, "cols": 1, "entries": [["2"]]}, "entry [0][0]"),
         ("snf", {"rows": 1.9, "cols": 1, "entries": [[4]]}, "'rows'"),
         ("snf", {"rows": 1, "cols": True, "entries": [[4]]}, "'cols'"),
+        ("kolmogoroff", {"atoms": 2, "nerve": [[0, 1.9]]}, "got 1.9"),
+        ("kolmogoroff", {"model": {"atoms": 3, "nerve": []},
+                         "partition": [["2"], [0], [1]]}, "got '2'"),
+        ("kolmogoroff", {"atoms": True, "nerve": []}, "got True"),
     ])
     def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
         path = write_json(tmp_path, "in.json", obj)
@@ -310,12 +314,11 @@ class TestDeterminism:
         assert first == second
         assert json.loads(first)["seed"] == 7
 
-    def test_kmax_flag_and_env(self, capsys, tower_file, monkeypatch):
-        _, flagged, _ = run_cli(capsys, "lim", "--input", tower_file,
-                                "--kmax", "16")
-        monkeypatch.setenv("TAUT_HOMOLOGY_KMAX", "16")
-        _, via_env, _ = run_cli(capsys, "lim", "--input", tower_file)
-        assert flagged == via_env
+    def test_kmax_flag_is_rejected(self, capsys, tower_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["lim", "--input", tower_file, "--kmax", "16"])
+        assert exc.value.code == 2
+        assert "--kmax" in capsys.readouterr().err
 
     def test_default_format_is_text(self):
         args = build_parser().parse_args(["snf"])

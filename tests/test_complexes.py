@@ -1,21 +1,25 @@
+from types import SimpleNamespace
+
 import pytest
 
 from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                DegreeOutOfRange, FreeComplex, UctSuite,
                                cycle_boundary_sequence, homology_groups,
                                uct_certificate, uct_certificates)
-from tauthom.groups import PresentedGroup, hom_group, ext_group, parse_group
+from tauthom.groups import GroupMap, PresentedGroup, hom_group, ext_group, parse_group
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
-from oracles import (ext_oracle, hom_oracle, rank_oracle, unreduced_homology,
-                     unreduced_homology_groups)
+from oracles import (check_short_exact, ext_oracle, hom_oracle, rank_oracle,
+                     unreduced_homology, unreduced_homology_groups,
+                     verify_certificate_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
 Z4 = PresentedGroup(0, (4,))
 Z12 = PresentedGroup(0, (12,))
 MIXED = PresentedGroup(1, (4,))
+ZERO = PresentedGroup(0, ())
 COEFFICIENTS = [parse_group(g) for g in ("Z", "Z/2", "Z/12", "Z+Z/4", "Z/2+Z/6")]
 
 
@@ -182,6 +186,24 @@ class TestUnitReduction:
         assert max(max(s) for s in shapes) == 1
 
 
+def accepts(check, *args):
+    """True when ``check`` returns, False when it raises CertificateFailure."""
+    try:
+        check(*args)
+    except CertificateFailure:
+        return False
+    return True
+
+
+def scaled_maps(maps, fields):
+    """Copies of ``maps`` with one of ``fields`` replaced by 0, 2 or 3 times
+    itself; a multiple of a homomorphism is again well defined."""
+    for field in fields:
+        f = getattr(maps, field)
+        for k in (0, 2, 3):
+            yield type(maps)(**{**vars(maps), field: GroupMap(f.source, f.target, f.matrix * k)})
+
+
 class TestUct:
     def test_rp2_certificate_over_z(self):
         cert = uct_certificate(rp2_cochain(), Z, 1)
@@ -220,7 +242,6 @@ class TestUct:
             assert (cert.surjection @ cert.injection).is_zero
 
     def test_tampered_certificate_detected(self):
-        from tauthom.groups import GroupMap
         suite = UctSuite(rp2_cochain(), Z)
         # degree 1 has ext_term Z/2: a zero injection no longer injects
         cert = suite.certificate(1)
@@ -237,6 +258,62 @@ class TestUct:
                            cert0.splitting)
         with pytest.raises(CertificateFailure):
             suite._verify(bad0)
+        # a seeded battery: each map scaled by 0, 2 or 3 must get the same
+        # verdict from the biproduct check as from the kernel/cokernel one
+        rng = seeded(25)
+        verdicts = set()
+        for _ in range(25):
+            cx, _ = random_free_cochain_complex(rng)
+            for g in (Z, Z2, Z12, MIXED):
+                suite = UctSuite(cx, g)
+                for n in cx.degrees():
+                    cert = suite.certificate(n)
+                    for bad in scaled_maps(cert, ("injection", "surjection", "splitting")):
+                        verdict = accepts(suite._verify, bad)
+                        assert verdict == accepts(verify_certificate_reference, bad)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_tampered_cycle_boundary_sequence(self, monkeypatch):
+        # the same battery on the maps cycle_boundary_sequence checks; the
+        # kernel/cokernel reference is given the splitting identity it lacks
+        import tauthom.complexes as complexes
+        seen = []
+        check = complexes._check_split
+        monkeypatch.setattr(complexes, "_check_split", lambda *args: seen.append(args))
+        rng = seeded(26)
+        for _ in range(6):
+            cx, _ = random_free_cochain_complex(rng)
+            for n in cx.degrees():
+                cycle_boundary_sequence(cx, MIXED, n)
+        verdicts = set()
+        for n, include, evaluate, split, left in seen:
+            maps = SimpleNamespace(include=include, evaluate=evaluate, split=split)
+            assert accepts(check, n, include, evaluate, split, left)
+            for bad in scaled_maps(maps, ("include", "evaluate", "split")):
+                verdict = accepts(check, n, bad.include, bad.evaluate, bad.split, left)
+                assert verdict == (accepts(check_short_exact, n, bad.include, bad.evaluate, left)
+                                   and (bad.evaluate @ bad.split).is_identity)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("include, evaluate, message", [
+        # the retraction solves 1 * r = 1 modulo 2, and Z/2 -> Z sending 1 to
+        # an odd number is no homomorphism
+        (GroupMap(Z, Z2, m([[1]])), GroupMap.zero(Z2, ZERO), "not well defined"),
+        # Z/2 + Z/2 -> Z/2 hits the kernel of evaluation but does not inject
+        (GroupMap(PresentedGroup(0, (2, 2)), Z2, m([[1, 1]])), GroupMap.zero(Z2, ZERO),
+         "fails to inject"),
+        # evaluation is zero onto a nonzero group: no splitting is a right inverse
+        (GroupMap.identity(Z), GroupMap.zero(Z, Z2), "right inverse"),
+        (GroupMap.identity(Z), GroupMap(Z, Z2, m([[1]])), "composite through the middle"),
+    ])
+    def test_each_identity_is_checked(self, include, evaluate, message):
+        from tauthom.complexes import _check_split
+        split = GroupMap.zero(evaluate.target, evaluate.source)
+        with pytest.raises(CertificateFailure, match=message):
+            _check_split(0, include, evaluate, split, "the left term")
+        assert not accepts(check_short_exact, 0, include, evaluate, "the left term")
 
     def test_cycle_boundary_sequence(self):
         seq = cycle_boundary_sequence(rp2_cochain(), Z4, 1)
@@ -265,12 +342,3 @@ class TestUct:
         assert calls == []
         IntMatrix(1, 1, [[1]])
         assert calls == [(1, 1)]
-
-    def test_shared_resolver_consistency(self):
-        from tauthom.complexes import _Resolver
-        cx, _ = random_free_cochain_complex(seeded(24))
-        res = _Resolver(cx)
-        a = uct_certificates(cx, Z4, resolver=res)
-        b = uct_certificates(cx, Z4)
-        for n in a:
-            assert a[n].middle == b[n].middle

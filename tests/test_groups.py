@@ -227,6 +227,10 @@ class TestKernelImageCokernel:
         assert is_injective(f) and not is_surjective(f)
         p = GroupMap(Z, Z2, IntMatrix.from_rows([[1]]))
         assert is_surjective(p) and not is_injective(p)
+        assert inverse(p) is None
+        q = GroupMap(Z4, Z2, IntMatrix.from_rows([[1]]))
+        assert is_surjective(q) and not is_injective(q)
+        assert inverse(q) is None
 
 
 class TestTensorIdentity:
