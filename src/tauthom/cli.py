@@ -20,8 +20,8 @@ from .groups import (GroupParseError, IllFormedMap, PresentedGroup,
                      ext_group, hom_group, parse_group)
 from .kolmogoroff import (ConditionViolated, FiniteModel, KolmogoroffChain,
                           NerveComplex, NotACover, NotARefinement, Partition,
-                          PipelineMismatch, kolmogoroff_homology,
-                          kolmogoroff_uct_check, model_preset, random_chain)
+                          PipelineMismatch, kolmogoroff_homology, model_preset,
+                          random_chain)
 from .limits import (MalformedTower, Telescope, Tower, colim,
                      hom_into_colim_check, lim, lim1, lim_higher,
                      six_term_check)

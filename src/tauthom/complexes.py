@@ -1,6 +1,7 @@
 """Bounded free (co)chain complexes over Z, their homology, coefficient
 complexes Hom(C, G), and machine-checked universal-coefficient
-certificates.
+certificates. Differentials stay sparse columns up to ``homology_groups``;
+dense IntMatrix views are built on demand (``FreeComplex.diff``).
 
 Every group-only homology computation (``homology``, ``homology_all`` and
 ``homology_groups``) first unit-reduces the complex: isomorphism components
@@ -25,14 +26,15 @@ of returning. The cycle-boundary sequence is built and checked the same way.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 
 from .groups import (GroupMap, IllFormedMap, PresentedGroup, Subquotient,
                      _relations_for_orders, ext_group, hom_group,
                      kernel_lattice, tensor_identity)
-from .matrices import IntMatrix, column_basis, hstack, kernel_basis, solve_columns
+from .matrices import (IntMatrix, _SparseMatrix, column_basis, hstack, kernel_basis,
+                       solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -48,18 +50,13 @@ class CertificateFailure(AssertionError):
     certificate; valid inputs can never trigger this."""
 
 
-def _is_unit(x, d):
-    """Does x generate Z/d (Z when d == 0)?"""
-    return x in (1, -1) if d == 0 else gcd(x, d) == 1
-
-
 def homology_groups(mats, orders):
     """Homology of a bounded chain complex of finitely generated groups.
 
     ``orders[n]`` lists the order of each degree-n coordinate (0: a free
     coordinate), so degree n is the sum of the cyclic groups Z/orders[n][i];
-    ``mats[n]`` is the differential from degree n to degree n-1, an absent
-    matrix (or degree) being zero. Returns {n: H_n} for every n in ``orders``.
+    ``mats[n]`` is the differential from degree n to degree n-1 (sparse or
+    dense), an absent one being zero. Returns {n: H_n} for every n in ``orders``.
 
     Before any lattice work the complex is unit-reduced: an entry e of a
     differential D_n between coordinates b -> a of the same order d that is a
@@ -75,34 +72,25 @@ def homology_groups(mats, orders):
     Subquotient(kernel_lattice(D_n), [D_{n+1} | relations]) on what is left.
     """
     ords = {n: tuple(o) for n, o in orders.items()}
-    alive = {n: set(range(len(o))) for n, o in ords.items()}
     cols, rows = {}, {}
     for n, mat in mats.items():
+        mat = _SparseMatrix.of(mat)
         src, tgt = ords.get(n, ()), ords.get(n - 1, ())
         if (mat.rows, mat.cols) != (len(tgt), len(src)):
             raise ValueError("differential at degree %d is %dx%d, expected %dx%d"
                              % (n, mat.rows, mat.cols, len(tgt), len(src)))
-        C = {b: {} for b in range(mat.cols)}
-        R = {}
-        for a, (row, d) in enumerate(zip(mat.data, tgt)):
-            Ra = R[a] = {}
-            for b in compress(range(mat.cols), row):
-                x = row[b] % d if d else row[b]
+        C = cols[n] = {b: {} for b in range(mat.cols)}
+        R = rows[n] = {a: {} for a in range(mat.rows)}
+        for b, col in mat.columns.items():
+            for a, x in col.items():
+                x = x % tgt[a] if tgt[a] else x
                 if x:
-                    C[b][a] = Ra[b] = x
-        cols[n], rows[n] = C, R
+                    C[b][a] = R[a][b] = x
 
-    def drop_row(n, a):
-        if n in rows:
-            C = cols[n]
-            for b in rows[n].pop(a):
-                del C[b][a]
-
-    def drop_col(n, b):
-        if n in cols:
-            R = rows[n]
-            for a in cols[n].pop(b):
-                del R[a][b]
+    def drop(lines, crossing, n, k):
+        if n in lines:
+            for other in lines[n].pop(k):
+                del crossing[n][other][k]
 
     for n in sorted(cols):
         C, R = cols[n], rows[n]
@@ -115,7 +103,8 @@ def homology_groups(mats, orders):
             if col is None or len(col) != k:
                 continue
             d = src[b]
-            found = [(len(R[a]), a) for a, x in col.items() if tgt[a] == d and _is_unit(x, d)]
+            found = [(len(R[a]), a) for a, x in col.items()  # x generates Z/d (Z if d == 0)
+                     if tgt[a] == d and (gcd(x, d) == 1 if d else x in (1, -1))]
             if not found:
                 continue
             a = min(found)[1]
@@ -139,19 +128,17 @@ def homology_groups(mats, orders):
                     elif i in Cj:
                         del Cj[i], R[i][j]
                 heapq.heappush(heap, (len(Cj), j))
-            drop_row(n + 1, b)
-            drop_col(n - 1, a)
-            alive[n].discard(b)
-            alive[n - 1].discard(a)
+            drop(rows, cols, n + 1, b)
+            drop(cols, rows, n - 1, a)
 
-    kept = {n: sorted(live) for n, live in alive.items()}
+    # the coordinates left in degree n index the columns of D_n and the rows of D_{n+1}
+    kept = {n: sorted(cols[n] if n in cols else rows.get(n + 1, range(len(o))))
+            for n, o in ords.items()}
 
     def reduced(n):
-        src, tgt = kept.get(n, []), kept.get(n - 1, [])
-        C = cols.get(n)
-        data = tuple(tuple(C[b].get(a, 0) for b in src) for a in tgt) if C else \
-            ((0,) * len(src),) * len(tgt)
-        return IntMatrix._trusted(len(tgt), len(src), data)
+        src, tgt, C = kept.get(n, []), kept.get(n - 1, []), cols.get(n)
+        return IntMatrix._trusted(len(tgt), len(src), tuple(
+            tuple(C[b].get(a, 0) if C else 0 for b in src) for a in tgt))
 
     def left(n):
         o = ords.get(n, ())
@@ -167,41 +154,41 @@ class FreeComplex:
 
     ``direction`` is "chain" (differential lowers degree; ``diffs[n]`` maps
     degree n to n-1) or "cochain" (raises degree; ``diffs[n]`` maps degree
-    n to n+1). Composition of consecutive differentials is checked to be
-    zero at construction time.
-    """
+    n to n+1). ``diffs`` holds the nonzero ones, sparse, checked to compose to
+    zero; ``diff(n)`` builds a dense view once. Degrees and ranks must be ints."""
 
-    __slots__ = ("direction", "lo", "hi", "ranks", "diffs")
+    __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense")
 
     def __init__(self, direction, lo, hi, ranks, diffs):
         if direction not in ("chain", "cochain"):
             raise ValueError("direction must be 'chain' or 'cochain'")
+        ranks = tuple(ranks)
+        for what, x in (("lo", lo), ("hi", hi)) + tuple(("ranks", r) for r in ranks):
+            if type(x) is not int:
+                raise ValueError("complex field '%s' must hold integers, got %r" % (what, x))
         if hi < lo:
             raise ValueError("empty degree range")
-        ranks = tuple(int(r) for r in ranks)
         if len(ranks) != hi - lo + 1 or any(r < 0 for r in ranks):
             raise ValueError("ranks must list one nonnegative rank per degree")
-        self.direction = direction
-        self.lo = lo
-        self.hi = hi
-        self.ranks = ranks
-        clean = {}
+        self.direction, self.lo, self.hi, self.ranks = direction, lo, hi, ranks
+        self.diffs, self._dense = {}, {}
         for n, mat in diffs.items():
-            n = int(n)
-            if not isinstance(mat, IntMatrix):
+            if type(n) is not int:
+                raise ValueError("differential degrees must be integers, got %r" % (n,))
+            if not isinstance(mat, (IntMatrix, _SparseMatrix)):
                 mat = IntMatrix.from_json(mat)
-            src = self.rank(n)
-            tgt = self.rank(n - 1 if direction == "chain" else n + 1)
+            src, tgt = self.rank(n), self.rank(n - 1 if direction == "chain" else n + 1)
             if mat.rows != tgt or mat.cols != src:
                 raise NotFree("differential at degree %d is %dx%d, expected %dx%d"
                               % (n, mat.rows, mat.cols, tgt, src))
-            if not mat.is_zero():
-                clean[n] = mat
-        self.diffs = clean
+            if isinstance(mat, IntMatrix):
+                self._dense[n], mat = mat, _SparseMatrix.of(mat)
+            if mat.columns:
+                self.diffs[n] = mat
         step = -1 if direction == "chain" else 1
-        for n in list(clean):
+        for n, d in self.diffs.items():
             nxt = n + step
-            if nxt in clean and not (clean[nxt] * clean[n]).is_zero():
+            if nxt in self.diffs and (self.diffs[nxt] * d).columns:
                 raise ValueError("differentials at degrees %d and %d do not compose to zero"
                                  % (n, nxt))
 
@@ -210,12 +197,15 @@ class FreeComplex:
             return self.ranks[n - self.lo]
         return 0
 
-    def diff(self, n):
-        """The differential out of degree n (zero matrix when absent)."""
-        if n in self.diffs:
-            return self.diffs[n]
+    def _sparse(self, n):
         tgt = self.rank(n - 1 if self.direction == "chain" else n + 1)
-        return IntMatrix.zeros(tgt, self.rank(n))
+        return self.diffs.get(n) or _SparseMatrix(tgt, self.rank(n), {})
+
+    def diff(self, n):
+        """The differential out of degree n as a dense matrix, built once."""
+        if n not in self._dense:
+            self._dense[n] = self._sparse(n).dense()
+        return self._dense[n]
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -244,12 +234,14 @@ class FreeComplex:
     def to_json(self):
         return {"direction": self.direction, "lo": self.lo, "hi": self.hi,
                 "ranks": list(self.ranks),
-                "diffs": {str(n): m.to_json() for n, m in sorted(self.diffs.items())}}
+                "diffs": {str(n): self.diff(n).to_json() for n in sorted(self.diffs)}}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["direction"], int(obj["lo"]), int(obj["hi"]), obj["ranks"],
-                   {int(n): IntMatrix.from_json(m) for n, m in obj.get("diffs", {}).items()})
+        """Differential degrees are keys of ASCII digits, optionally after a '-'."""
+        diffs = {int(n) if re.fullmatch("-?[0-9]+", n) else n: IntMatrix.from_json(m)
+                 for n, m in obj.get("diffs", {}).items()}
+        return cls(obj["direction"], obj["lo"], obj["hi"], obj["ranks"], diffs)
 
 
 class CoefficientComplex:
@@ -299,9 +291,10 @@ class CoefficientComplex:
         return self.homology_all()[n]
 
     def homology_all(self):
-        """Every homology group, from the unit-reduced complex."""
-        degrees = range(self.lo, self.hi + 1)
-        return homology_groups({n: self.diff_matrix(n) for n in degrees},
+        """Every homology group, from the unit-reduced sparse complex."""
+        m, degrees = self.coefficients.n_gens, range(self.lo, self.hi + 1)
+        return homology_groups({n + 1: d.transpose().blockwise(m)
+                                for n, d in self.base.diffs.items()},
                                {n: self.orders(n) for n in degrees})
 
 

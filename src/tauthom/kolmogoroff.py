@@ -23,6 +23,8 @@ evaluating Delta on generator chains, and once from the nerve of the
 partition via coefficient complexes over its integral cochain complex.
 Only the last step is common: each complex is unit-reduced and its groups
 read off by ``homology_groups``. Any disagreement raises PipelineMismatch.
+Both hand it sparse columns; dense boundary matrices are built on demand
+(``boundary_matrix``, refinement maps, the nerve report).
 
 Chains the package builds itself, the one-generator chains behind the
 boundary matrices and every boundary chain, skip re-validation; chains
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 
 from .complexes import (CertificateFailure, CoefficientComplex, FreeComplex,
                         homology_groups, uct_certificates)
-from .groups import GroupMap, PresentedGroup, tensor_identity
+from .groups import GroupMap, PresentedGroup
 from .limits import Telescope, colim
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _SparseMatrix
 
 
 class NotACover(ValueError):
@@ -71,11 +73,11 @@ class ConditionViolated(ValueError):
                          % (map_index, witness))
 
 
-def _atom(x):
+def _atom(x, what="atoms"):
     """x itself when it is an int; bools, floats and strings raise
-    ValueError rather than being coerced into another model."""
+    ValueError rather than being coerced into another model or chain."""
     if type(x) is not int:
-        raise ValueError("atoms must be integers, got %r" % (x,))
+        raise ValueError("%s must be integers, got %r" % (what, x))
     return x
 
 
@@ -210,7 +212,7 @@ def mosaic(sets):
     union, and every input set is the disjoint union of the pieces inside
     it. Deterministic order by smallest atom.
     """
-    sets = [frozenset(int(a) for a in s) for s in sets]
+    sets = [frozenset(_atom(a) for a in s) for s in sets]
     signature = {}
     for a in sorted(set().union(*sets) if sets else ()):
         sig = frozenset(i for i, s in enumerate(sets) if a in s)
@@ -226,7 +228,7 @@ def regularize(cover, atoms):
     covered = set()
     blocks = []
     for s in cover:
-        s = set(int(a) for a in s)
+        s = set(_atom(a) for a in s)
         residue = tuple(sorted(s - covered))
         if residue:
             blocks.append(residue)
@@ -275,17 +277,10 @@ class NerveComplex:
         self.simplices = tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(dim + 1))
         self.index = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
         diffs = {}
-        for n in range(1, dim + 1):
-            rows = []
-            lower = self.index[n - 1]
-            for _ in range(len(self.simplices[n - 1])):
-                rows.append([0] * len(self.simplices[n]))
-            for j, s in enumerate(self.simplices[n]):
-                for i in range(n + 1):
-                    face = s[:i] + s[i + 1:]
-                    rows[lower[face]][j] += (-1) ** i
-            diffs[n] = IntMatrix._trusted(len(self.simplices[n - 1]), len(self.simplices[n]),
-                                          tuple(map(tuple, rows)))
+        for n, lower, level in zip(range(1, dim + 1), self.index, self.simplices[1:]):
+            diffs[n] = _SparseMatrix(len(lower), len(level), {
+                j: {lower[s[:i] + s[i + 1:]]: (-1) ** i for i in range(n + 1)}
+                for j, s in enumerate(level)})
         self.chain = FreeComplex("chain", 0, dim,
                                  [len(level) for level in self.simplices], diffs)
 
@@ -299,15 +294,12 @@ class NerveComplex:
         return 0
 
     def boundary_matrix(self, n):
-        return self.chain.diff(n) if 1 <= n <= self.dimension else \
-            IntMatrix.zeros(self.count(n - 1), self.count(n))
+        return self.chain.diff(n)
 
     def cochain_complex(self):
-        """Integral simplicial cochains: transposed boundary matrices."""
-        dim = self.dimension
-        diffs = {n: self.chain.diff(n + 1).transpose() for n in range(dim)}
-        return FreeComplex("cochain", 0, dim,
-                           [len(level) for level in self.simplices], diffs)
+        """Integral simplicial cochains: transposed sparse boundaries."""
+        return FreeComplex("cochain", 0, self.dimension, self.chain.ranks,
+                           {n - 1: d.transpose() for n, d in self.chain.diffs.items()})
 
     def is_simplex(self, blocks):
         s, _ = _sort_with_sign(tuple(blocks))
@@ -356,10 +348,9 @@ class NerveGChain:
 
     def boundary(self):
         """Simplicial boundary acting on G-valued coefficient vectors."""
-        mat = tensor_identity(self.nerve.boundary_matrix(self.degree),
-                              self.coefficients.n_gens)
+        mat = self.nerve.chain._sparse(self.degree).blockwise(self.coefficients.n_gens)
         return NerveGChain(self.nerve, self.degree - 1, self.coefficients,
-                           mat.apply(self.coords))
+                           mat.dense().apply(self.coords))
 
     def __eq__(self, other):
         return (isinstance(other, NerveGChain) and self.nerve == other.nerve
@@ -390,12 +381,12 @@ class KolmogoroffChain:
         self.coefficients = coefficients
         cleaned = {}
         for tup, vec in values.items():
-            tup = tuple(int(b) for b in tup)
+            tup = tuple(_atom(b, "blocks") for b in tup)
             if (len(tup) != degree + 1 or len(set(tup)) != len(tup)
                     or tuple(sorted(tup)) != tup):
                 raise ValueError("keys must be strictly increasing %d-tuples"
                                  % (degree + 1,))
-            vec = coefficients.reduce(tuple(int(v) for v in vec))
+            vec = coefficients.reduce(tuple(_atom(v, "chain values") for v in vec))
             if not any(vec):
                 continue
             if not (0 <= degree <= nerve.dimension and tup in nerve.index[degree]):
@@ -636,20 +627,20 @@ def random_chain(rng, nerve, degree, coefficients, bound=9):
 
 
 def _generator_boundary_matrix(nerve, n, coefficients):
-    """Columns: Delta evaluated on each one-generator chain of degree n,
-    expressed in the degree n-1 coordinate layout."""
+    """Sparse columns: Delta evaluated on each one-generator chain of
+    degree n, expressed in the degree n-1 coordinate layout."""
     g = coefficients.n_gens
     lower = nerve.index[n - 1] if 0 <= n - 1 <= nerve.dimension else {}
-    cols = []
-    for s in nerve.simplices[n] if n <= nerve.dimension else ():
-        for j in range(g):
-            unit = tuple(int(i == j) for i in range(g))
-            col = [0] * (len(lower) * g)
+    units = [tuple(int(i == j) for i in range(g)) for j in range(g)]
+    columns = {}
+    for k, s in enumerate(nerve.simplices[n] if n <= nerve.dimension else ()):
+        for j, unit in enumerate(units):
             chain = KolmogoroffChain._trusted(nerve, n, coefficients, {s: unit})
-            for tau, vec in chain.boundary().values.items():
-                col[lower[tau] * g:(lower[tau] + 1) * g] = vec
-            cols.append(tuple(col))
-    return IntMatrix._trusted(len(cols), len(lower) * g, tuple(cols)).transpose()
+            col = {lower[tau] * g + i: x for tau, vec in chain.boundary().values.items()
+                   for i, x in enumerate(vec) if x}
+            if col:
+                columns[k * g + j] = col
+    return _SparseMatrix(len(lower) * g, nerve.count(n) * g, columns)
 
 
 def kolmogoroff_homology(model, partition, coefficients):
@@ -697,9 +688,7 @@ class RefinementMap:
         self.coarse = coarse
         self.vertex_map = tuple(coarse.partition.block_of[block[0]]
                                 for block in fine.partition.blocks)
-        self._chain = {}
-        for n in range(fine.dimension + 1):
-            self._chain[n] = self._build_chain_matrix(n)
+        self._chain = {n: self._build_chain_matrix(n) for n in range(fine.dimension + 1)}
         for n in range(1, fine.dimension + 1):
             left = self.coarse.boundary_matrix(n) * self._chain[n]
             right = self.chain_matrix(n - 1) * self.fine.boundary_matrix(n)
@@ -708,15 +697,12 @@ class RefinementMap:
                                      "the boundary at degree %d" % n)
 
     def _build_chain_matrix(self, n):
-        rows = self.coarse.count(n)
-        cols = []
-        for s in self.fine.simplices[n]:
-            col = [0] * rows
+        columns = {}
+        for j, s in enumerate(self.fine.simplices[n]):
             image, sign = _sort_with_sign(tuple(self.vertex_map[b] for b in s))
             if image is not None:
-                col[self.coarse.index[n][image]] = sign
-            cols.append(tuple(col))
-        return IntMatrix._trusted(len(cols), rows, tuple(cols)).transpose()
+                columns[j] = {self.coarse.index[n][image]: sign}
+        return _SparseMatrix(self.coarse.count(n), self.fine.count(n), columns).dense()
 
     def chain_matrix(self, n):
         if n in self._chain:
@@ -763,11 +749,8 @@ class FreeBasisCertificate:
 
 def _check_disjoint_support(mat, map_index):
     used = {}
-    for j in range(mat.cols):
-        for i in range(mat.rows):
-            e = mat.data[i][j]
-            if e == 0:
-                continue
+    for j, col in sorted(_SparseMatrix.of(mat).columns.items()):
+        for i, e in col.items():
             if abs(e) != 1:
                 raise ConditionViolated(
                     map_index, "entry %d at row %d, column %d is not a signed basis "

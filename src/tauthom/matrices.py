@@ -196,6 +196,60 @@ class IntMatrix:
         return cls.from_rows(obj)
 
 
+class _SparseMatrix:
+    """Integer matrix by columns: ``columns[j]`` maps row index to the
+    nonzero entries of column j, and zero columns are absent. Chain
+    complexes keep their differentials in this form; ``dense()`` builds
+    the IntMatrix view for callers that need one."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, cols, columns):
+        self.rows, self.cols, self.columns = rows, cols, columns
+
+    @classmethod
+    def of(cls, mat):
+        """``mat`` itself when sparse, else the sparse form of an IntMatrix."""
+        if isinstance(mat, cls):
+            return mat
+        columns = {}
+        for i, row in enumerate(mat.data):
+            for j in compress(range(mat.cols), row):
+                columns.setdefault(j, {})[i] = row[j]
+        return cls(mat.rows, mat.cols, columns)
+
+    def dense(self):
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in self.columns.items():
+            for i, x in col.items():
+                data[i][j] = x
+        return IntMatrix._trusted(self.rows, self.cols, tuple(map(tuple, data)))
+
+    def transpose(self):
+        columns = {}
+        for j, col in self.columns.items():
+            for i, x in col.items():
+                columns.setdefault(i, {})[j] = x
+        return _SparseMatrix(self.cols, self.rows, columns)
+
+    def __mul__(self, other):
+        columns = {}
+        for j, col in other.columns.items():
+            acc = {}
+            for k, y in col.items():
+                for i, x in self.columns.get(k, {}).items():
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(acc.values()):
+                columns[j] = {i: x for i, x in acc.items() if x}
+        return _SparseMatrix(self.rows, other.cols, columns)
+
+    def blockwise(self, block):
+        """self (x) I_block: x at (i, j) goes to each (i*block + g, j*block + g)."""
+        return self if block == 1 else _SparseMatrix(self.rows * block, self.cols * block, {
+            j * block + g: {i * block + g: x for i, x in col.items()}
+            for j, col in self.columns.items() for g in range(block)})
+
+
 def hstack(*mats):
     if not mats:
         raise ValueError("hstack of nothing")

@@ -257,6 +257,12 @@ class TestExitCodes:
         ("kolmogoroff", {"model": {"atoms": 3, "nerve": []},
                          "partition": [["2"], [0], [1]]}, "got '2'"),
         ("kolmogoroff", {"atoms": True, "nerve": []}, "got True"),
+        ("homology", {"direction": "cochain", "lo": 0.9, "hi": 1, "ranks": [1, True],
+                      "diffs": {}}, "got 0.9"),
+        ("homology", {"direction": "cochain", "lo": 0, "hi": 1, "ranks": [1, True],
+                      "diffs": {}}, "got True"),
+        ("homology", {"direction": "chain", "lo": 0, "hi": 1, "ranks": [1, 1],
+                      "diffs": {"\u0661": [[0]]}}, "got '\u0661'"),
     ])
     def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
         path = write_json(tmp_path, "in.json", obj)

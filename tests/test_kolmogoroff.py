@@ -5,7 +5,7 @@ import pytest
 
 from tauthom import kolmogoroff
 from tauthom.cli import main
-from tauthom.complexes import CertificateFailure, CoefficientComplex
+from tauthom.complexes import CertificateFailure, CoefficientComplex, FreeComplex
 from tauthom.groups import GroupMap, PresentedGroup, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NotACover,
@@ -16,7 +16,7 @@ from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  octahedron, projective_plane, random_chain,
                                  refinement_map, regularize)
 from tauthom.limits import Telescope
-from tauthom.matrices import IntMatrix
+from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import seeded
 
 from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
@@ -75,6 +75,13 @@ class TestMosaic:
     def test_regularize_rejects_non_cover(self):
         with pytest.raises(NotACover):
             regularize([{0, 1}], 3)
+
+    def test_non_int_atoms_rejected(self):
+        # neither is coerced into another atom system
+        with pytest.raises(ValueError, match="got 1.5"):
+            mosaic([{0, 1}, {1, 1.5}])
+        with pytest.raises(ValueError, match="got '2'"):
+            regularize([[0, 1], ["2"]], 3)
 
 
 class TestModelAndPartition:
@@ -141,6 +148,24 @@ class TestNerve:
         for n in range(1, nerve.dimension + 1):
             assert co.diff(n - 1) == nerve.boundary_matrix(n).transpose()
 
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_flipped_sign_fails_composition_check(self, form):
+        # one sign flipped in the sparse d_2 of the octahedron breaks d_1 d_2 = 0,
+        # whether the complex is handed the sparse columns or their dense view
+        nerve = NerveComplex(octahedron(), Partition.singletons(6))
+        diffs = {n: _SparseMatrix(d.rows, d.cols, {j: dict(c) for j, c in d.columns.items()})
+                 for n, d in nerve.chain.diffs.items()}
+        col = diffs[2].columns[5]
+        col[min(col)] *= -1
+        if form == "dense":
+            diffs = {n: d.dense() for n, d in diffs.items()}
+        with pytest.raises(ValueError, match="degrees 2 and 1 do not compose"):
+            FreeComplex("chain", 0, 2, nerve.chain.ranks, diffs)
+        with pytest.raises(ValueError, match="degrees 0 and 1 do not compose"):
+            FreeComplex("cochain", 0, 2, nerve.chain.ranks,
+                        {n - 1: d.transpose() for n, d in diffs.items()})
+        FreeComplex("chain", 0, 2, nerve.chain.ranks, nerve.chain.diffs)
+
 
 def make_nerve(name):
     m = model_preset(name)
@@ -159,6 +184,14 @@ class TestKolmogoroffChains:
         nerve = make_nerve("arc-circle:4")
         with pytest.raises(ValueError):
             KolmogoroffChain(nerve, 1, Z4, {(0, 2): (1,)})
+
+    def test_non_int_keys_and_values_rejected(self):
+        # (0, True) and (1.0,) are not read as (0, 1) and (1,)
+        nerve = make_nerve("arc-circle:4")
+        with pytest.raises(ValueError, match="got True"):
+            KolmogoroffChain(nerve, 1, Z4, {(0, True): (1,)})
+        with pytest.raises(ValueError, match="got 1.0"):
+            KolmogoroffChain(nerve, 1, Z4, {(0, 1): (1.0,)})
 
     def test_additivity_on_block_unions(self):
         nerve = make_nerve("arc-circle:5")
@@ -278,7 +311,8 @@ class TestKolmogoroffChains:
                              ids=["Z", "Z/2", "Z/12", "Z+Z/4"])
     def test_generator_boundary_matches_definition(self, coefficients):
         # every column is Delta of a one-generator chain summed over every
-        # block, as written in tests/oracles.py
+        # block, as written in tests/oracles.py; the sparse form holds
+        # exactly the reference's nonzero entries, each in its column
         cases = [(m, Partition.singletons(m.atoms)) for m in reduction_corpus()]
         cases.append((torus_grid(4), Partition([[0, 5], [1, 2, 7], [3, 8], [4, 9, 14],
                                                 [6, 11], [10, 15], [12, 13]])))
@@ -286,8 +320,12 @@ class TestKolmogoroffChains:
             nerve = NerveComplex(m, p)
             for n in range(nerve.dimension + 2):
                 mat = _generator_boundary_matrix(nerve, n, coefficients)
-                assert (mat.rows, mat.cols, mat.data) == generator_boundary_reference(
+                rows, cols, data = generator_boundary_reference(
                     nerve.simplices, n, len(p), coefficients.orders)
+                assert (mat.rows, mat.cols, mat.dense().data) == (rows, cols, data)
+                assert mat.columns == {
+                    j: {i: data[i][j] for i in range(rows) if data[i][j]}
+                    for j in range(cols) if any(data[i][j] for i in range(rows))}
 
     def test_double_boundary_vanishes(self):
         # the degree-0 boundary is the identically-zero degree -1 function
@@ -313,6 +351,29 @@ class TestKolmogoroffChains:
 
 
 class TestHomology:
+    def test_no_large_dense_matrices(self, monkeypatch):
+        # differentials stay sparse from the nerve to homology_groups; the
+        # only dense matrices are those of the unit-reduced complexes and
+        # their lattice work, both validated and trusted ones
+        shapes = []
+        validated, trusted = IntMatrix.__init__, IntMatrix._trusted.__func__
+
+        def counting(self, rows, cols, entries):
+            shapes.append((rows, cols))
+            validated(self, rows, cols, entries)
+
+        def counting_trusted(cls, rows, cols, data):
+            shapes.append((rows, cols))
+            return trusted(cls, rows, cols, data)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counting_trusted))
+        circle = kolmogoroff_homology(arc_circle(400), Partition.singletons(400), Z2)
+        torus = kolmogoroff_homology(torus_grid(15), Partition.singletons(225), Z)
+        assert circle == {0: Z2, 1: Z2}
+        assert torus == {0: Z, 1: PresentedGroup(2, ()), 2: Z}
+        assert shapes and max(r * c for r, c in shapes) <= 16 * 16
+
     def test_circle_over_z(self):
         m = arc_circle(4)
         hom = kolmogoroff_homology(m, Partition.singletons(4), Z)
@@ -427,17 +488,17 @@ class TestUnitReduction:
 
 
 def corrupt_first_entry(monkeypatch):
-    """Make the boundary-evaluation pipeline zero the first nonzero entry of
-    each generator boundary matrix, so the two pipelines disagree."""
+    """Make the boundary-evaluation pipeline zero the first nonzero entry
+    (in row-major order) of each generator boundary matrix, by deleting it
+    from its sparse column, so the two pipelines disagree."""
     original = kolmogoroff._generator_boundary_matrix
 
     def corrupted(nerve, n, coefficients):
         mat = original(nerve, n, coefficients)
-        rows = [list(row) for row in mat.data]
-        i = next(i for i, row in enumerate(rows) if any(row))
-        j = next(j for j, x in enumerate(rows[i]) if x)
-        rows[i][j] = 0
-        return IntMatrix(mat.rows, mat.cols, rows)
+        i, j = min((i, j) for j, col in mat.columns.items() for i in col)
+        columns = {b: dict(col) for b, col in mat.columns.items()}
+        del columns[j][i]
+        return _SparseMatrix(mat.rows, mat.cols, columns)
 
     monkeypatch.setattr(kolmogoroff, "_generator_boundary_matrix", corrupted)
 
