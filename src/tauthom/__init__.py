@@ -14,9 +14,8 @@ from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
                        smith_normal_form, solve_columns, vstack)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
-                     ext_group, hom_group, image, inverse, is_injective,
-                     is_isomorphism, is_surjective, kernel, kernel_lattice,
-                     parse_group, tensor_identity)
+                     image, inverse, is_injective, is_isomorphism,
+                     is_surjective, kernel, kernel_lattice, parse_group)
 from .complexes import (CertificateFailure, CoefficientComplex,
                         CycleBoundarySequence, DegreeOutOfRange, FreeComplex,
                         NotFree, UctCertificate, UctSuite,

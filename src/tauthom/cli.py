@@ -16,8 +16,7 @@ import sys
 
 from .complexes import (CertificateFailure, CoefficientComplex, FreeComplex,
                         uct_certificates)
-from .groups import (GroupParseError, IllFormedMap, PresentedGroup,
-                     ext_group, hom_group, parse_group)
+from .groups import GroupParseError, IllFormedMap, PresentedGroup, parse_group
 from .kolmogoroff import (ConditionViolated, FiniteModel, KolmogoroffChain,
                           NerveComplex, NotACover, NotARefinement, Partition,
                           PipelineMismatch, kolmogoroff_homology, model_preset,
@@ -28,9 +27,9 @@ from .limits import (MalformedTower, Telescope, Tower, colim,
 from .matrices import IntMatrix, smith_normal_form
 from .randomgen import (random_finite_telescope, random_finite_tower,
                         random_free_cochain_complex, random_matrix, seeded)
-from .tautness import (FAILED, InconsistentData, LimNotExact,
-                       NeighborhoodTower, four_term_sequence, milnor_sequence,
-                       reports_consistent, tautness_preset, tautness_sequence)
+from .tautness import (InconsistentData, LimNotExact, NeighborhoodTower,
+                       four_term_sequence, milnor_sequence, reports_consistent,
+                       tautness_preset, tautness_sequence)
 
 PROG = "tauthom"
 

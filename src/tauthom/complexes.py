@@ -30,9 +30,8 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import (GroupMap, IllFormedMap, PresentedGroup, Subquotient,
-                     _relations_for_orders, ext_group, hom_group,
-                     kernel_lattice, tensor_identity)
+from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
+                     Subquotient, _precompose, _relations_for_orders, kernel_lattice)
 from .matrices import (IntMatrix, _SparseMatrix, column_basis, hstack, kernel_basis,
                        solve_columns)
 
@@ -224,13 +223,6 @@ class FreeComplex:
                                  {sign * n: (0,) * self.rank(n) for n in self.degrees()})
         return {n: groups[sign * n] for n in self.degrees()}
 
-    def dualize(self, coefficients):
-        """Hom(C, G) of a cochain complex: a chain complex of G-powers with
-        transposed differentials, (df)(x) = f(dx)."""
-        if self.direction != "cochain":
-            raise ValueError("dualize expects a cochain complex")
-        return CoefficientComplex(self, coefficients)
-
     def to_json(self):
         return {"direction": self.direction, "lo": self.lo, "hi": self.hi,
                 "ranks": list(self.ranks),
@@ -261,20 +253,12 @@ class CoefficientComplex:
         self.coefficients = coefficients
         self.lo, self.hi = base.lo, base.hi
 
-    def rank(self, n):
-        return self.base.rank(n)
-
     def orders(self, n):
         return self.coefficients.orders * self.base.rank(n)
 
-    def group(self, n):
-        """Degree-n group in invariant-factor form."""
-        return PresentedGroup.from_orders(self.orders(n))
-
     def diff_matrix(self, n):
         """Raw matrix of the degree-lowering differential at degree n."""
-        m = self.coefficients.n_gens
-        return tensor_identity(self.base.diff(n - 1).transpose(), m)
+        return _precompose(self.base._sparse(n - 1), self.coefficients.n_gens)
 
     def cycles_subquotient(self, n):
         return Subquotient(kernel_lattice(self.diff_matrix(n), self.orders(n - 1)),
@@ -419,29 +403,21 @@ class UctSuite:
         in_b_basis = solve_columns(self.coboundaries(n + 1), self.base.diff(n))
         if in_b_basis is None:
             raise CertificateFailure("d^n does not factor through its own image basis")
-        push = tensor_identity(in_b_basis.transpose(), m)
+        push = _precompose(in_b_basis, m)
         include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
 
         h_sq = self.cohomology_sq(n)
-        H = h_sq.group
-        homg = hom_group(H, G)
-        values = tensor_identity(h_sq.lifts.transpose(), m) * mid.lifts
-        cols = tuple(homg.from_map(GroupMap(H, G, IntMatrix._trusted(
-            H.n_gens, m, tuple(v[k * m:(k + 1) * m] for k in range(H.n_gens))).transpose()))
-            for v in values.transpose().data)
-        evaluate = GroupMap(mid.group, homg.group, IntMatrix._trusted(
-            len(cols), homg.group.n_gens, cols).transpose())
+        homg = HomGroup(h_sq.group, G)
+        evaluate = GroupMap(mid.group, homg.group,
+                            homg.coords_of(_precompose(h_sq.lifts, m) * mid.lifts))
 
         z = self.cocycles(n)
         p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
         if p is None:
             raise CertificateFailure("cocycle lattice of degree %d is not a direct summand" % n)
         h_of_basis = h_sq.coords_matrix(z * p.transpose())  # basis of C^n projected, in H^n
-        chains = tuple(tuple(x for col in (homg.to_map(e).matrix * h_of_basis).transpose().data
-                             for x in col)
-                       for e in IntMatrix.identity(homg.group.n_gens).data)
-        split = GroupMap(homg.group, mid.group, mid.coords_matrix(IntMatrix._trusted(
-            len(chains), mid.ambient_dim, chains).transpose()))
+        split = GroupMap(homg.group, mid.group,
+                         mid.coords_matrix(_precompose(h_of_basis, m) * homg._maps))
         return include, evaluate, split, homg
 
     def certificate(self, n):
@@ -451,10 +427,10 @@ class UctSuite:
         inside = solve_columns(self.cocycles(n + 1), bb)
         if inside is None:
             raise CertificateFailure("coboundaries escape the cocycle lattice at degree %d" % (n + 1))
-        restr = tensor_identity(inside.transpose(), G.n_gens)
+        restr = _precompose(inside, G.n_gens)
         ext_sq = Subquotient(IntMatrix.identity(bb.cols * G.n_gens),
                              hstack(restr, _relations_for_orders(G.orders * bb.cols)))
-        if ext_sq.group != ext_group(self.cohomology_sq(n + 1).group, G).group:
+        if ext_sq.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and functor routes at degree %d" % n)
 

@@ -11,9 +11,9 @@ kept reduced modulo the row's annihilator, so equal maps compare equal.
 
 >>> normalize(IntMatrix.from_rows([[2, 0], [0, 0]])).describe()
 'Z + Z/2'
->>> hom_group(PresentedGroup(0, (4,)), PresentedGroup(0, (6,))).group.describe()
+>>> HomGroup(PresentedGroup(0, (4,)), PresentedGroup(0, (6,))).group.describe()
 'Z/2'
->>> ext_group(PresentedGroup(0, (4,)), PresentedGroup(0, (6,))).group.describe()
+>>> ExtGroup(PresentedGroup(0, (4,)), PresentedGroup(0, (6,))).group.describe()
 'Z/2'
 """
 
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .matrices import (IntMatrix, hermite_form, hstack, kernel_basis,
+from .matrices import (IntMatrix, _SparseMatrix, hermite_form, hstack, kernel_basis,
                        smith_normal_form, solve_columns)
 
 
@@ -448,22 +448,17 @@ def inverse(f):
     return g
 
 
-def tensor_identity(mat, block):
-    """mat (x) I_block, acting on vectors stored block-major: coordinate
-    i*block + g is component g of the i-th block."""
-    rows, cols = mat.rows * block, mat.cols * block
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(mat.rows):
-        row = mat.data[i]
-        for j in range(mat.cols):
-            x = row[j]
-            if x:
-                for g in range(block):
-                    data[i * block + g][j * block + g] = x
-    return IntMatrix._trusted(rows, cols, tuple(map(tuple, data)))
-
-
 # -- Hom and Ext -----------------------------------------------------------
+#
+# A map A -> G, G on m generators, is flattened block-major: entry (i, j) of
+# its matrix is coordinate j*m + i, so block j is the image of A's j-th
+# generator. Precomposition with f: B -> A is then one integral matrix.
+
+
+def _precompose(mat, m):
+    """mat^T (x) I_m as a dense matrix: phi |-> phi o mat on flattened maps
+    into a group on m generators (``mat`` dense or sparse)."""
+    return _SparseMatrix.of(mat).transpose().blockwise(m).dense()
 
 
 class HomGroup:
@@ -472,10 +467,12 @@ class HomGroup:
 
     The generator pairs are (source generator j, coefficient generator i);
     the component at such a pair is cyclic of order gcd(d_j, e_i) generated
-    by the map sending the j-th generator to (e_i/gcd) times the i-th.
+    by the map sending the j-th generator to c = e_i/gcd times the i-th.
+    ``_maps`` holds the flattened maps of the canonical generators, one per
+    column, and ``coords_of`` reads coordinates back off flattened maps.
     """
 
-    __slots__ = ("source", "coefficients", "pairs", "_sq", "group")
+    __slots__ = ("source", "coefficients", "pairs", "_sq", "group", "_maps")
 
     def __init__(self, source, coefficients):
         self.source = source
@@ -492,34 +489,50 @@ class HomGroup:
                     if g > 1:
                         pairs.append((j, i, ei // g, g))
         self.pairs = tuple(pairs)
-        m = len(pairs)
-        self._sq = Subquotient(IntMatrix.identity(m),
+        self._sq = Subquotient(IntMatrix.identity(len(pairs)),
                                _relations_for_orders(tuple(p[3] for p in pairs)))
         self.group = self._sq.group
+        m, k = coefficients.n_gens, self.group.n_gens
+        rows = [(0,) * k] * (source.n_gens * m)
+        for (j, i, c, _), lift in zip(pairs, self._sq.lifts.data):
+            rows[j * m + i] = tuple(c * x for x in lift)
+        self._maps = IntMatrix._trusted(len(rows), k, _reduce_rows(
+            rows, coefficients.orders * source.n_gens))
+
+    def coords_of(self, flat):
+        """Canonical coordinates of each column of ``flat``, a flattened map
+        source -> coefficients. Raises IllFormedMap unless every column is a
+        homomorphism: reduced modulo G, its entries off the pairs vanish and
+        the one at pair (j, i, c, _) is a multiple of c, i.e. d_j times each
+        entry dies in G, the condition GroupMap checks."""
+        m = self.coefficients.n_gens
+        if flat.rows != self.source.n_gens * m:
+            raise IllFormedMap("flattened map has %d rows, expected %d"
+                               % (flat.rows, self.source.n_gens * m))
+        scale = {j * m + i: c for j, i, c, _ in self.pairs}
+        t = []
+        for r, row in enumerate(_reduce_rows(flat.data, self.coefficients.orders
+                                             * self.source.n_gens)):
+            c = scale.get(r)
+            if any(x % c for x in row) if c else any(row):
+                raise IllFormedMap("entry (%d,%d) is not killed by the order %d of its "
+                                   "source generator" % (r % m, r // m, self.source.orders[r // m]))
+            if c:
+                t.append(tuple(x // c for x in row))
+        return self._sq.coords_matrix(IntMatrix._trusted(len(t), flat.cols, tuple(t)))
 
     def to_map(self, coords):
         """The homomorphism source -> coefficients at canonical coordinates."""
-        t = self._sq.lifts.apply(self.group.reduce(coords))
-        data = [[0] * self.source.n_gens for _ in range(self.coefficients.n_gens)]
-        for (j, i, c, _), val in zip(self.pairs, t):
-            data[i][j] += val * c
+        flat, m = self._maps.apply(self.group.reduce(coords)), self.coefficients.n_gens
         return GroupMap(self.source, self.coefficients, IntMatrix._trusted(
-            self.coefficients.n_gens, self.source.n_gens, tuple(map(tuple, data))))
+            m, self.source.n_gens, tuple(flat[i::m] for i in range(m))))
 
     def from_map(self, f):
         """Canonical coordinates of a homomorphism source -> coefficients."""
         if f.source != self.source or f.target != self.coefficients:
             raise IllFormedMap("map does not belong to this Hom group")
-        t = []
-        for (j, i, c, order) in self.pairs:
-            e = f.matrix.data[i][j]
-            if order == 0 or c == 1:
-                t.append(e)
-            else:
-                if e % c:
-                    raise IllFormedMap("entry (%d,%d) is not a multiple of %d" % (i, j, c))
-                t.append(e // c)
-        return self._sq.coords(t)
+        flat = tuple((x,) for col in f.matrix.transpose().data for x in col)
+        return self.coords_of(IntMatrix._trusted(len(flat), 1, flat)).column(0)
 
     def pullback(self, f, dest):
         """Contravariant action: f: B -> A induces Hom(A,G) -> Hom(B,G).
@@ -529,10 +542,8 @@ class HomGroup:
         if f.target != self.source or dest.source != f.source \
                 or dest.coefficients != self.coefficients:
             raise IllFormedMap("pullback groups do not line up")
-        cols = tuple(dest.from_map(self.to_map(e) @ f)
-                     for e in IntMatrix.identity(self.group.n_gens).data)
-        return GroupMap(self.group, dest.group,
-                        IntMatrix._trusted(len(cols), dest.group.n_gens, cols).transpose())
+        push = _precompose(f.matrix, self.coefficients.n_gens)
+        return GroupMap(self.group, dest.group, dest.coords_of(push * self._maps))
 
 
 class ExtGroup:
@@ -552,8 +563,7 @@ class ExtGroup:
         self.coefficients = coefficients
         t = len(source.torsion)
         m = coefficients.n_gens
-        rel_t = source.relation_matrix().transpose()          # t x n
-        restr = tensor_identity(rel_t, m)                     # (t*m) x (n*m)
+        restr = _precompose(source.relation_matrix(), m)      # (t*m) x (n*m)
         self._sq = Subquotient(IntMatrix.identity(t * m),
                                hstack(restr, _relations_for_orders(coefficients.orders * t)))
         self.group = self._sq.group
@@ -563,21 +573,10 @@ class ExtGroup:
         if f.target != self.source or dest.source != f.source \
                 or dest.coefficients != self.coefficients:
             raise IllFormedMap("pullback groups do not line up")
-        m = self.coefficients.n_gens
         r_a = self.source.relation_matrix()
         r_b = f.source.relation_matrix()
         lifted = solve_columns(r_a, f.matrix * r_b)           # t_A x t_B
         if lifted is None:
             raise AssertionError("resolution lift must exist for a well-defined map")
-        push = tensor_identity(lifted.transpose(), m)         # (t_B*m) x (t_A*m)
+        push = _precompose(lifted, self.coefficients.n_gens)  # (t_B*m) x (t_A*m)
         return GroupMap(self.group, dest.group, dest._sq.coords_matrix(push * self._sq.lifts))
-
-
-def hom_group(source, coefficients):
-    """Hom(source, coefficients) with coordinate adapters attached."""
-    return HomGroup(source, coefficients)
-
-
-def ext_group(source, coefficients):
-    """Ext(source, coefficients) with coordinate adapters attached."""
-    return ExtGroup(source, coefficients)

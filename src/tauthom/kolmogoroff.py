@@ -319,13 +319,13 @@ class NerveComplex:
 
 class NerveGChain:
     """A G-valued function on the n-simplices of a nerve, stored as a flat
-    coordinate vector (simplex-major, G-generator-minor)."""
+    coordinate vector of ints (simplex-major, G-generator-minor)."""
 
     __slots__ = ("nerve", "degree", "coefficients", "coords")
 
     def __init__(self, nerve, degree, coefficients, coords):
         m = nerve.count(degree) * coefficients.n_gens
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(_atom(c, "chain coordinates") for c in coords)
         if len(coords) != m:
             raise ValueError("expected %d coordinates, got %d" % (m, len(coords)))
         g = coefficients.n_gens

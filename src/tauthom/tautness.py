@@ -31,10 +31,10 @@ being resolved silently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .groups import (GroupMap, PresentedGroup, cokernel, ext_group, hom_group,
-                     kernel)
+from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup, cokernel, kernel
 from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, LimOutcome,
                      Telescope, Tower, hom_tower, lim, lim1, lim_higher)
 from .matrices import IntMatrix
@@ -85,13 +85,15 @@ class NeighborhoodTower:
 
     Comparison maps must commute with the connecting maps (and be fixed by
     the tail endomorphism when one is present); degrees absent from a
-    family are treated as the zero system.
+    family are treated as the zero system. Degrees must be ints.
     """
 
     def __init__(self, homology, cohomology=None, subspace=None):
-        self.homology = {int(n): t for n, t in (homology or {}).items()}
-        self.cohomology = {int(n): t for n, t in (cohomology or {}).items()}
-        self.subspace = {int(n): s for n, s in (subspace or {}).items()}
+        self.homology, self.cohomology, self.subspace = (
+            dict(family or {}) for family in (homology, cohomology, subspace))
+        for n in (*self.homology, *self.cohomology, *self.subspace):
+            if type(n) is not int:
+                raise ValueError("tower degrees must be integers, got %r" % (n,))
         for n, sub in self.subspace.items():
             tower = self.homology.get(n)
             if tower is None:
@@ -132,13 +134,18 @@ class NeighborhoodTower:
 
     @classmethod
     def from_json(cls, obj):
-        homology = {int(n): Tower.from_json(t)
-                    for n, t in obj.get("homology", {}).items()}
-        cohomology = {int(n): Telescope.from_json(t)
-                      for n, t in obj.get("cohomology", {}).items()}
+        """Degree keys are ASCII digits, optionally after a '-'."""
+        def family(key):
+            items = obj.get(key, {}).items()
+            for n, _ in items:
+                if not re.fullmatch("-?[0-9]+", n):
+                    raise ValueError("%s degrees must be integers, got %r" % (key, n))
+            return ((int(n), x) for n, x in items)
+
+        homology = {n: Tower.from_json(t) for n, t in family("homology")}
+        cohomology = {n: Telescope.from_json(t) for n, t in family("cohomology")}
         subspace = {}
-        for n, s in obj.get("A", {}).items():
-            n = int(n)
+        for n, s in family("A"):
             group = PresentedGroup.from_json(s["group"])
             tower = homology.get(n)
             if tower is None:
@@ -261,8 +268,7 @@ def _classify_middle(l1, l, supplied):
     return LimOutcome(UNKNOWN, None, "ends of the sequence did not both resolve")
 
 
-def _short_sequence(name, degree, l1_term, l1, lim_term, l, tower_data, n,
-                    notes, strict):
+def _short_sequence(name, n, l1_term, l1, lim_term, l, tower_data, notes, strict):
     """Assemble and adjudicate 0 -> l1 -> H_n(A) -> lim -> 0."""
     supplied = tower_data.subspace.get(n)
     middle = _classify_middle(l1, l, supplied)
@@ -310,8 +316,8 @@ def _stage_uct_consistency(tower_data, n, coefficients):
     coh_n1 = tower_data.cohomology_telescope(n + 1)
     stages = min(len(tower.stages), len(coh_n.stages), len(coh_n1.stages))
     for k in range(stages):
-        expected = ext_group(coh_n1.stages[k], coefficients).group.direct_sum(
-            hom_group(coh_n.stages[k], coefficients).group)
+        expected = ExtGroup(coh_n1.stages[k], coefficients).group.direct_sum(
+            HomGroup(coh_n.stages[k], coefficients).group)
         if expected != tower.stages[k]:
             raise InconsistentData(
                 "degree %d stage %d: homology %s, but the cohomology data gives "
@@ -355,8 +361,7 @@ def tautness_sequence(tower_data, n, coefficients):
              "junctions of the uncollapsed infinite sequence at i >= 2 are "
              "beyond desk scale"]
     report = _short_sequence("tautness", n, "lim1 H_%d(N)" % (n + 1), l1,
-                             "lim H_%d(N)" % n, l, tower_data, n,
-                             notes, strict=True)
+                             "lim H_%d(N)" % n, l, tower_data, notes, strict=True)
     extra = report.junctions + (Junction("i >= 2 junctions", NOT_CHECKABLE,
                                          "transfinite part of the sequence"),)
     return SequenceReport(report.name, report.degree, report.terms, extra,
@@ -374,8 +379,7 @@ def four_term_sequence(tower_data, n, coefficients):
     l = lim(tower_data.homology_tower(n))
     l2 = lim_higher(homtw, 2)
     report = _short_sequence("four-term", n, "lim1 Hom(H^%d(N), G)" % (n + 1),
-                             l1, "lim H_%d(N)" % n, l, tower_data, n,
-                             [], strict=True)
+                             l1, "lim H_%d(N)" % n, l, tower_data, [], strict=True)
     terms = report.terms + (Term("lim2 Hom(H^%d(N), G)" % (n + 1), l2),)
     junctions = report.junctions + (
         Junction("lim H_%d(N) -> lim2" % n, VERIFIED,
@@ -395,11 +399,8 @@ def milnor_sequence(tower_data, n, theory="Milnor"):
     up = tower_data.homology_tower(n + 1)
     l1 = lim1(up)
     l = lim(tower_data.homology_tower(n))
-    report = _short_sequence("milnor[%s]" % theory, n,
-                             "lim1 H_%d(N)" % (n + 1), l1,
-                             "lim H_%d(N)" % n, l, tower_data, n,
-                             [], strict=False)
-    return report
+    return _short_sequence("milnor[%s]" % theory, n, "lim1 H_%d(N)" % (n + 1), l1,
+                           "lim H_%d(N)" % n, l, tower_data, [], strict=False)
 
 
 def reports_consistent(a, b):

@@ -4,10 +4,11 @@ Everything here is deliberately written from scratch against the textbook
 definitions, using only the standard library: no imports from the package
 under test. Values are exchanged as plain ints, tuples and lists so the
 tests can compare them against the package's outputs. The exceptions are
-the two sections at the end: unreduced homology replays the package's
+the three sections at the end: unreduced homology replays the package's
 full-size homology route through its own lattice engine as the reference
-for the unit-reduced one, and the kernel/cokernel verifier of split short
-exact sequences is the reference for the biproduct check.
+for the unit-reduced one, the kernel/cokernel verifier of split short
+exact sequences is the reference for the biproduct check, and the
+per-generator Hom coordinates are the reference for the batched ones.
 """
 
 from fractions import Fraction
@@ -857,3 +858,91 @@ def verify_certificate_reference(cert):
         raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
     if cert.middle != cert.ext_term.direct_sum(cert.hom_term):
         raise CertificateFailure("degree %d: middle group is not the direct sum of the ends" % n)
+
+
+# -- per-generator Hom coordinates ------------------------------------------------
+
+
+def kron_identity_reference(mat, block):
+    """mat (x) I_block as a dense IntMatrix, entry by entry: mat[i][j] goes to
+    every (i*block + g, j*block + g)."""
+    from tauthom.matrices import IntMatrix
+    data = [[0] * (mat.cols * block) for _ in range(mat.rows * block)]
+    for i, row in enumerate(mat.data):
+        for j, x in enumerate(row):
+            for g in range(block):
+                data[i * block + g][j * block + g] = x
+    return IntMatrix(mat.rows * block, mat.cols * block, data)
+
+
+def hom_to_map_reference(hom, coords):
+    """HomGroup.to_map by the pair formula: lifted pair coordinate t_p of
+    pair (j, i, c, _) adds t_p * c at entry (i, j)."""
+    from tauthom.groups import GroupMap
+    from tauthom.matrices import IntMatrix
+    t = hom._sq.lifts.apply(hom.group.reduce(coords))
+    data = [[0] * hom.source.n_gens for _ in range(hom.coefficients.n_gens)]
+    for (j, i, c, _), val in zip(hom.pairs, t):
+        data[i][j] += val * c
+    return GroupMap(hom.source, hom.coefficients,
+                    IntMatrix(hom.coefficients.n_gens, hom.source.n_gens, data))
+
+
+def hom_from_map_reference(hom, f):
+    """HomGroup.from_map pair by pair: entry (i, j) of the checked GroupMap
+    divided by the pair's scale c."""
+    from tauthom.groups import IllFormedMap
+    t = []
+    for j, i, c, _ in hom.pairs:
+        e = f.matrix.data[i][j]
+        if e % c:
+            raise IllFormedMap("entry (%d,%d) is not a multiple of %d" % (i, j, c))
+        t.append(e // c)
+    return hom._sq.coords(t)
+
+
+def _columns_map(source, target, cols):
+    from tauthom.groups import GroupMap
+    from tauthom.matrices import IntMatrix
+    return GroupMap(source, target, IntMatrix(len(cols), target.n_gens, cols).transpose())
+
+
+def hom_pullback_reference(hom, f, dest):
+    """HomGroup.pullback one generator at a time: each canonical generator
+    of Hom(A, G) as a GroupMap, composed with f and read back in Hom(B, G)."""
+    from tauthom.matrices import IntMatrix
+    return _columns_map(hom.group, dest.group, [
+        hom_from_map_reference(dest, hom_to_map_reference(hom, e) @ f)
+        for e in IntMatrix.identity(hom.group.n_gens).data])
+
+
+def sequence_reference(suite, n, left, mid):
+    """UctSuite._sequence with per-column loops: include by the entrywise
+    Kronecker product, evaluate as one GroupMap H^n -> G per middle
+    generator, and split from each Hom generator's GroupMap. Returns
+    (include, evaluate, split)."""
+    from tauthom.groups import GroupMap, HomGroup
+    from tauthom.matrices import IntMatrix, solve_columns
+    G, m = suite.coefficients, suite.coefficients.n_gens
+    in_b_basis = solve_columns(suite.coboundaries(n + 1), suite.base.diff(n))
+    push = kron_identity_reference(in_b_basis.transpose(), m)
+    include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
+
+    h_sq = suite.cohomology_sq(n)
+    H = h_sq.group
+    homg = HomGroup(H, G)
+    values = kron_identity_reference(h_sq.lifts.transpose(), m) * mid.lifts
+    evaluate = _columns_map(mid.group, homg.group, [
+        hom_from_map_reference(homg, GroupMap(H, G, IntMatrix(
+            H.n_gens, m, [v[k * m:(k + 1) * m] for k in range(H.n_gens)]).transpose()))
+        for v in values.transpose().data])
+
+    z = suite.cocycles(n)
+    p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
+    h_of_basis = h_sq.coords_matrix(z * p.transpose())
+    chains = [[x for col in (hom_to_map_reference(homg, e).matrix * h_of_basis).transpose().data
+               for x in col]
+              for e in IntMatrix.identity(homg.group.n_gens).data]
+    split = GroupMap(homg.group, mid.group, mid.coords_matrix(
+        IntMatrix(len(chains), mid.ambient_dim, chains).transpose()))
+    return include, evaluate, split

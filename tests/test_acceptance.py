@@ -9,8 +9,8 @@ import random
 import time
 
 from tauthom.complexes import CoefficientComplex, uct_certificates
-from tauthom.groups import (GroupMap, PresentedGroup, cokernel, ext_group,
-                            hom_group, kernel)
+from tauthom.groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
+                            cokernel, kernel)
 from tauthom.kolmogoroff import (ConditionViolated, KolmogoroffChain,
                                  NerveComplex, Partition, free_colimit_basis,
                                  model_preset, random_chain)
@@ -81,8 +81,8 @@ def test_criterion_3_hom_ext_enumeration_oracle():
         src = PresentedGroup(0, a)
         for g in chains:
             tgt = PresentedGroup(0, g)
-            assert hom_group(src, tgt).group.torsion == hom_oracle(a, g)
-            assert ext_group(src, tgt).group.torsion == ext_oracle(a, g)
+            assert HomGroup(src, tgt).group.torsion == hom_oracle(a, g)
+            assert ExtGroup(src, tgt).group.torsion == ext_oracle(a, g)
 
 
 def test_criterion_4_six_term_sequence():

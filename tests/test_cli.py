@@ -17,6 +17,7 @@ from tauthom.tautness import NeighborhoodTower, SubspaceData, solenoid_tower
 Z = PresentedGroup(1, ())
 Z4 = PresentedGroup(0, (4,))
 Z8 = PresentedGroup(0, (8,))
+Z_TOWER = Tower.periodic(GroupMap.identity(Z)).to_json()
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +264,11 @@ class TestExitCodes:
                       "diffs": {}}, "got True"),
         ("homology", {"direction": "chain", "lo": 0, "hi": 1, "ranks": [1, 1],
                       "diffs": {"\u0661": [[0]]}}, "got '\u0661'"),
+        # int() would read these tower degree keys as 0 and 1
+        ("milnor", {"homology": {"0_0": Z_TOWER}}, "got '0_0'"),
+        ("milnor", {"homology": {"0": Z_TOWER, "\u0661": Z_TOWER}}, "got '\u0661'"),
+        ("milnor", {"homology": {"1": Z_TOWER}, "cohomology": {" 1": Z_TOWER}}, "got ' 1'"),
+        ("milnor", {"homology": {"1": Z_TOWER}, "A": {"+1": {}}}, "got '+1'"),
     ])
     def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
         path = write_json(tmp_path, "in.json", obj)

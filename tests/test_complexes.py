@@ -6,11 +6,12 @@ from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                DegreeOutOfRange, FreeComplex, UctSuite,
                                cycle_boundary_sequence, homology_groups,
                                uct_certificate, uct_certificates)
-from tauthom.groups import GroupMap, PresentedGroup, hom_group, ext_group, parse_group
+from tauthom.groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
+                            _relations_for_orders, parse_group)
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
-from oracles import (check_short_exact, ext_oracle, hom_oracle, rank_oracle,
+from oracles import (check_short_exact, rank_oracle, sequence_reference,
                      unreduced_homology, unreduced_homology_groups,
                      verify_certificate_reference)
 
@@ -84,10 +85,10 @@ class TestFreeComplex:
 class TestCoefficientComplex:
     def test_requires_cochain_base(self):
         with pytest.raises(ValueError):
-            circle_chain().dualize(Z2)
+            CoefficientComplex(circle_chain(), Z2)
 
     def test_rp2_with_z4(self):
-        cc = rp2_cochain().dualize(Z4)
+        cc = CoefficientComplex(rp2_cochain(), Z4)
         assert cc.homology_all() == {0: Z4, 1: Z2, 2: Z2}
 
     def test_homology_matches_uct_formula(self):
@@ -98,8 +99,8 @@ class TestCoefficientComplex:
             cc = CoefficientComplex(cx, g)
             for n in cx.degrees():
                 above = known.get(n + 1, PresentedGroup(0, ()))
-                expected = ext_group(above, g).group.direct_sum(
-                    hom_group(known[n], g).group)
+                expected = ExtGroup(above, g).group.direct_sum(
+                    HomGroup(known[n], g).group)
                 assert cc.homology(n) == expected
 
 
@@ -228,8 +229,26 @@ class TestUct:
                 certs = uct_certificates(cx, g)
                 for n, cert in certs.items():
                     above = known.get(n + 1, PresentedGroup(0, ()))
-                    assert cert.ext_term == ext_group(above, g).group
-                    assert cert.hom_term == hom_group(known[n], g).group
+                    assert cert.ext_term == ExtGroup(above, g).group
+                    assert cert.hom_term == HomGroup(known[n], g).group
+
+    def test_sequence_maps_match_per_column_reference(self):
+        rng = seeded(24)
+        for _ in range(12):
+            cx, _ = random_free_cochain_complex(rng)
+            for g in (Z, Z2, Z12, MIXED):
+                suite = UctSuite(cx, g)
+                for n, cert in uct_certificates(cx, g).items():
+                    orders = g.orders * suite.coboundaries(n + 1).cols
+                    homb = Subquotient(IntMatrix.identity(len(orders)),
+                                       _relations_for_orders(orders))
+                    _, evaluate, split = sequence_reference(
+                        suite, n, homb, suite.dual.homology_subquotient(n))
+                    assert (cert.surjection, cert.splitting) == (evaluate, split)
+                    seq = cycle_boundary_sequence(cx, g, n)
+                    include, evaluate, _ = sequence_reference(
+                        suite, n, homb, suite.dual.cycles_subquotient(n))
+                    assert (seq.include, seq.evaluate) == (include, evaluate)
 
     def test_splitting_is_right_inverse(self):
         for g in (Z, Z4, MIXED):

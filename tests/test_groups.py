@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 import tauthom.groups
 import tauthom.matrices
-from tauthom.groups import (GroupMap, GroupParseError, IllFormedMap,
-                            PresentedGroup, Subquotient, cokernel, ext_group,
-                            hom_group, image, inverse, is_injective,
-                            is_isomorphism, is_surjective, kernel,
-                            kernel_lattice, normalize, parse_group,
-                            tensor_identity)
-from tauthom.matrices import IntMatrix
-from tauthom.randomgen import random_finite_group, random_group, seeded
+from tauthom.groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
+                            IllFormedMap, PresentedGroup, Subquotient,
+                            _precompose, cokernel, image, inverse,
+                            is_injective, is_isomorphism, is_surjective,
+                            kernel, kernel_lattice, normalize, parse_group)
+from tauthom.matrices import IntMatrix, _SparseMatrix
+from tauthom.randomgen import (random_finite_group, random_group_map,
+                               random_matrix, seeded)
 
-from oracles import (all_finite_groups_to, ext_oracle, hom_oracle,
-                     invariant_factors_oracle)
+from oracles import (all_finite_groups_to, ext_oracle, hom_from_map_reference,
+                     hom_oracle, hom_pullback_reference, hom_to_map_reference,
+                     invariant_factors_oracle, kron_identity_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -233,13 +234,25 @@ class TestKernelImageCokernel:
         assert inverse(q) is None
 
 
-class TestTensorIdentity:
+def _flatten(f):
+    """A GroupMap's matrix as one block-major column: entry (i, j) at j*m + i."""
+    flat = [(x,) for col in f.matrix.transpose().data for x in col]
+    return IntMatrix(len(flat), 1, flat)
+
+
+class TestPrecompose:
     def test_block_structure(self):
         mat = IntMatrix.from_rows([[1, 2], [3, 4]])
-        t = tensor_identity(mat, 3)
+        t = _precompose(mat, 3)
         assert (t.rows, t.cols) == (6, 6)
-        assert t.data[0][0] == 1 and t.data[0][3] == 2
-        assert t.data[1][1] == 1 and t.data[4][1] == 3
+        assert t.data[0][0] == 1 and t.data[0][3] == 3
+        assert t.data[1][1] == 1 and t.data[4][1] == 2
+        rng = random.Random(12)
+        for rows, cols, block in ((3, 2, 2), (1, 4, 1), (2, 3, 0), (0, 2, 3), (4, 4, 3)):
+            mat = random_matrix(rng, rows, cols, bound=2)
+            expected = kron_identity_reference(mat.transpose(), block)
+            assert _precompose(mat, block) == expected
+            assert _precompose(_SparseMatrix.of(mat), block) == expected
 
     def test_multiplicativity(self):
         rng = random.Random(13)
@@ -247,17 +260,26 @@ class TestTensorIdentity:
                                  for _ in range(3)])
         b = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(4)]
                                  for _ in range(2)])
-        assert tensor_identity(a * b, 2) == tensor_identity(a, 2) * tensor_identity(b, 2)
+        assert _precompose(a * b, 2) == _precompose(b, 2) * _precompose(a, 2)
+
+    def test_acts_by_precomposition(self):
+        rng = seeded(16)
+        for _ in range(40):
+            a, b, g = (random_finite_group(rng, max_gens=2, max_order=12) for _ in range(3))
+            f, phi = random_group_map(rng, b, a), random_group_map(rng, a, g)
+            pulled = (_precompose(f.matrix, g.n_gens) * _flatten(phi)).column(0)
+            reduced = tuple(x % d if d else x for x, d in zip(pulled, g.orders * b.n_gens))
+            assert reduced == _flatten(phi @ f).column(0)
 
 
 class TestHomExt:
     def test_known_values(self):
-        assert hom_group(Z, Z4).group == Z4
-        assert hom_group(Z4, Z).group.is_trivial
-        assert ext_group(Z4, Z).group == Z4
-        assert ext_group(Z, Z4).group.is_trivial
-        assert hom_group(Z2, Z4).group == Z2
-        assert ext_group(PresentedGroup(0, (6,)), Z4).group == Z2
+        assert HomGroup(Z, Z4).group == Z4
+        assert HomGroup(Z4, Z).group.is_trivial
+        assert ExtGroup(Z4, Z).group == Z4
+        assert ExtGroup(Z, Z4).group.is_trivial
+        assert HomGroup(Z2, Z4).group == Z2
+        assert ExtGroup(PresentedGroup(0, (6,)), Z4).group == Z2
 
     def test_oracle_sample(self):
         rng = seeded(14)
@@ -265,11 +287,11 @@ class TestHomExt:
         for _ in range(80):
             a = PresentedGroup(0, tuple(rng.choice(chains)))
             g = PresentedGroup(0, tuple(rng.choice(chains)))
-            assert hom_group(a, g).group.torsion == hom_oracle(a.torsion, g.torsion)
-            assert ext_group(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
+            assert HomGroup(a, g).group.torsion == hom_oracle(a.torsion, g.torsion)
+            assert ExtGroup(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
 
     def test_hom_to_map_round_trip(self):
-        h = hom_group(PresentedGroup(1, (4,)), PresentedGroup(0, (2, 8)))
+        h = HomGroup(PresentedGroup(1, (4,)), PresentedGroup(0, (2, 8)))
         seen = set()
         for coords in h.group.elements():
             f = h.to_map(coords)
@@ -286,7 +308,7 @@ class TestHomExt:
         g0 = PresentedGroup(0, (2, 8))
         f = GroupMap(a, b, IntMatrix.from_columns([[1, 2]], 2))
         g = GroupMap(b, c, IntMatrix.from_columns([[4], [2]], 1))
-        for functor in (hom_group, ext_group):
+        for functor in (HomGroup, ExtGroup):
             fa, fb, fc = functor(a, g0), functor(b, g0), functor(c, g0)
             lhs = fc.pullback(g @ f, fa)
             rhs = fb.pullback(f, fa) @ fc.pullback(g, fb)
@@ -294,8 +316,43 @@ class TestHomExt:
 
     def test_hom_functor_identity(self):
         a = PresentedGroup(0, (4,))
-        h = hom_group(a, Z4)
+        h = HomGroup(a, Z4)
         assert h.pullback(GroupMap.identity(a), h).is_identity
+
+    def test_coordinates_match_per_generator_reference(self):
+        rng = seeded(17)
+        groups = [parse_group(t) for t in ("Z", "Z/2", "Z/12", "Z+Z/4", "Z^2+Z/6", "0")]
+        for _ in range(60):
+            a, g = rng.choice(groups), rng.choice(groups)
+            h = HomGroup(a, g)
+            for _ in range(4):
+                coords = tuple(rng.randint(-5, 5) for _ in range(h.group.n_gens))
+                f = h.to_map(coords)
+                assert f == hom_to_map_reference(h, coords)
+                assert h.from_map(f) == hom_from_map_reference(h, f)
+
+    def test_pullback_matches_per_generator_reference(self):
+        rng = seeded(18)
+        groups = [parse_group(t) for t in ("Z", "Z/2", "Z/12", "Z+Z/4", "Z^2+Z/6", "0")]
+        for _ in range(150):
+            a, b, g = rng.choice(groups), rng.choice(groups), rng.choice(groups)
+            f = random_group_map(rng, b, a)
+            hom_a, hom_b = HomGroup(a, g), HomGroup(b, g)
+            assert hom_a.pullback(f, hom_b) == hom_pullback_reference(hom_a, f, hom_b)
+
+    @pytest.mark.parametrize("source, target, entry", [
+        ("Z/4", "Z", 3), ("Z/3", "Z/2", 1), ("Z/4", "Z/8", 1)])
+    def test_coords_of_rejects_ill_defined_maps(self, source, target, entry):
+        h = HomGroup(parse_group(source), parse_group(target))
+        with pytest.raises(IllFormedMap):
+            h.coords_of(IntMatrix(1, 1, [[entry]]))
+        # one bad column spoils a batch of good ones
+        with pytest.raises(IllFormedMap):
+            h.coords_of(IntMatrix(1, 2, [[0, entry]]))
+
+    def test_coords_of_reduces_modulo_the_coefficients(self):
+        h = HomGroup(parse_group("Z/4"), parse_group("Z/8"))
+        assert h.coords_of(IntMatrix(1, 3, [[2, 10, -6]])) == IntMatrix(1, 3, [[1, 1, 1]])
 
 
 @given(groups_strategy(), groups_strategy())
@@ -303,14 +360,14 @@ class TestHomExt:
 def test_hom_ext_of_finite_parts_match_formula(a, g):
     # free parts: Hom(Z^r, G) adds G^r; Ext(Z^r, -) adds nothing;
     # torsion parts must match the enumeration oracles
-    hom = hom_group(a, g).group
+    hom = HomGroup(a, g).group
     expected_free = a.free_rank * g.free_rank
     assert hom.free_rank == expected_free
     if a.free_rank == 0 and g.free_rank == 0:
         assert hom.torsion == hom_oracle(a.torsion, g.torsion)
-        assert ext_group(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
+        assert ExtGroup(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
     # Ext(A, G) of finitely generated groups is always finite
-    assert ext_group(a, g).group.free_rank == 0
+    assert ExtGroup(a, g).group.free_rank == 0
 
 
 @pytest.mark.parametrize("module, examples", [(tauthom.groups, 6), (tauthom.matrices, 1)],

@@ -5,10 +5,10 @@ import pytest
 
 from tauthom import kolmogoroff
 from tauthom.cli import main
-from tauthom.complexes import CertificateFailure, CoefficientComplex, FreeComplex
+from tauthom.complexes import CoefficientComplex, FreeComplex
 from tauthom.groups import GroupMap, PresentedGroup, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
-                                 KolmogoroffChain, NerveComplex, NotACover,
+                                 KolmogoroffChain, NerveComplex, NerveGChain, NotACover,
                                  NotARefinement, Partition, PipelineMismatch,
                                  _generator_boundary_matrix, arc_circle,
                                  free_colimit_basis, kolmogoroff_homology,
@@ -192,6 +192,15 @@ class TestKolmogoroffChains:
             KolmogoroffChain(nerve, 1, Z4, {(0, True): (1,)})
         with pytest.raises(ValueError, match="got 1.0"):
             KolmogoroffChain(nerve, 1, Z4, {(0, 1): (1.0,)})
+
+    def test_nerve_chain_rejects_non_int_coordinates(self):
+        # (1.9, ...) is not truncated to (1, ...), nor True read as 1
+        nerve = make_nerve("arc-circle:4")
+        with pytest.raises(ValueError, match="got 1.9"):
+            NerveGChain(nerve, 0, Z4, (1.9, 0, 0, 0))
+        with pytest.raises(ValueError, match="got True"):
+            NerveGChain(nerve, 0, Z4, (0, True, 0, 0))
+        assert NerveGChain(nerve, 0, Z4, (5, 0, 0, -1)).coords == (1, 0, 0, 3)
 
     def test_additivity_on_block_unions(self):
         nerve = make_nerve("arc-circle:5")

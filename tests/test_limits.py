@@ -3,8 +3,7 @@ import time
 
 import pytest
 
-from tauthom.groups import (GroupMap, PresentedGroup, cokernel, hom_group,
-                            is_injective, kernel)
+from tauthom.groups import GroupMap, PresentedGroup, cokernel, is_injective
 from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
                             hom_into_colim_check, hom_tower, lim, lim1,
                             lim_higher, shift_isomorphism_check,

@@ -1,18 +1,18 @@
 import json
+import re
 
 import pytest
 
 from tauthom.groups import GroupMap, PresentedGroup
-from tauthom.limits import EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, Telescope, Tower
+from tauthom.limits import NONZERO_UNCOUNTABLE, ZERO, Telescope, Tower
 from tauthom.matrices import IntMatrix
 from tauthom.tautness import (BY_CLASSIFICATION, FAILED, NOT_CHECKABLE,
                               THEORY_TAGS, VERIFIED, InconsistentData,
-                              LimNotExact, NeighborhoodTower, SequenceReport,
-                              SubspaceData, comparison_into_limit,
-                              four_term_sequence, milnor_sequence,
-                              reports_consistent, solenoid_tower,
-                              tautness_preset, tautness_sequence,
-                              trivially_taut_tower)
+                              LimNotExact, NeighborhoodTower, SubspaceData,
+                              comparison_into_limit, four_term_sequence,
+                              milnor_sequence, reports_consistent,
+                              solenoid_tower, tautness_preset,
+                              tautness_sequence, trivially_taut_tower)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -68,6 +68,30 @@ class TestNeighborhoodTower:
         with pytest.raises(InconsistentData):
             NeighborhoodTower({0: tower},
                               subspace={0: SubspaceData(Z, (GroupMap.identity(Z),))})
+
+    @pytest.mark.parametrize("degree", ["0", 1.0, True])
+    def test_degrees_must_be_ints(self, degree):
+        tower = Tower.periodic(GroupMap.identity(Z))
+        telescope = Telescope.periodic(GroupMap.identity(Z))
+        with pytest.raises(ValueError, match="integers"):
+            NeighborhoodTower({degree: tower})
+        with pytest.raises(ValueError, match="integers"):
+            NeighborhoodTower({0: tower}, cohomology={degree: telescope})
+
+    @pytest.mark.parametrize("family", ["homology", "cohomology", "A"])
+    @pytest.mark.parametrize("key", ["0_0", "\u0661", " 0", "+0", "0.0", ""])
+    def test_json_degree_keys_are_ascii_integers(self, family, key):
+        # int() reads all of these keys except "0.0" and ""
+        tower = Tower.periodic(GroupMap.identity(Z)).to_json()
+        obj = {"homology": {"0": tower}}
+        obj[family] = {key: {}}
+        with pytest.raises(ValueError, match=re.escape("got %r" % key)):
+            NeighborhoodTower.from_json(obj)
+
+    def test_json_negative_and_multidigit_degrees(self):
+        tower = Tower.periodic(GroupMap.identity(Z)).to_json()
+        data = NeighborhoodTower.from_json({"homology": {"-1": tower, "10": tower}})
+        assert sorted(data.homology) == [-1, 10]
 
     def test_json_round_trip_without_subspace(self):
         data = solenoid_tower(3, reduced=True)
