@@ -32,7 +32,7 @@ from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           RefinementMap, arc_circle, free_colimit_basis,
                           kolmogoroff_homology, kolmogoroff_uct_check,
                           model_preset, mosaic, octahedron, projective_plane,
-                          refinement_map, regularize)
+                          regularize)
 from .tautness import (ComparisonReport, InconsistentData, LimNotExact,
                        NeighborhoodTower, SequenceReport, SubspaceData,
                        comparison_into_limit, four_term_sequence,

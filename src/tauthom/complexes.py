@@ -26,14 +26,13 @@ of returning. The cycle-boundary sequence is built and checked the same way.
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass
 from math import gcd
 
 from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
                      Subquotient, _precompose, _relations_for_orders, kernel_lattice)
-from .matrices import (IntMatrix, _SparseMatrix, column_basis, hstack, kernel_basis,
-                       solve_columns)
+from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix,
+                       column_basis, hstack, kernel_basis, solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -230,9 +229,9 @@ class FreeComplex:
 
     @classmethod
     def from_json(cls, obj):
-        """Differential degrees are keys of ASCII digits, optionally after a '-'."""
-        diffs = {int(n) if re.fullmatch("-?[0-9]+", n) else n: IntMatrix.from_json(m)
-                 for n, m in obj.get("diffs", {}).items()}
+        obj = _json_object(obj, "complex")
+        diffs = {n: IntMatrix.from_json(m)
+                 for n, m in _json_degrees(obj.get("diffs", {}), "differential")}
         return cls(obj["direction"], obj["lo"], obj["hi"], obj["ranks"], diffs)
 
 

@@ -511,11 +511,15 @@ class KolmogoroffChain:
         whose closure meets a tuple the result is evaluated on, which is
         checked, so the boundary never depends on the choice. As f(b, tau)
         vanishes unless (b,) + tau sorts to a key of ``values``, only those
-        keys' faces tau and the block b each one omits are summed.
+        keys' faces tau and the block b each one omits are summed. A degree-0
+        chain has the zero degree -1 chain as its boundary (homology in degree
+        0 is unreduced), which has none.
         """
         n = self.degree
+        if n < 0:
+            raise ValueError("no boundary below degree 0")
         if n == 0:
-            return _EmptyChain(self.nerve, self.coefficients)
+            return KolmogoroffChain._trusted(self.nerve, -1, self.coefficients, {})
         if support is not None:
             support = set(int(b) for b in support)
             for s in self.nerve.simplices[n]:
@@ -545,8 +549,9 @@ class KolmogoroffChain:
         values on strictly increasing block tuples."""
         g = self.coefficients.n_gens
         coords = []
-        for s in self.nerve.simplices[self.degree] if self.degree <= self.nerve.dimension else ():
-            coords.extend(self.values.get(s, (0,) * g))
+        if 0 <= self.degree <= self.nerve.dimension:
+            for s in self.nerve.simplices[self.degree]:
+                coords.extend(self.values.get(s, (0,) * g))
         return NerveGChain(self.nerve, self.degree, self.coefficients, coords)
 
     @classmethod
@@ -594,24 +599,6 @@ class KolmogoroffChain:
 
     def __repr__(self):
         return "KolmogoroffChain(degree=%d, values=%r)" % (self.degree, self.values)
-
-
-class _EmptyChain:
-    """Degree -1 boundary of a degree-0 chain; identically zero because the
-    complex stops at degree 0 (homology in degree 0 is unreduced)."""
-
-    degree = -1
-
-    def __init__(self, nerve, coefficients):
-        self.nerve = nerve
-        self.coefficients = coefficients
-        self.values = {}
-
-    def is_zero(self):
-        return True
-
-    def boundary(self, support=None):
-        raise ValueError("no boundary below degree 0")
 
 
 def random_chain(rng, nerve, degree, coefficients, bound=9):
@@ -717,13 +704,7 @@ class RefinementMap:
         """self after other: other maps finest to middle, self middle to coarse."""
         if other.coarse != self.fine:
             raise NotARefinement("refinement maps do not chain")
-        return refinement_map(other.fine, self.coarse)
-
-
-def refinement_map(fine, coarse):
-    """RefinementMap from the nerve of a finer partition to a coarser one.
-    Accepts NerveComplex instances sharing a model."""
-    return RefinementMap(fine, coarse)
+        return RefinementMap(other.fine, self.coarse)
 
 
 # -- free colimit certificates -----------------------------------------------
@@ -817,7 +798,7 @@ def kolmogoroff_uct_check(model, partitions, coefficients):
         if not nerves[k + 1].partition.refines(nerves[k].partition):
             raise NotARefinement("partition %d does not refine partition %d"
                                  % (k + 1, k))
-    maps = [refinement_map(nerves[k + 1], nerves[k]) for k in range(len(nerves) - 1)]
+    maps = [RefinementMap(nerves[k + 1], nerves[k]) for k in range(len(nerves) - 1)]
     finest = nerves[-1]
     max_dim = max(nv.dimension for nv in nerves)
     for n in range(max_dim + 1):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
                      Subquotient, _preimage, cokernel, is_isomorphism,
                      kernel_lattice)
-from .matrices import IntMatrix, column_basis, hstack, smith_normal_form
+from .matrices import (IntMatrix, _json_object, column_basis, hstack,
+                       smith_normal_form)
 
 
 class MalformedTower(ValueError):
@@ -80,7 +81,8 @@ class _Sequence:
 
     @classmethod
     def from_json(cls, obj):
-        prefix = obj.get("prefix", {"groups": [], "maps": []})
+        obj = _json_object(obj, cls.__name__.lower())
+        prefix = _json_object(obj.get("prefix", {"groups": [], "maps": []}), "prefix")
         groups = [PresentedGroup.from_json(g) for g in prefix.get("groups", [])]
         mats = [IntMatrix.from_json(m) for m in prefix.get("maps", [])]
         tail_obj = obj.get("tail")

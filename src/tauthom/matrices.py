@@ -20,6 +20,7 @@ transform and form is the same, entry for entry.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from itertools import compress, islice
 
@@ -194,6 +195,24 @@ class IntMatrix:
                     raise ValueError("matrix field '%s' must be an integer, got %r" % (name, n))
             return cls(rows, cols, obj["entries"])
         return cls.from_rows(obj)
+
+
+def _json_object(obj, what):
+    """``obj`` when it is a JSON object; otherwise ValueError naming ``what``."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s data must be a JSON object, got %s" % (what, type(obj).__name__))
+    return obj
+
+
+def _json_degrees(obj, what):
+    """The entries of the JSON object ``obj`` keyed by degree, as (int, value)
+    pairs. A degree key is '0', or ASCII digits without a leading zero after
+    an optional '-', so no two keys name the same degree."""
+    items = _json_object(obj, what).items()
+    for key, _ in items:
+        if not re.fullmatch("0|-?[1-9][0-9]*", key):
+            raise ValueError("%s degrees must be integers, got %r" % (what, key))
+    return [(int(key), value) for key, value in items]
 
 
 class _SparseMatrix:

@@ -19,6 +19,9 @@ Three sequence builders run over this data:
   milnor_sequence    the bare homology extension with a theory tag; no
                      cohomology needed.
 
+All three render one classification of the extension per degree, so the
+tautness and four-term reports can come from a single one.
+
 Every junction carries a verdict: Verified (maps constructed and exactness
 checked in integer arithmetic), VerifiedByClassification (the terms are
 pinned by certified limit classifications, e.g. an uncountable lim1),
@@ -31,13 +34,12 @@ being resolved silently.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup, cokernel, kernel
 from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, LimOutcome,
                      Telescope, Tower, hom_tower, lim, lim1, lim_higher)
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _json_degrees, _json_object
 
 VERIFIED = "Verified"
 BY_CLASSIFICATION = "VerifiedByClassification"
@@ -134,13 +136,10 @@ class NeighborhoodTower:
 
     @classmethod
     def from_json(cls, obj):
-        """Degree keys are ASCII digits, optionally after a '-'."""
+        obj = _json_object(obj, "neighborhood tower")
+
         def family(key):
-            items = obj.get(key, {}).items()
-            for n, _ in items:
-                if not re.fullmatch("-?[0-9]+", n):
-                    raise ValueError("%s degrees must be integers, got %r" % (key, n))
-            return ((int(n), x) for n, x in items)
+            return _json_degrees(obj.get(key, {}), key)
 
         homology = {n: Tower.from_json(t) for n, t in family("homology")}
         cohomology = {n: Telescope.from_json(t) for n, t in family("cohomology")}
@@ -254,60 +253,6 @@ class SequenceReport:
                 "notes": list(self.notes), "failed": self.failed}
 
 
-def _classify_middle(l1, l, supplied):
-    """Combine the two end classifications into an outcome for H_n(A)."""
-    if supplied is not None:
-        return LimOutcome(EXACT if not supplied.group.is_trivial else ZERO,
-                          supplied.group, "supplied subspace homology")
-    if l1.kind == ZERO and l.is_exact:
-        return LimOutcome(l.kind, l.group,
-                          "lim1 vanishes, so the middle term is the limit itself")
-    if l1.kind == NONZERO_UNCOUNTABLE:
-        return LimOutcome(NONZERO_UNCOUNTABLE, None,
-                          "contains an uncountable lim1 subgroup")
-    return LimOutcome(UNKNOWN, None, "ends of the sequence did not both resolve")
-
-
-def _short_sequence(name, n, l1_term, l1, lim_term, l, tower_data, notes, strict):
-    """Assemble and adjudicate 0 -> l1 -> H_n(A) -> lim -> 0."""
-    supplied = tower_data.subspace.get(n)
-    middle = _classify_middle(l1, l, supplied)
-    label_a = "H_%d(A)" % n
-    junctions = []
-    if supplied is not None and l.is_exact:
-        nat = l.presentation.map_into(supplied.maps[-1])
-        if l1.kind == ZERO:
-            ker = kernel(nat)[0]
-            junctions.append(Junction(
-                "ker(%s -> lim)" % label_a, VERIFIED if ker.is_trivial else FAILED,
-                "kernel %s vs vanishing lim1" % ker))
-        else:
-            msg = ("finitely generated subspace homology cannot contain an "
-                   "uncountable lim1 subgroup")
-            if strict:
-                raise InconsistentData(msg)
-            junctions.append(Junction("ker(%s -> lim)" % label_a, FAILED, msg))
-        coker = cokernel(nat)[0]
-        junctions.append(Junction("%s -> lim surjective" % label_a,
-                                  VERIFIED if coker.is_trivial else FAILED,
-                                  "cokernel %s" % coker))
-    elif supplied is not None:
-        junctions.append(Junction("ker(%s -> lim)" % label_a, NOT_CHECKABLE,
-                                  "lim did not resolve exactly"))
-        junctions.append(Junction("%s -> lim surjective" % label_a, NOT_CHECKABLE,
-                                  "lim did not resolve exactly"))
-    else:
-        if middle.kind == UNKNOWN:
-            verdict, reason = NOT_CHECKABLE, middle.certificate
-        else:
-            verdict, reason = BY_CLASSIFICATION, \
-                "middle term classified from the certified ends"
-        junctions.append(Junction("ker(%s -> lim)" % label_a, verdict, reason))
-        junctions.append(Junction("%s -> lim surjective" % label_a, verdict, reason))
-    terms = (Term(l1_term, l1), Term(label_a, middle), Term(lim_term, l))
-    return SequenceReport(name, n, terms, tuple(junctions), tuple(notes))
-
-
 def _stage_uct_consistency(tower_data, n, coefficients):
     """Per-stage split coefficient check: each homology stage must match
     Ext of the next cohomology stage plus Hom of the current one."""
@@ -324,20 +269,87 @@ def _stage_uct_consistency(tower_data, n, coefficients):
                 "Ext + Hom = %s" % (n, k, tower.stages[k], expected))
 
 
-def _lim1_crosscheck(tower_data, n, coefficients):
-    """lim1 of the homology tower above degree n must match lim1 of the
-    Hom tower of the cohomology telescope in degree n+1 (the Ext towers
-    consist of finite groups and contribute nothing). lim1 only ever
-    classifies, so agreeing kinds mean agreeing terms. Returns the
-    homology lim1, the Hom tower and its lim1."""
+def _extension(name, tower_data, n, coefficients=None):
+    """Classify 0 -> lim1 H_{n+1} -> H_n(A) -> lim H_n -> 0 and its two
+    junctions at H_n(A) once; return that report, and with coefficients
+    also the Hom tower of H^{n+1} and its lim1.
+
+    With coefficients the homology stages of degrees n and n+1 are first
+    checked against the cohomology, and lim1 H_{n+1} against lim1 of the
+    Hom tower (the Ext towers consist of finite groups and contribute
+    nothing; lim1 only ever classifies, so agreeing kinds mean agreeing
+    terms). Supplied subspace homology that meets an uncountable lim1 then
+    raises InconsistentData; without coefficients that junction reads Failed.
+    """
+    homtw = hom_l1 = None
+    if coefficients is not None:
+        _stage_uct_consistency(tower_data, n, coefficients)
+        _stage_uct_consistency(tower_data, n + 1, coefficients)
     l1 = lim1(tower_data.homology_tower(n + 1))
-    homtw, _ = hom_tower(tower_data.cohomology_telescope(n + 1), coefficients)
-    other = lim1(homtw)
-    if l1.kind != other.kind:
-        raise InconsistentData(
-            "lim1 of the degree-%d homology tower is %s, but lim1 Hom of the "
-            "degree-%d cohomology is %s" % (n + 1, l1.kind, n + 1, other.kind))
-    return l1, homtw, other
+    if coefficients is not None:
+        homtw, _ = hom_tower(tower_data.cohomology_telescope(n + 1), coefficients)
+        hom_l1 = lim1(homtw)
+        if l1.kind != hom_l1.kind:
+            raise InconsistentData(
+                "lim1 of the degree-%d homology tower is %s, but lim1 Hom of the "
+                "degree-%d cohomology is %s" % (n + 1, l1.kind, n + 1, hom_l1.kind))
+    l = lim(tower_data.homology_tower(n))
+    supplied = tower_data.subspace.get(n)
+    if supplied is not None:
+        middle = LimOutcome(EXACT if not supplied.group.is_trivial else ZERO,
+                            supplied.group, "supplied subspace homology")
+    elif l1.kind == ZERO and l.is_exact:
+        middle = LimOutcome(l.kind, l.group,
+                            "lim1 vanishes, so the middle term is the limit itself")
+    elif l1.kind == NONZERO_UNCOUNTABLE:
+        middle = LimOutcome(NONZERO_UNCOUNTABLE, None,
+                            "contains an uncountable lim1 subgroup")
+    else:
+        middle = LimOutcome(UNKNOWN, None, "ends of the sequence did not both resolve")
+    if supplied is not None and l.is_exact:
+        nat = l.presentation.map_into(supplied.maps[-1])
+        if l1.kind == ZERO:
+            ker = kernel(nat)[0]
+            into = (VERIFIED if ker.is_trivial else FAILED,
+                    "kernel %s vs vanishing lim1" % ker)
+        else:
+            msg = ("finitely generated subspace homology cannot contain an "
+                   "uncountable lim1 subgroup")
+            if coefficients is not None:
+                raise InconsistentData(msg)
+            into = (FAILED, msg)
+        coker = cokernel(nat)[0]
+        onto = (VERIFIED if coker.is_trivial else FAILED, "cokernel %s" % coker)
+    elif supplied is not None:
+        into = onto = (NOT_CHECKABLE, "lim did not resolve exactly")
+    elif middle.kind == UNKNOWN:
+        into = onto = (NOT_CHECKABLE, middle.certificate)
+    else:
+        into = onto = (BY_CLASSIFICATION, "middle term classified from the certified ends")
+    label_a = "H_%d(A)" % n
+    terms = (Term("lim1 H_%d(N)" % (n + 1), l1), Term(label_a, middle),
+             Term("lim H_%d(N)" % n, l))
+    junctions = (Junction("ker(%s -> lim)" % label_a, *into),
+                 Junction("%s -> lim surjective" % label_a, *onto))
+    return SequenceReport(name, n, terms, junctions), homtw, hom_l1
+
+
+def _tautness_reports(tower_data, n, coefficients):
+    """The tautness and four-term reports at degree n, from one extension."""
+    if not tower_data.has_cohomology:
+        raise ValueError("tautness sequence needs the cohomology telescopes")
+    ext, homtw, hom_l1 = _extension("tautness", tower_data, n, coefficients)
+    l2 = lim_higher(tower_data.homology_tower(n + 1), 2)
+    notes = ("lim^i H_{n+1} terms vanish for i >= 2 (countable tower): %s" % l2.certificate,
+             "junctions of the uncollapsed infinite sequence at i >= 2 are beyond desk scale")
+    beyond = Junction("i >= 2 junctions", NOT_CHECKABLE, "transfinite part of the sequence")
+    taut = replace(ext, junctions=ext.junctions + (beyond,), notes=notes)
+    hom = "Hom(H^%d(N), G)" % (n + 1)
+    terms = ((Term("lim1 " + hom, hom_l1),) + ext.terms[1:]
+             + (Term("lim2 " + hom, lim_higher(homtw, 2)),))
+    vanishing = Junction("lim H_%d(N) -> lim2" % n, VERIFIED, "lim2 of a countable tower vanishes")
+    four = replace(ext, name="four-term", terms=terms, junctions=ext.junctions + (vanishing,))
+    return taut, four
 
 
 def tautness_sequence(tower_data, n, coefficients):
@@ -349,23 +361,7 @@ def tautness_sequence(tower_data, n, coefficients):
     junctions. Requires cohomology telescopes, which are cross-checked
     against every homology stage through the split coefficient sequence.
     """
-    if not tower_data.has_cohomology:
-        raise ValueError("tautness sequence needs the cohomology telescopes")
-    _stage_uct_consistency(tower_data, n, coefficients)
-    _stage_uct_consistency(tower_data, n + 1, coefficients)
-    l1, _, _ = _lim1_crosscheck(tower_data, n, coefficients)
-    l = lim(tower_data.homology_tower(n))
-    l2 = lim_higher(tower_data.homology_tower(n + 1), 2)
-    notes = ["lim^i H_{n+1} terms vanish for i >= 2 (countable tower): %s"
-             % l2.certificate,
-             "junctions of the uncollapsed infinite sequence at i >= 2 are "
-             "beyond desk scale"]
-    report = _short_sequence("tautness", n, "lim1 H_%d(N)" % (n + 1), l1,
-                             "lim H_%d(N)" % n, l, tower_data, notes, strict=True)
-    extra = report.junctions + (Junction("i >= 2 junctions", NOT_CHECKABLE,
-                                         "transfinite part of the sequence"),)
-    return SequenceReport(report.name, report.degree, report.terms, extra,
-                          report.notes)
+    return _tautness_reports(tower_data, n, coefficients)[0]
 
 
 def four_term_sequence(tower_data, n, coefficients):
@@ -373,19 +369,7 @@ def four_term_sequence(tower_data, n, coefficients):
     with the lim2 term certified zero for countable towers."""
     if not tower_data.has_cohomology:
         raise ValueError("the four-term sequence needs the cohomology telescopes")
-    _stage_uct_consistency(tower_data, n, coefficients)
-    _stage_uct_consistency(tower_data, n + 1, coefficients)
-    _, homtw, l1 = _lim1_crosscheck(tower_data, n, coefficients)
-    l = lim(tower_data.homology_tower(n))
-    l2 = lim_higher(homtw, 2)
-    report = _short_sequence("four-term", n, "lim1 Hom(H^%d(N), G)" % (n + 1),
-                             l1, "lim H_%d(N)" % n, l, tower_data, [], strict=True)
-    terms = report.terms + (Term("lim2 Hom(H^%d(N), G)" % (n + 1), l2),)
-    junctions = report.junctions + (
-        Junction("lim H_%d(N) -> lim2" % n, VERIFIED,
-                 "lim2 of a countable tower vanishes"),)
-    return SequenceReport(report.name, report.degree, terms, junctions,
-                          report.notes)
+    return _tautness_reports(tower_data, n, coefficients)[1]
 
 
 def milnor_sequence(tower_data, n, theory="Milnor"):
@@ -396,11 +380,7 @@ def milnor_sequence(tower_data, n, theory="Milnor"):
     """
     if theory not in THEORY_TAGS:
         raise ValueError("theory tag must be one of %s" % (THEORY_TAGS,))
-    up = tower_data.homology_tower(n + 1)
-    l1 = lim1(up)
-    l = lim(tower_data.homology_tower(n))
-    return _short_sequence("milnor[%s]" % theory, n, "lim1 H_%d(N)" % (n + 1), l1,
-                           "lim H_%d(N)" % n, l, tower_data, [], strict=False)
+    return _extension("milnor[%s]" % theory, tower_data, n)[0]
 
 
 def reports_consistent(a, b):

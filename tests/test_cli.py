@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import tauthom
-from tauthom import cli
+from tauthom import cli, tautness
 from tauthom.cli import build_parser, main
 from tauthom.complexes import FreeComplex
 from tauthom.groups import GroupMap, PresentedGroup
@@ -146,6 +147,23 @@ class TestVerbs:
                                    "--degree", n)
             assert code == 0 and "Verified" in out
 
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_tautness_classifies_each_term_once(self, capsys, monkeypatch, degree):
+        # both reports come from one extension: lim1 runs for H_{n+1} and for
+        # the Hom tower, every other step once
+        calls = Counter()
+        for name in ("lim", "lim1", "hom_tower", "_stage_uct_consistency"):
+            def counted(*args, _name=name, _real=getattr(tautness, name)):
+                stage = _name == "_stage_uct_consistency"
+                calls[("stage check", args[1]) if stage else _name] += 1
+                return _real(*args)
+            monkeypatch.setattr(tautness, name, counted)
+        code, _, _ = run_cli(capsys, "tautness", "--preset", "solenoid:2",
+                             "--degree", str(degree), "--format", "json")
+        assert code == 0
+        assert calls == {"lim": 1, "lim1": 2, "hom_tower": 1,
+                         ("stage check", degree): 1, ("stage check", degree + 1): 1}
+
     def test_milnor_solenoid_fragment(self, capsys):
         code, out, _ = run_cli(capsys, "milnor", "--preset", "solenoid:2",
                                "--degree", "0", "--reduced")
@@ -274,6 +292,53 @@ class TestExitCodes:
         path = write_json(tmp_path, "in.json", obj)
         code, _, err = run_cli(capsys, verb, "--input", path)
         assert code == 2 and "invalid input" in err and field in err
+
+    @pytest.mark.parametrize("verb, obj, what", [
+        ("lim", [], "tower"),
+        ("colim", [], "telescope"),
+        ("sixterm", [], "telescope"),
+        ("homology", [], "complex"),
+        ("uct", [], "complex"),
+        ("milnor", [], "neighborhood tower"),
+        ("lim", {"prefix": []}, "prefix"),
+        ("homology", {"direction": "chain", "lo": 0, "hi": 0, "ranks": [1], "diffs": []},
+         "differential"),
+        ("milnor", {"homology": []}, "homology"),
+        ("milnor", {"homology": {"0": Z_TOWER}, "A": []}, "A"),
+    ])
+    def test_non_object_json_is_two(self, capsys, tmp_path, verb, obj, what):
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run_cli(capsys, verb, "--input", path, "--degree", "0")
+        assert code == 2 and out == ""
+        assert err == "invalid input: %s data must be a JSON object, got list\n" % what
+
+    @pytest.mark.parametrize("order", [("1", "01"), ("01", "1")])
+    def test_leading_zero_degree_key_is_two(self, capsys, tmp_path, order):
+        # "1" and "01" would name one degree, and the later key would win
+        triple = Tower.periodic(GroupMap(Z, Z, IntMatrix.from_rows([[3]]))).to_json()
+        homology = {"0": Z_TOWER}
+        for key in order:
+            homology[key] = triple if key == "1" else Z_TOWER
+        path = write_json(tmp_path, "in.json", {"homology": homology})
+        code, out, err = run_cli(capsys, "milnor", "--input", path, "--degree", "0")
+        assert code == 2 and out == ""
+        assert err == "invalid input: homology degrees must be integers, got '01'\n"
+
+    @pytest.mark.parametrize("verb, obj, message", [
+        ("milnor", {"homology": {"-0": Z_TOWER}}, "homology degrees must be integers, got '-0'"),
+        ("milnor", {"homology": {"1": Z_TOWER}, "cohomology": {"01": Z_TOWER}},
+         "cohomology degrees must be integers, got '01'"),
+        ("milnor", {"homology": {"1": Z_TOWER}, "A": {"-01": {}}},
+         "A degrees must be integers, got '-01'"),
+        ("homology", {"direction": "chain", "lo": 0, "hi": 1, "ranks": [1, 1],
+                      "diffs": {"1": [[2]], "01": [[0]]}},
+         "differential degrees must be integers, got '01'"),
+    ])
+    def test_non_canonical_degree_key_is_two(self, capsys, tmp_path, verb, obj, message):
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run_cli(capsys, verb, "--input", path, "--degree", "0")
+        assert code == 2 and out == ""
+        assert err == "invalid input: %s\n" % message
 
     def test_unknown_verb_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

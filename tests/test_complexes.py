@@ -71,6 +71,24 @@ class TestFreeComplex:
         assert c2.direction == "cochain"
         assert c2.homology_all() == c.homology_all()
 
+    @pytest.mark.parametrize("key", ["01", "-0", "-01", "1.0"])
+    def test_json_degree_keys_are_canonical(self, key):
+        # "01" would name degree 1 beside "1"; the later key would win
+        obj = circle_chain().to_json()
+        obj["diffs"][key] = obj["diffs"].pop("1")
+        with pytest.raises(ValueError, match="got %r" % key):
+            FreeComplex.from_json(obj)
+
+    @pytest.mark.parametrize("field", [None, "diffs"])
+    def test_json_needs_objects(self, field):
+        obj = circle_chain().to_json()
+        if field is None:
+            obj = [obj]
+        else:
+            obj[field] = list(obj[field].values())
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            FreeComplex.from_json(obj)
+
     def test_free_ranks_match_rational_ranks(self):
         rng = seeded(21)
         for _ in range(25):

@@ -1,0 +1,104 @@
+"""Golden outputs of the tautness and Milnor reports.
+
+Each case runs the command line (or ``scripts/solenoid_report.py``) and
+compares the sha256 of its exit code, stdout and stderr with the digest
+recorded in ``golden_reports.json``. The JSON inputs live in the same file
+under ``fixtures``, so a case never depends on how the library would build
+them today. After a deliberate change of output, re-record the digests
+from the stored fixtures with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from tauthom.cli import main
+from test_scripts import load_script
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+PRESETS = [(p, r) for p in ("solenoid:2", "solenoid:3", "solenoid:5")
+           for r in ((), ("--reduced",))] + [("trivial-taut", ())]
+
+
+def _golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_fixtures(folder):
+    for name, obj in _golden()["fixtures"].items():
+        with open(os.path.join(folder, name + ".json"), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+
+
+def cases():
+    """Case name -> (runner, argv); fixture argvs name the fixture, not a path."""
+    sources = [("--preset", name) + extra for name, extra in PRESETS]
+    sources += [("--input", name) for name in sorted(_golden()["fixtures"])]
+    out = {}
+    for verb in ("tautness", "milnor"):
+        for source in sources:
+            for n in (0, 1, 2):
+                for fmt in ("text", "json"):
+                    argv = (verb,) + source + ("--degree", str(n), "--format", fmt)
+                    out[" ".join(argv)] = ("cli", argv)
+    for extra in ((), ("--reduced",)):
+        out[" ".join(("solenoid_report",) + extra)] = ("solenoid_report", extra)
+    return out
+
+
+def digest(runner, argv, folder):
+    """sha256 of (exit code, stdout, stderr) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if runner == "cli":
+            code = main([os.path.join(folder, a + ".json") if prev == "--input" else a
+                         for prev, a in zip(("",) + argv, argv)])
+        else:
+            code = load_script(runner).main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fixture_folder(tmp_path_factory):
+    folder = str(tmp_path_factory.mktemp("golden"))
+    _write_fixtures(folder)
+    return folder
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return _golden()["digests"]
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(cases())
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_output_matches_recorded_digest(name, fixture_folder, recorded):
+    runner, argv = cases()[name]
+    assert digest(runner, argv, fixture_folder) == recorded[name]
+
+
+def record():
+    golden = _golden()
+    with tempfile.TemporaryDirectory() as folder:
+        _write_fixtures(folder)
+        golden["digests"] = {name: digest(runner, argv, folder)
+                             for name, (runner, argv) in sorted(cases().items())}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -10,11 +10,11 @@ from tauthom.groups import GroupMap, PresentedGroup, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NerveGChain, NotACover,
                                  NotARefinement, Partition, PipelineMismatch,
-                                 _generator_boundary_matrix, arc_circle,
-                                 free_colimit_basis, kolmogoroff_homology,
-                                 kolmogoroff_uct_check, model_preset, mosaic,
-                                 octahedron, projective_plane, random_chain,
-                                 refinement_map, regularize)
+                                 RefinementMap, _generator_boundary_matrix,
+                                 arc_circle, free_colimit_basis,
+                                 kolmogoroff_homology, kolmogoroff_uct_check,
+                                 model_preset, mosaic, octahedron,
+                                 projective_plane, random_chain, regularize)
 from tauthom.limits import Telescope
 from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import seeded
@@ -345,6 +345,18 @@ class TestKolmogoroffChains:
                 f = random_chain(rng, nerve, deg, Z4)
                 assert f.boundary().boundary().is_zero()
 
+    def test_degree_zero_boundary_is_the_zero_chain_below(self):
+        nerve = make_nerve("octahedron")
+        f = random_chain(seeded(47), nerve, 0, ZZ4)
+        d = f.boundary()
+        assert d == KolmogoroffChain._trusted(nerve, -1, ZZ4, {}) and d.is_zero()
+        assert d.to_nerve_chain() == NerveGChain(nerve, -1, ZZ4, ())
+        for chain in (d, KolmogoroffChain.zero(nerve, -1, ZZ4)):
+            with pytest.raises(ValueError, match="no boundary below degree 0"):
+                chain.boundary()
+            with pytest.raises(ValueError, match="no boundary below degree 0"):
+                chain.boundary(support=range(len(nerve.partition)))
+
     def test_round_trips_and_naturality(self):
         rng = seeded(44)
         for name in ("arc-circle:5", "octahedron", "rp2-6vertex"):
@@ -437,7 +449,7 @@ class TestHomology:
         m = arc_circle(8)
         fine = NerveComplex(m, Partition.singletons(8))
         coarse = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
-        refinement_map(fine, coarse)
+        RefinementMap(fine, coarse)
         assert calls == []
         IntMatrix(1, 1, [[1]])
         assert calls == [(1, 1)]
@@ -531,7 +543,7 @@ class TestRefinements:
         m = arc_circle(8)
         fine = NerveComplex(m, Partition.singletons(8))
         coarse = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
-        r = refinement_map(fine, coarse)
+        r = RefinementMap(fine, coarse)
         for n in range(1, fine.dimension + 1):
             lhs = coarse.boundary_matrix(n) * r.chain_matrix(n)
             rhs = r.chain_matrix(n - 1) * fine.boundary_matrix(n)
@@ -542,9 +554,9 @@ class TestRefinements:
         n2 = NerveComplex(m, Partition.singletons(8))
         n1 = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
         n0 = NerveComplex(m, Partition([[0, 1, 2, 3], [4, 5, 6, 7]]))
-        r21 = refinement_map(n2, n1)
-        r10 = refinement_map(n1, n0)
-        r20 = refinement_map(n2, n0)
+        r21 = RefinementMap(n2, n1)
+        r10 = RefinementMap(n1, n0)
+        r20 = RefinementMap(n2, n0)
         composed = r10.compose(r21)
         for n in range(n2.dimension + 1):
             assert composed.chain_matrix(n) == r20.chain_matrix(n)
@@ -554,7 +566,7 @@ class TestRefinements:
         fine = NerveComplex(m, Partition.singletons(8))
         coarse = NerveComplex(m, Partition([[0, 1], [2, 3], [4, 5], [6, 7]]))
         with pytest.raises(NotARefinement):
-            refinement_map(coarse, fine)
+            RefinementMap(coarse, fine)
 
 
 class TestFreeColimit:

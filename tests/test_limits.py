@@ -84,6 +84,11 @@ class TestSequenceValidation:
         with pytest.raises(MalformedTower):
             cls.from_json(obj)
 
+    @pytest.mark.parametrize("obj", [[], {"prefix": []}, {"prefix": "Z"}])
+    def test_from_json_needs_objects(self, cls, obj):
+        with pytest.raises(ValueError, match="must be a JSON object, got"):
+            cls.from_json(obj)
+
     def test_from_json_tail_group_must_match_last_stage(self, cls):
         obj = cls.periodic(times(3, Z8)).to_json()
         obj["tail"]["group"] = Z4.to_json()

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from tauthom.groups import GroupMap, PresentedGroup
-from tauthom.limits import NONZERO_UNCOUNTABLE, ZERO, Telescope, Tower
+from tauthom.limits import (NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, Telescope,
+                            Tower)
 from tauthom.matrices import IntMatrix
 from tauthom.tautness import (BY_CLASSIFICATION, FAILED, NOT_CHECKABLE,
                               THEORY_TAGS, VERIFIED, InconsistentData,
@@ -35,6 +36,29 @@ def unrolled_solenoid(p, prefix_stages):
         1: Telescope((Z,) * k, (times_p,) * (k - 1), times_p),
     }
     return NeighborhoodTower(homology, cohomology)
+
+
+def unresolved_limit_data(with_subspace):
+    """Degree 0 is the Z^2 tail [[2, 1], [0, 2]], whose lim stays unknown;
+    degree 1 is the constant tower Z, Mittag-Leffler, so lim1 H_1 = 0. The
+    cohomology matches every stage; the optional subspace group is 0."""
+    z2free = PresentedGroup(2, ())
+    jordan = IntMatrix.from_rows([[2, 1], [0, 2]])
+    homology = {0: Tower.periodic(GroupMap(z2free, z2free, jordan)),
+                1: Tower.periodic(GroupMap.identity(Z))}
+    cohomology = {0: Telescope.periodic(GroupMap(z2free, z2free, jordan.transpose())),
+                  1: Telescope.periodic(GroupMap.identity(Z))}
+    subspace = {}
+    if with_subspace:
+        zero_in = GroupMap(TRIVIAL, z2free, IntMatrix.zeros(2, 0))
+        subspace[0] = SubspaceData(TRIVIAL, (zero_in,))
+    return NeighborhoodTower(homology, cohomology, subspace)
+
+
+SEQUENCE_BUILDERS = pytest.mark.parametrize(
+    "build", [milnor_sequence, lambda d, n: tautness_sequence(d, n, Z),
+              lambda d, n: four_term_sequence(d, n, Z)],
+    ids=["milnor", "tautness", "four-term"])
 
 
 class TestNeighborhoodTower:
@@ -86,6 +110,22 @@ class TestNeighborhoodTower:
         obj = {"homology": {"0": tower}}
         obj[family] = {key: {}}
         with pytest.raises(ValueError, match=re.escape("got %r" % key)):
+            NeighborhoodTower.from_json(obj)
+
+    @pytest.mark.parametrize("family", ["homology", "cohomology", "A"])
+    @pytest.mark.parametrize("key", ["01", "-0", "-01", "00"])
+    def test_json_degree_keys_are_canonical(self, family, key):
+        # "01" beside "1" would name the same degree, and the later key would win
+        tower = Tower.periodic(GroupMap.identity(Z)).to_json()
+        obj = {"homology": {"0": tower, "1": tower}}
+        obj[family] = dict(obj.get(family, {}), **{key: {}})
+        with pytest.raises(ValueError, match=re.escape("got %r" % key)):
+            NeighborhoodTower.from_json(obj)
+
+    @pytest.mark.parametrize("family", [None, "homology", "cohomology", "A"])
+    def test_json_needs_objects(self, family):
+        obj = [] if family is None else {family: []}
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
             NeighborhoodTower.from_json(obj)
 
     def test_json_negative_and_multidigit_degrees(self):
@@ -325,3 +365,29 @@ class TestPresets:
             tautness_preset("solenoid:1")
         with pytest.raises(ValueError):
             tautness_preset("lens-space")
+
+
+class TestUnresolvedLimit:
+    """Junctions at H_n(A) when lim H_n stays unknown and lim1 H_{n+1} = 0."""
+
+    @SEQUENCE_BUILDERS
+    def test_unknown_middle_is_not_checkable(self, build):
+        rep = build(unresolved_limit_data(False), 0)
+        assert rep.terms[0].outcome.kind == ZERO
+        assert [rep.terms[k].outcome.kind for k in (1, 2)] == [UNKNOWN, UNKNOWN]
+        assert rep.terms[1].outcome.describe() == "unknown"
+        assert rep.terms[2].outcome.describe() == "unknown"
+        for j in rep.junctions[:2]:
+            assert (j.verdict, j.reason) == \
+                (NOT_CHECKABLE, "ends of the sequence did not both resolve")
+        assert not rep.failed
+        assert "unknown" in rep.text().splitlines()[1]
+
+    @SEQUENCE_BUILDERS
+    def test_subspace_against_unknown_limit_is_not_checkable(self, build):
+        rep = build(unresolved_limit_data(True), 0)
+        assert rep.terms[1].outcome.kind == ZERO
+        assert rep.terms[2].outcome.kind == UNKNOWN
+        for j in rep.junctions[:2]:
+            assert (j.verdict, j.reason) == (NOT_CHECKABLE, "lim did not resolve exactly")
+        assert not rep.failed
