@@ -1,11 +1,12 @@
 """CPU time of kolmogoroff_homology on inputs scaled up.
 
 The ladder covers the circle models arc-circle:n over Z/2 and n x n
-triangulated torus grids over Z and Z/2. Each rung runs both pipelines of
-kolmogoroff_homology (and their cross-check) at the finest partition and
-prints the median process CPU time of ``--repeat`` runs together with the
-groups it found. The Hermite and Smith memos are emptied before every run,
-so no run reads the forms of the run before it.
+triangulated torus grids over Z and Z/2. Each rung runs
+kolmogoroff_homology (its boundary identity check and its one homology run)
+at the finest partition and prints the median process CPU time of
+``--repeat`` runs together with the groups it found. The Hermite and Smith
+memos are emptied before every run, so no run reads the forms of the run
+before it.
 
 Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
        [--repeat 3]

@@ -17,13 +17,13 @@ bounded set, so the boundary operator is total,
 Delta f(E_0,...,E_{n-1}) = f(U, E_0,...,E_{n-1}) with U = everything. The
 repeated-argument clause then gives Delta Delta f = f(U, U, ...) = 0.
 
-The homology of this chain complex is computed twice, by construction
-routes that share no code path: once from boundary matrices obtained by
-evaluating Delta on generator chains, and once from the nerve of the
-partition via coefficient complexes over its integral cochain complex.
-Only the last step is common: each complex is unit-reduced and its groups
-read off by ``homology_groups``. Any disagreement raises PipelineMismatch.
-Both hand it sparse columns; dense boundary matrices are built on demand
+The homology of this chain complex is computed once, by ``homology_groups``
+on boundary matrices obtained by evaluating Delta on generator chains.
+Each matrix is first checked entry for entry against the simplicial
+boundary (x) G of the nerve of the partition: on these finite models the
+comparison map of Kolmogoroff with Massey homology is the identity on
+generators. The first difference raises PipelineMismatch with its degree,
+simplex and generator. Dense boundary matrices are built on demand
 (``boundary_matrix``, refinement maps, the nerve report).
 
 Chains the package builds itself, the one-generator chains behind the
@@ -36,11 +36,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (CertificateFailure, CoefficientComplex, FreeComplex,
-                        homology_groups, uct_certificates)
+from .complexes import (CertificateFailure, FreeComplex, homology_groups,
+                        uct_certificates)
 from .groups import GroupMap, PresentedGroup
 from .limits import Telescope, colim
-from .matrices import IntMatrix, _SparseMatrix
+from .matrices import IntMatrix, _json_object, _SparseMatrix
 
 
 class NotACover(ValueError):
@@ -56,7 +56,21 @@ class BlockMismatch(ValueError):
 
 
 class PipelineMismatch(AssertionError):
-    """The two independent homology pipelines disagree."""
+    """Delta of a one-generator chain differs from the nerve boundary (x) G.
+
+    The witness: ``degree`` and ``simplex`` name the chain's nerve simplex
+    (None for a column index outside the nerve), ``generator`` the
+    coefficient generator, and ``expected`` and ``found`` the boundary
+    columns as {degree n-1 coordinate: entry}.
+    """
+
+    def __init__(self, degree, simplex, generator, expected, found):
+        self.degree, self.simplex, self.generator = degree, simplex, generator
+        self.expected, self.found = expected, found
+        super().__init__("degree %d: Delta of generator %d on simplex %s gives column %s, "
+                         "the nerve boundary gives %s"
+                         % (degree, generator, simplex, dict(sorted(found.items())),
+                            dict(sorted(expected.items()))))
 
 
 class ConditionViolated(ValueError):
@@ -135,6 +149,7 @@ class FiniteModel:
 
     @classmethod
     def from_json(cls, obj):
+        obj = _json_object(obj, "model")
         return cls(obj["atoms"], obj.get("nerve", []))
 
 
@@ -168,10 +183,6 @@ class Partition:
     @classmethod
     def singletons(cls, atoms):
         return cls([(a,) for a in range(atoms)])
-
-    @classmethod
-    def one_block(cls, atoms):
-        return cls([tuple(range(atoms))])
 
     def covers(self, atoms):
         return set(self.block_of) == set(range(atoms))
@@ -610,7 +621,7 @@ def random_chain(rng, nerve, degree, coefficients, bound=9):
     return KolmogoroffChain(nerve, degree, coefficients, values)
 
 
-# -- homology, two pipelines -------------------------------------------------
+# -- homology -----------------------------------------------------------------
 
 
 def _generator_boundary_matrix(nerve, n, coefficients):
@@ -630,27 +641,43 @@ def _generator_boundary_matrix(nerve, n, coefficients):
     return _SparseMatrix(len(lower) * g, nerve.count(n) * g, columns)
 
 
+def _check_boundary_identity(nerve, n, coefficients, found):
+    """Raise PipelineMismatch unless ``found``, the degree-n generator
+    boundary matrix, equals ``nerve.chain.diffs[n].blockwise(g)`` column for
+    column, each entry of the latter reduced modulo the order of its
+    G-coordinate (orders are at least 2, so no entry +-1 reduces to zero).
+    A missing or an extra column is a difference; entries of ``found`` are
+    compared as they are, unreduced."""
+    g, orders = coefficients.n_gens, coefficients.orders
+    expected = nerve.chain.diffs[n].blockwise(g).columns
+    if any(orders):
+        expected = {j: {i: x % orders[i % g] if orders[i % g] else x for i, x in col.items()}
+                    for j, col in expected.items()}
+    if found.columns == expected:
+        return
+    j = min(j for j in expected.keys() | found.columns.keys()
+            if expected.get(j) != found.columns.get(j))
+    k = j // g
+    simplex = nerve.simplices[n][k] if 0 <= k < nerve.count(n) else None
+    raise PipelineMismatch(n, simplex, j % g, expected.get(j, {}), found.columns.get(j, {}))
+
+
 def kolmogoroff_homology(model, partition, coefficients):
     """Graded homology of the set-function chain complex.
 
     Computed from boundary matrices assembled by evaluating Delta on
-    generator chains, then recomputed from the nerve's integral cochain
-    complex with coefficients; the two must agree degree by degree. Each
-    pipeline splits off the unit pivots of its complex (``homology_groups``)
-    before the lattice work.
+    generator chains, each first checked entry for entry against the
+    nerve's simplicial boundary (x) G (``_check_boundary_identity``), then
+    unit-reduced and read off in one ``homology_groups`` run.
     """
     nerve = NerveComplex(model, partition)
     dim = nerve.dimension
-    direct = homology_groups(
-        {n: _generator_boundary_matrix(nerve, n, coefficients) for n in range(1, dim + 1)},
-        {n: coefficients.orders * nerve.count(n) for n in range(dim + 1)})
-    nerve_side = CoefficientComplex(nerve.cochain_complex(), coefficients).homology_all()
-    for n in range(dim + 1):
-        if nerve_side[n] != direct[n]:
-            raise PipelineMismatch(
-                "degree %d: boundary-evaluation pipeline gives %s, nerve pipeline "
-                "gives %s" % (n, direct[n], nerve_side[n]))
-    return direct
+    mats = {}
+    for n in range(1, dim + 1):
+        mats[n] = _generator_boundary_matrix(nerve, n, coefficients)
+        _check_boundary_identity(nerve, n, coefficients, mats[n])
+    return homology_groups(mats, {n: coefficients.orders * nerve.count(n)
+                                  for n in range(dim + 1)})
 
 
 # -- refinements -------------------------------------------------------------

@@ -86,6 +86,8 @@ class _Sequence:
         groups = [PresentedGroup.from_json(g) for g in prefix.get("groups", [])]
         mats = [IntMatrix.from_json(m) for m in prefix.get("maps", [])]
         tail_obj = obj.get("tail")
+        if tail_obj is not None:
+            tail_obj = _json_object(tail_obj, "tail")
         if not groups:
             if tail_obj is None:
                 raise MalformedTower("need a prefix or a tail")

@@ -145,6 +145,7 @@ class NeighborhoodTower:
         cohomology = {n: Telescope.from_json(t) for n, t in family("cohomology")}
         subspace = {}
         for n, s in family("A"):
+            s = _json_object(s, "A")
             group = PresentedGroup.from_json(s["group"])
             tower = homology.get(n)
             if tower is None:

@@ -305,6 +305,10 @@ class TestExitCodes:
          "differential"),
         ("milnor", {"homology": []}, "homology"),
         ("milnor", {"homology": {"0": Z_TOWER}, "A": []}, "A"),
+        ("milnor", {"A": {"0": []}}, "A"),
+        ("lim", {"tail": []}, "tail"),
+        ("kolmogoroff", {"model": []}, "model"),
+        ("kolmogoroff", [], "model"),
     ])
     def test_non_object_json_is_two(self, capsys, tmp_path, verb, obj, what):
         path = write_json(tmp_path, "in.json", obj)

@@ -5,7 +5,7 @@ import pytest
 
 from tauthom import kolmogoroff
 from tauthom.cli import main
-from tauthom.complexes import CoefficientComplex, FreeComplex
+from tauthom.complexes import CoefficientComplex, FreeComplex, homology_groups
 from tauthom.groups import GroupMap, PresentedGroup, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NerveGChain, NotACover,
@@ -109,7 +109,7 @@ class TestModelAndPartition:
         coarse = Partition([[0, 1], [2, 3]])
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
-        assert coarse.refines(Partition.one_block(4))
+        assert coarse.refines(Partition([[0, 1, 2, 3]]))
 
     def test_model_json_round_trip(self):
         m = projective_plane()
@@ -485,7 +485,7 @@ def reduction_corpus():
 
 
 class TestUnitReduction:
-    """Both pipelines split off unit pivots; the groups must equal the
+    """homology_groups splits off unit pivots; the groups must equal the
     full-size route kept in tests/oracles.py."""
 
     @pytest.mark.parametrize("coefficients", ["Z", "Z/2", "Z/12", "Z+Z/4", "Z/2+Z/6"])
@@ -508,34 +508,140 @@ class TestUnitReduction:
         assert nerve.cochain_complex().homology_all()[2] == Z2
 
 
-def corrupt_first_entry(monkeypatch):
-    """Make the boundary-evaluation pipeline zero the first nonzero entry
-    (in row-major order) of each generator boundary matrix, by deleting it
-    from its sparse column, so the two pipelines disagree."""
+def tamper(monkeypatch, edit):
+    """Make ``_generator_boundary_matrix`` hand back its columns after
+    ``edit(n, columns)``, which changes a copy of the degree-n columns in
+    place."""
     original = kolmogoroff._generator_boundary_matrix
 
-    def corrupted(nerve, n, coefficients):
+    def tampered(nerve, n, coefficients):
         mat = original(nerve, n, coefficients)
-        i, j = min((i, j) for j, col in mat.columns.items() for i in col)
-        columns = {b: dict(col) for b, col in mat.columns.items()}
-        del columns[j][i]
+        columns = {j: dict(col) for j, col in mat.columns.items()}
+        edit(n, columns)
         return _SparseMatrix(mat.rows, mat.cols, columns)
 
-    monkeypatch.setattr(kolmogoroff, "_generator_boundary_matrix", corrupted)
+    monkeypatch.setattr(kolmogoroff, "_generator_boundary_matrix", tampered)
+
+
+def corrupt_first_entry(monkeypatch):
+    """Zero the first nonzero entry (in row-major order) of each generator
+    boundary matrix, by deleting it from its sparse column."""
+    def edit(n, columns):
+        i, j = min((i, j) for j, col in columns.items() for i in col)
+        del columns[j][i]
+
+    tamper(monkeypatch, edit)
+
+
+def mismatch_of(model, coefficients):
+    with pytest.raises(PipelineMismatch) as info:
+        kolmogoroff_homology(model, Partition.singletons(model.atoms), coefficients)
+    return info.value
 
 
 class TestPipelineCrossCheck:
+    """Delta on one-generator chains is checked entry for entry against
+    the nerve boundary (x) G; the first difference is the witness."""
+
     def test_corrupted_boundary_raises(self, monkeypatch):
         corrupt_first_entry(monkeypatch)
-        with pytest.raises(PipelineMismatch):
-            kolmogoroff_homology(arc_circle(4), Partition.singletons(4), Z)
+        exc = mismatch_of(arc_circle(4), Z)
+        assert (exc.degree, exc.simplex, exc.generator) == (1, (0, 1), 0)
+        assert (exc.expected, exc.found) == ({0: -1, 1: 1}, {1: 1})
 
     def test_cli_reports_check_failed(self, monkeypatch, capsys):
         corrupt_first_entry(monkeypatch)
         code = main(["kolmogoroff", "--preset", "arc-circle:4"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("check failed: degree 0:")
+        assert captured.err == (
+            "check failed: degree 1: Delta of generator 0 on simplex (0, 1) gives "
+            "column {1: 1}, the nerve boundary gives {0: -1, 1: 1}\n")
+
+    @pytest.mark.parametrize("model", [arc_circle(9), torus_grid(3), projective_plane()],
+                             ids=["arc-circle:9", "torus-3x3", "rp2-6vertex"])
+    @pytest.mark.parametrize("coefficients", [Z, Z2], ids=["Z", "Z/2"])
+    def test_one_homology_run_per_query(self, monkeypatch, model, coefficients):
+        calls = []
+        original = kolmogoroff.homology_groups
+
+        def counting(mats, orders):
+            calls.append(sorted(mats))
+            return original(mats, orders)
+
+        monkeypatch.setattr(kolmogoroff, "homology_groups", counting)
+        hom = kolmogoroff_homology(model, Partition.singletons(model.atoms), coefficients)
+        dim = max(hom)
+        assert calls == [list(range(1, dim + 1))]
+
+    @pytest.mark.parametrize("model, coefficients, degree, column", [
+        (projective_plane(), Z, 2, 3),
+        (torus_grid(3), ZZ4, 2, 5),
+        (torus_grid(3), ZZ4, 1, 4),
+        (arc_circle(5), Z2Z6, 1, 7),
+    ], ids=["rp2-Z-d2", "torus-Z+Z/4-d2", "torus-Z+Z/4-d1", "arc-Z/2+Z/6-d1"])
+    def test_flipped_sign_is_witnessed(self, monkeypatch, model, coefficients,
+                                       degree, column):
+        def edit(n, columns):
+            if n == degree:
+                col = columns[column]
+                i = max(col)
+                col[i] = -col[i]
+
+        tamper(monkeypatch, edit)
+        g = coefficients.n_gens
+        exc = mismatch_of(model, coefficients)
+        nerve = NerveComplex(model, Partition.singletons(model.atoms))
+        assert (exc.degree, exc.simplex, exc.generator) == \
+            (degree, nerve.simplices[degree][column // g], column % g)
+        i = max(exc.found)
+        assert exc.found[i] == -exc.expected[i] != 0
+        assert str(exc).startswith("degree %d: " % degree)
+
+    def test_unreduced_entry_over_z2_is_witnessed(self, monkeypatch):
+        # -1 instead of its residue 1: homology_groups reduces entries on
+        # input, so the groups cannot tell the two matrices apart
+        model = torus_grid(3)
+        nerve = NerveComplex(model, Partition.singletons(9))
+        column = 2
+        row = min(nerve.chain.diffs[1].columns[column])
+
+        def edit(n, columns):
+            if n == 1:
+                assert columns[column][row] == 1
+                columns[column][row] = -1
+
+        tamper(monkeypatch, edit)
+        exc = mismatch_of(model, Z2)
+        assert (exc.degree, exc.simplex, exc.generator) == (1, nerve.simplices[1][column], 0)
+        assert (exc.expected[row], exc.found[row]) == (1, -1)
+        tampered = {n: kolmogoroff._generator_boundary_matrix(nerve, n, Z2) for n in (1, 2)}
+        orders = {n: Z2.orders * nerve.count(n) for n in (0, 1, 2)}
+        monkeypatch.undo()
+        assert homology_groups(tampered, orders) == \
+            kolmogoroff_homology(model, Partition.singletons(9), Z2)
+
+    def test_missing_column_is_witnessed(self, monkeypatch):
+        def edit(n, columns):
+            if n == 2:
+                del columns[1]
+
+        tamper(monkeypatch, edit)
+        exc = mismatch_of(octahedron(), Z)
+        nerve = NerveComplex(octahedron(), Partition.singletons(6))
+        assert (exc.degree, exc.simplex, exc.generator) == (2, nerve.simplices[2][1], 0)
+        assert exc.found == {} and exc.expected == nerve.chain.diffs[2].columns[1]
+
+    def test_extra_column_is_witnessed(self, monkeypatch):
+        # one column past the last generator of degree 1 names no simplex
+        def edit(n, columns):
+            if n == 1:
+                columns[len(columns)] = {0: 1}
+
+        tamper(monkeypatch, edit)
+        exc = mismatch_of(arc_circle(4), Z)
+        assert (exc.degree, exc.simplex, exc.generator) == (1, None, 0)
+        assert (exc.expected, exc.found) == ({}, {0: 1})
 
 
 class TestRefinements:
