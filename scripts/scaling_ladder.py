@@ -1,25 +1,29 @@
-"""CPU time of kolmogoroff_homology on inputs scaled up.
+"""CPU time of kolmogoroff_homology and of the normal forms on inputs scaled up.
 
 The ladder covers the circle models arc-circle:n over Z/2 and n x n
 triangulated torus grids over Z and Z/2. Each rung runs
 kolmogoroff_homology (its boundary identity check and its one homology run)
 at the finest partition and prints the median process CPU time of
-``--repeat`` runs together with the groups it found. The Hermite and Smith
-memos are emptied before every run, so no run reads the forms of the run
-before it.
+``--repeat`` runs together with the groups it found. The dense rungs take
+one seeded n x n matrix with entries in -9..9 each and print the median CPU
+time of smith_normal_form and of hermite_form, the largest bit length of
+the entries of the Smith transforms U and V, and that of the determinant.
+The Hermite and Smith memos are emptied before every run, so no run reads
+the forms of the run before it.
 
 Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
-       [--repeat 3]
+       [--dense 16 32 48] [--repeat 3]
 """
 
 import argparse
+import random
 import statistics
 import sys
 import time
 
 from tauthom.groups import parse_group
 from tauthom.kolmogoroff import FiniteModel, Partition, arc_circle, kolmogoroff_homology
-from tauthom.matrices import hermite_form, smith_normal_form
+from tauthom.matrices import IntMatrix, determinant, hermite_form, smith_normal_form
 
 
 def torus(n):
@@ -40,29 +44,53 @@ def rungs(arcs, tori):
             yield "torus %dx%d" % (n, n), torus(n), g
 
 
-def cpu_seconds(model, coefficients, repeat):
-    partition = Partition.singletons(model.atoms)
+def cpu_seconds(run, repeat):
+    """Median CPU seconds of ``run()`` over ``repeat`` runs, each with empty
+    memos, and the result of the last run."""
     times = []
     for _ in range(repeat):
         hermite_form.cache_clear()
         smith_normal_form.cache_clear()
         start = time.process_time()
-        groups = kolmogoroff_homology(model, partition, coefficients)
+        result = run()
         times.append(time.process_time() - start)
-    return statistics.median(times), groups
+    return statistics.median(times), result
+
+
+def dense_matrix(n):
+    rng = random.Random(n)
+    return IntMatrix(n, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+def max_bits(mat):
+    return max((abs(x).bit_length() for row in mat.data for x in row), default=0)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--arcs", nargs="*", type=int, default=[40, 80, 160])
     ap.add_argument("--tori", nargs="*", type=int, default=[5, 7, 9])
+    ap.add_argument("--dense", nargs="*", type=int, default=[16, 32, 48])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
+    repeat = max(1, args.repeat)
     print("%-16s %-5s %10s  %s" % ("input", "over", "cpu_s", "groups"))
     for label, model, text in rungs(args.arcs, args.tori):
-        seconds, groups = cpu_seconds(model, parse_group(text), max(1, args.repeat))
+        partition, coefficients = Partition.singletons(model.atoms), parse_group(text)
+        seconds, groups = cpu_seconds(
+            lambda: kolmogoroff_homology(model, partition, coefficients), repeat)
         print("%-16s %-5s %10.4f  %s" % (label, text, seconds, "  ".join(
             "H_%d=%s" % (n, g.describe()) for n, g in sorted(groups.items()))))
+    if args.dense:
+        print("\n%-16s %10s %10s %7s %7s %9s" % (
+            "dense", "snf_s", "hermite_s", "U_bits", "V_bits", "det_bits"))
+    for n in args.dense:
+        m = dense_matrix(n)
+        snf_s, s = cpu_seconds(lambda: smith_normal_form(m), repeat)
+        hermite_s, _ = cpu_seconds(lambda: hermite_form(m), repeat)
+        print("%-16s %10.4f %10.4f %7d %7d %9d" % (
+            "%dx%d" % (n, n), snf_s, hermite_s, max_bits(s.u), max_bits(s.v),
+            abs(determinant(m)).bit_length()))
     return 0
 
 

@@ -5,16 +5,20 @@ determinants.
 Everything works over Python's arbitrary-precision integers; no floating
 point is used anywhere. Spans, kernels, integer solving and lattice
 comparison all go through one canonical column Hermite form, so equal
-lattices have equal bases. Smith reduction follows a deterministic pivot
-rule (smallest magnitude nonzero entry, ties broken in row-major order) so
-that every factorization is reproducible across runs and platforms.
+lattices have equal bases. The Smith form is taken of that Hermite form,
+not of the matrix itself, which keeps its transforms near the size of the
+determinant. Smith reduction follows a deterministic pivot rule (smallest
+magnitude nonzero entry, ties broken in row-major order) so that every
+factorization is reproducible across runs and platforms.
 
-Both reductions cost time in proportion to the nonzeros they touch, not
-the matrix dimension: each row or column operation runs over the nonzeros
-of its pivot line only, the pivot scan stops at the first unit entry, and
-a unit pivot skips the divisibility sweep. The pivot rule and the order of
-elementary operations are those of the plain dense elimination, so every
-transform and form is the same, entry for entry.
+Both reduction cores cost time in proportion to the nonzeros they touch,
+not the matrix dimension: each row or column operation runs over the
+nonzeros of its pivot line only, the pivot scan stops at the first unit
+entry, and a unit pivot skips the divisibility sweep. The pivot rule and
+the order of elementary operations are those of the plain dense
+elimination, so each core's transforms and form are the same, entry for
+entry; the Smith transforms of ``smith_normal_form`` are those of the two
+cores composed.
 """
 
 from __future__ import annotations
@@ -422,10 +426,24 @@ def _smith_core(mat):
 def smith_normal_form(mat):
     """Smith normal form with unimodular transforms and the inverse of U.
 
+    The Hermite form comes first, M*V_h == [H | 0], and only H is Smith
+    reduced, U*H*V_s == D_H; then V = V_h * diag(V_s, I) and D = [D_H | 0].
+    H's entries stay near the size of the determinant, which bounds U and V
+    where reducing M itself lets them grow far past it (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).
+
     The identity U*M*V == D is re-verified on every call; a failure would
     mean corrupted bookkeeping and raises immediately.
     """
-    u, uinv, d, v = _smith_core(mat)
+    h, vh, _ = _hermite_core(mat)
+    u, uinv, dh, vs = _smith_core(h)
+    r, c, k = mat.rows, mat.cols, h.cols
+    v = vh
+    if vs != IntMatrix.identity(k):
+        # only the first k columns of V_h meet V_s
+        left = IntMatrix._trusted(c, k, tuple(row[:k] for row in vh.data)) * vs
+        v = IntMatrix._trusted(c, c, tuple(a + row[k:] for a, row in zip(left.data, vh.data)))
+    d = hstack(dh, IntMatrix.zeros(r, c - k))
     if u * mat * v != d:
         raise AssertionError("Smith reduction bookkeeping failed")
     return SmithForm(u, uinv, d, v)
@@ -442,26 +460,39 @@ class HermiteForm:
     v: IntMatrix
     pivots: tuple
 
+    @functools.cached_property
+    def _substitution(self):
+        """(pivot row, pivot, nonzeros of the column below the pivot) for
+        each column of H, and the rows that hold no pivot."""
+        steps = [(i, col[i], _nonzeros(col, i + 1))
+                 for col, i in zip(self.h.transpose().data, self.pivots)]
+        held = set(self.pivots)
+        return steps, [i for i in range(self.h.rows) if i not in held]
+
     def solve(self, rhs):
         """The Y with H * Y == rhs by forward substitution on the pivots, or
         None when some column of ``rhs`` lies outside the lattice."""
         if rhs.rows != self.h.rows:
             raise ValueError("shape mismatch in solve")
-        hcols = self.h.transpose().data
+        steps, free_rows = self._substitution
+        B = list(rhs.data)
         ys = []
-        for b in rhs.transpose().data:
-            y = []
-            for col, i in zip(hcols, self.pivots):
-                q, rem = divmod(b[i], col[i])
-                if rem:
+        # all columns at once, row by row: row k of Y is row pivots[k] of
+        # what is left of rhs, divided by the pivot; that row is then spent,
+        # and only the rows below it where column k of H is nonzero change
+        for i, p, below in steps:
+            b = B[i]
+            if p != 1:
+                if any(x % p for x in b):
                     return None
-                b = [x - q * c for x, c in zip(b, col)] if q else b
-                y.append(q)
+                b = [x // p for x in b]
             if any(b):
-                return None
-            ys.append(y)
-        return IntMatrix._trusted(len(self.pivots), len(ys),
-                                  tuple(zip(*ys)) if ys else ((),) * len(self.pivots))
+                for m, x in below:
+                    B[m] = [a - x * y for a, y in zip(B[m], b)]
+            ys.append(tuple(b))
+        if any(any(B[m]) for m in free_rows):
+            return None
+        return IntMatrix._trusted(len(ys), rhs.cols, tuple(ys))
 
 
 def _hermite_core(mat):

@@ -222,6 +222,31 @@ def hermite_core_reference(mat):
     return (r, len(pivots), h), (c, c, tuple(zip(*V))), tuple(pivots)
 
 
+def hermite_solve_reference(hf, rhs):
+    """The column-at-a-time forward substitution ``HermiteForm.solve`` used
+    before it substituted all right-hand sides at once, kept as the
+    reference for the batched one. It reads the form's ``h`` and ``pivots``
+    and ``rhs.rows``/``rhs.transpose()``, and returns Y as a (rows, cols,
+    row tuples) triple, or None when some column lies outside the lattice."""
+    if rhs.rows != hf.h.rows:
+        raise ValueError("shape mismatch in solve")
+    hcols = hf.h.transpose().data
+    ys = []
+    for b in rhs.transpose().data:
+        y = []
+        for col, i in zip(hcols, hf.pivots):
+            q, rem = divmod(b[i], col[i])
+            if rem:
+                return None
+            b = [x - q * c for x, c in zip(b, col)] if q else b
+            y.append(q)
+        if any(b):
+            return None
+        ys.append(y)
+    return (len(hf.pivots), len(ys),
+            tuple(zip(*ys)) if ys else ((),) * len(hf.pivots))
+
+
 def hermite_oracle(rows, cols):
     """Column Hermite normal form by pairwise extended gcd (Cohen, GTM 138,
     Alg. 2.4.5, run top-down on columns): returns the rows of H, whose

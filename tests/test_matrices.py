@@ -2,6 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from tauthom.kolmogoroff import FiniteModel, NerveComplex, Partition
 from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
@@ -11,7 +14,8 @@ from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
                               vstack)
 
 from oracles import (_det, hermite_core_reference, hermite_oracle,
-                     matmul_oracle, minors_gcd_divisors, rank_oracle,
+                     hermite_solve_reference, matmul_oracle,
+                     minors_gcd_divisors, rank_oracle,
                      smith_core_reference, snf_divisors_oracle,
                      starred_sphere_faces, torus_faces)
 
@@ -160,6 +164,68 @@ class TestSmith:
             assert smith_normal_form(m).rank == rank_oracle(m.data)
 
 
+def sympy_invariant_factors(m):
+    """Invariant factors of a nonsingular square matrix by sympy alone: its
+    modular Hermite form (Cohen, GTM 138, Alg. 2.4.8, modulo the
+    determinant), rows and columns reversed so that the unit pivots come
+    first, then ``invariant_factors``. Neither step changes the invariant
+    factors, and reduced this way sympy does not blow up on 48 x 48."""
+    dm = DomainMatrix([[ZZ(x) for x in row] for row in m.data], (m.rows, m.cols), ZZ)
+    det = dm.det()
+    assert det, "the dense ladder matrices are nonsingular"
+    h = hermite_normal_form(dm, D=abs(det)).to_list()
+    rev = DomainMatrix([row[::-1] for row in h[::-1]], (m.rows, m.cols), ZZ)
+    return tuple(int(x) for x in invariant_factors(rev))
+
+
+def check_smith(m):
+    """U*M*V == D with U, V unimodular, D diagonal with its nonzero entries
+    first and each dividing the next, and every column of D past the rank
+    zero; returns the form."""
+    s = smith_normal_form(m)
+    assert s.u * m * s.v == s.d and s.d.is_diagonal()
+    assert abs(determinant(s.u)) == abs(determinant(s.v)) == 1
+    assert s.u * s.uinv == IntMatrix.identity(m.rows)
+    diag = s.diagonal
+    assert all(x > 0 for x in diag[:s.rank]) and not any(diag[s.rank:])
+    assert all(b % a == 0 for a, b in zip(diag[:s.rank], diag[1:s.rank]))
+    assert all(not any(col) for col in s.d.columns()[s.rank:])
+    return s
+
+
+class TestDenseLadder:
+    """The Smith transforms of dense square matrices stay within a small
+    multiple of the Hadamard bound, because only the Hermite form, whose
+    entries stay near the determinant, is Smith reduced."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_bounded_transforms(self, n):
+        rng = random.Random(1700 + n)
+        m = rand_matrix(rng, n, n, 9)
+        s = check_smith(m)
+        assert s.diagonal == sympy_invariant_factors(m)
+        # ceil(log2 prod ||col||) = ceil(log2(prod ||col||^2) / 2), exactly
+        norms = 1
+        for col in m.columns():
+            norms *= sum(x * x for x in col)
+        hadamard_bits = ((norms - 1).bit_length() + 1) // 2
+        bits = max(abs(x).bit_length() for t in (s.u, s.v) for row in t.data for x in row)
+        assert bits <= 4 * hadamard_bits, (bits, hadamard_bits)
+
+    def test_degenerate_shapes(self):
+        rng = random.Random(1701)
+
+        def low_rank(rows, cols, rank):
+            return rand_matrix(rng, rows, rank, 4) * rand_matrix(rng, rank, cols, 4)
+
+        shapes = [IntMatrix.zeros(0, 5), IntMatrix.zeros(5, 0), IntMatrix.zeros(4, 6),
+                  low_rank(9, 4, 2), low_rank(4, 9, 2), low_rank(12, 7, 3), low_rank(7, 12, 5)]
+        for m in shapes:
+            s = check_smith(m)
+            assert s.rank == rank_oracle(m.data), m
+            assert (s.d.rows, s.d.cols) == (m.rows, m.cols)
+
+
 def _relabelled_boundaries(rng, atoms, faces):
     perm = list(range(atoms))
     rng.shuffle(perm)
@@ -262,6 +328,26 @@ class TestHermite:
         assert hf.solve(IntMatrix.from_rows([[2], [4], [0]])) is not None
         assert hf.solve(IntMatrix.from_rows([[1], [0], [0]])) is None
         assert hf.solve(IntMatrix.from_rows([[2], [1], [1]])) is None
+
+    def test_solve_matches_reference(self):
+        # the batched substitution against the column-at-a-time one, on
+        # right-hand sides inside the lattice, outside it, mixed, and empty
+        rng = random.Random(1702)
+        solved = outside = 0
+        for m in reference_corpus():
+            hf = hermite_form(m)
+            inside = m * rand_matrix(rng, m.cols, 3, 4)
+            stray = rand_matrix(rng, m.rows, 2, 9)
+            for rhs in (inside, stray, hstack(inside, stray), IntMatrix.zeros(m.rows, 0)):
+                got = hf.solve(rhs)
+                want = hermite_solve_reference(hf, rhs)
+                assert want == (None if got is None else (got.rows, got.cols, got.data)), (m, rhs)
+                if got is None:
+                    outside += 1
+                else:
+                    solved += 1
+                    assert hf.h * got == rhs
+        assert solved >= 200 and outside >= 50, (solved, outside)
 
 
 class TestDeterminant:

@@ -19,7 +19,7 @@ def load_script(name):
     ("solenoid_report", ["--degrees", "2"]),
     ("homology_survey", ["--models", "arc-circle:4", "--coefficients", "Z",
                          "--chains", "2"]),
-    ("scaling_ladder", ["--arcs", "6", "--tori", "3", "--repeat", "1"]),
+    ("scaling_ladder", ["--arcs", "6", "--tori", "3", "--dense", "6", "--repeat", "1"]),
 ])
 def test_script_main_exits_zero(capsys, name, argv):
     assert load_script(name).main(argv) == 0
