@@ -4,15 +4,18 @@ The ladder covers the circle models arc-circle:n over Z/2 and n x n
 triangulated torus grids over Z and Z/2. Each rung runs
 kolmogoroff_homology (its boundary identity check and its one homology run)
 at the finest partition and prints the median process CPU time of
-``--repeat`` runs together with the groups it found. The dense rungs take
-one seeded n x n matrix with entries in -9..9 each and print the median CPU
-time of smith_normal_form and of hermite_form, the largest bit length of
-the entries of the Smith transforms U and V, and that of the determinant.
-The Hermite and Smith memos are emptied before every run, so no run reads
-the forms of the run before it.
+``--repeat`` runs together with the groups it found. With ``--uct``, each
+circle and torus model also gets the median CPU time of uct_certificates
+on its nerve cochain complex over Z/2 and over Z+Z/4, beside that of the
+complex's homology_all. The dense rungs take one seeded n x n matrix with
+entries in -9..9 each and print the median CPU time of smith_normal_form
+and of hermite_form, the largest bit length of the entries of the Smith
+transforms U and V, and that of the determinant. The Hermite and Smith
+memos are emptied before every run, and every complex is built afresh
+before its run, so no run reads the forms of the run before it.
 
 Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
-       [--dense 16 32 48] [--repeat 3]
+       [--dense 16 32 48] [--repeat 3] [--uct]
 """
 
 import argparse
@@ -21,8 +24,10 @@ import statistics
 import sys
 import time
 
+from tauthom.complexes import uct_certificates
 from tauthom.groups import parse_group
-from tauthom.kolmogoroff import FiniteModel, Partition, arc_circle, kolmogoroff_homology
+from tauthom.kolmogoroff import (FiniteModel, NerveComplex, Partition, arc_circle,
+                                 kolmogoroff_homology)
 from tauthom.matrices import IntMatrix, determinant, hermite_form, smith_normal_form
 
 
@@ -36,23 +41,28 @@ def torus(n):
     return FiniteModel(n * n, faces)
 
 
-def rungs(arcs, tori):
+UCT_COEFFICIENTS = ("Z/2", "Z+Z/4")
+
+
+def models(arcs, tori):
+    """(label, model, the coefficient groups of its Kolmogoroff rungs)."""
     for n in arcs:
-        yield "arc-circle:%d" % n, arc_circle(n), "Z/2"
+        yield "arc-circle:%d" % n, arc_circle(n), ("Z/2",)
     for n in tori:
-        for g in ("Z", "Z/2"):
-            yield "torus %dx%d" % (n, n), torus(n), g
+        yield "torus %dx%d" % (n, n), torus(n), ("Z", "Z/2")
 
 
-def cpu_seconds(run, repeat):
-    """Median CPU seconds of ``run()`` over ``repeat`` runs, each with empty
-    memos, and the result of the last run."""
+def cpu_seconds(run, repeat, make=lambda: None):
+    """Median CPU seconds of ``run(make())`` over ``repeat`` runs, each with
+    empty memos and ``make()`` called before its timer starts, and the
+    result of the last run."""
     times = []
     for _ in range(repeat):
         hermite_form.cache_clear()
         smith_normal_form.cache_clear()
+        arg = make()
         start = time.process_time()
-        result = run()
+        result = run(arg)
         times.append(time.process_time() - start)
     return statistics.median(times), result
 
@@ -72,22 +82,37 @@ def main(argv=None):
     ap.add_argument("--tori", nargs="*", type=int, default=[5, 7, 9])
     ap.add_argument("--dense", nargs="*", type=int, default=[16, 32, 48])
     ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--uct", action="store_true",
+                    help="also time uct_certificates on each model's nerve cochain complex")
     args = ap.parse_args(argv)
     repeat = max(1, args.repeat)
     print("%-16s %-5s %10s  %s" % ("input", "over", "cpu_s", "groups"))
-    for label, model, text in rungs(args.arcs, args.tori):
-        partition, coefficients = Partition.singletons(model.atoms), parse_group(text)
-        seconds, groups = cpu_seconds(
-            lambda: kolmogoroff_homology(model, partition, coefficients), repeat)
-        print("%-16s %-5s %10.4f  %s" % (label, text, seconds, "  ".join(
-            "H_%d=%s" % (n, g.describe()) for n, g in sorted(groups.items()))))
+    for label, model, texts in models(args.arcs, args.tori):
+        partition = Partition.singletons(model.atoms)
+        for text in texts:
+            coefficients = parse_group(text)
+            seconds, groups = cpu_seconds(
+                lambda _: kolmogoroff_homology(model, partition, coefficients), repeat)
+            print("%-16s %-5s %10.4f  %s" % (label, text, seconds, "  ".join(
+                "H_%d=%s" % (n, g.describe()) for n, g in sorted(groups.items()))))
+    if args.uct:
+        print("\n%-16s %12s" % ("uct", "homology_s")
+              + "".join(" %10s" % (text + "_s") for text in UCT_COEFFICIENTS))
+        for label, model, _ in models(args.arcs, args.tori):
+            make = NerveComplex(model, Partition.singletons(model.atoms)).cochain_complex
+            row = [cpu_seconds(lambda cx: cx.homology_all(), repeat, make)[0]]
+            for text in UCT_COEFFICIENTS:
+                coefficients = parse_group(text)
+                row.append(cpu_seconds(lambda cx: uct_certificates(cx, coefficients),
+                                       repeat, make)[0])
+            print("%-16s %12.4f" % (label, row[0]) + "".join(" %10.4f" % x for x in row[1:]))
     if args.dense:
         print("\n%-16s %10s %10s %7s %7s %9s" % (
             "dense", "snf_s", "hermite_s", "U_bits", "V_bits", "det_bits"))
     for n in args.dense:
         m = dense_matrix(n)
-        snf_s, s = cpu_seconds(lambda: smith_normal_form(m), repeat)
-        hermite_s, _ = cpu_seconds(lambda: hermite_form(m), repeat)
+        snf_s, s = cpu_seconds(lambda _: smith_normal_form(m), repeat)
+        hermite_s, _ = cpu_seconds(lambda _: hermite_form(m), repeat)
         print("%-16s %10.4f %10.4f %7d %7d %9d" % (
             "%dx%d" % (n, n), snf_s, hermite_s, max_bits(s.u), max_bits(s.v),
             abs(determinant(m)).bit_length()))

@@ -14,7 +14,8 @@ import functools
 import json
 import sys
 
-from .complexes import CoefficientComplex, FreeComplex, uct_certificates
+from .complexes import (CoefficientComplex, DegreeOutOfRange, FreeComplex, uct_certificate,
+                        uct_certificates)
 from .groups import PresentedGroup, parse_group
 from .kolmogoroff import (ConditionViolated, FiniteModel, KolmogoroffChain,
                           NerveComplex, Partition, kolmogoroff_homology,
@@ -75,6 +76,18 @@ def _need_degree(args):
     if args.degree is None:
         raise ValueError("this verb needs --degree")
     return args.degree
+
+
+def _chosen_degrees(args, available):
+    """[--degree] when it lies in ``available``, a range of consecutive
+    degrees; all of them when no degree is given."""
+    available = sorted(available)
+    if args.degree is None:
+        return available
+    if args.degree not in available:
+        raise DegreeOutOfRange("degree %d outside [%d, %d]"
+                               % (args.degree, available[0], available[-1]))
+    return [args.degree]
 
 
 def _emit(args, obj, text_lines):
@@ -141,7 +154,7 @@ def _cmd_homology(args):
         hom = cx.homology_all()
         title = "integral %s groups" % (
             "homology" if cx.direction == "chain" else "cohomology")
-    degrees = [args.degree] if args.degree is not None else sorted(hom)
+    degrees = _chosen_degrees(args, hom)
     obj = {"degrees": {str(n): hom[n].describe() for n in degrees}}
     lines = [title]
     lines += ["  H_%d: %s" % (n, hom[n].describe()) for n in degrees]
@@ -151,8 +164,10 @@ def _cmd_homology(args):
 def _cmd_uct(args):
     cx = _complex_from_args(args)
     coeffs = parse_group(args.coefficients or "Z")
-    certs = uct_certificates(cx, coeffs)
-    degrees = [args.degree] if args.degree is not None else sorted(certs)
+    # uct_certificate raises DegreeOutOfRange for a degree outside the complex
+    certs = uct_certificates(cx, coeffs) if args.degree is None \
+        else {args.degree: uct_certificate(cx, coeffs, args.degree)}
+    degrees = sorted(certs)
     obj = {"coefficients": coeffs.describe(),
            "degrees": {str(n): certs[n].to_json() for n in degrees}}
     lines = ["universal-coefficient certificates over %s" % coeffs.describe()]
@@ -230,7 +245,7 @@ def _cmd_kolmogoroff(args):
     model, part = _model_and_partition(args)
     coeffs = parse_group(args.coefficients or "Z")
     hom = kolmogoroff_homology(model, part, coeffs)
-    degrees = [args.degree] if args.degree is not None else sorted(hom)
+    degrees = _chosen_degrees(args, hom)
     obj = {"coefficients": coeffs.describe(),
            "degrees": {str(n): hom[n].describe() for n in degrees},
            "pipelines": "agree"}

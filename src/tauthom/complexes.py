@@ -18,9 +18,16 @@ Before the certificate is returned they are verified by the biproduct
 identities (Mac Lane, *Categories for the Working Mathematician*, VIII.2):
 e∘i = 0 and e∘s = 1, a retraction r solved from i∘r = 1 - s∘e modulo the
 middle group's relations, and r∘i = 1. These make the sequence split exact.
-The Ext term is built a second way, from the cocycle/coboundary
-resolution, and the two routes are compared; a disagreement raises instead
-of returning. The cycle-boundary sequence is built and checked the same way.
+The Ext term is built from the cocycle/coboundary resolution and compared
+with its closed form, a sum of cyclic groups (``ExtGroup.group``); a
+disagreement raises instead of returning. The cycle-boundary sequence is
+built and checked the same way.
+
+The integral lattice work of a certificate (cocycle and coboundary bases,
+cohomology, d^n in the coboundary basis, the resolution inclusion and the
+projection onto the cocycles) does not depend on G. It is memoised on the
+FreeComplex, so certificates over several coefficient groups share it;
+every check still runs for each certificate.
 """
 
 from __future__ import annotations
@@ -153,9 +160,11 @@ class FreeComplex:
     ``direction`` is "chain" (differential lowers degree; ``diffs[n]`` maps
     degree n to n-1) or "cochain" (raises degree; ``diffs[n]`` maps degree
     n to n+1). ``diffs`` holds the nonzero ones, sparse, checked to compose to
-    zero; ``diff(n)`` builds a dense view once. Degrees and ranks must be ints."""
+    zero; ``diff(n)`` builds a dense view once. Degrees and ranks must be ints.
+    ``_integral`` keeps the integral lattice data of UCT certificates, which
+    does not depend on the coefficient group (``UctSuite``)."""
 
-    __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense")
+    __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense", "_integral")
 
     def __init__(self, direction, lo, hi, ranks, diffs):
         if direction not in ("chain", "cochain"):
@@ -169,7 +178,7 @@ class FreeComplex:
         if len(ranks) != hi - lo + 1 or any(r < 0 for r in ranks):
             raise ValueError("ranks must list one nonnegative rank per degree")
         self.direction, self.lo, self.hi, self.ranks = direction, lo, hi, ranks
-        self.diffs, self._dense = {}, {}
+        self.diffs, self._dense, self._integral = {}, {}, {}
         for n, mat in diffs.items():
             if type(n) is not int:
                 raise ValueError("differential degrees must be integers, got %r" % (n,))
@@ -362,20 +371,23 @@ def _check_split(n, include, evaluate, split, left):
 
 
 class UctSuite:
-    """Builds universal-coefficient certificates for one (complex, G) pair,
-    caching the integral lattice work (cocycle and coboundary bases and
-    cohomology), which neighbouring degrees share."""
+    """Builds universal-coefficient certificates for one (complex, G) pair.
+    The integral lattice work (cocycle and coboundary bases, cohomology,
+    d^n in the coboundary basis, the resolution inclusion and the
+    projection onto the cocycles) does not depend on G; it is memoised on
+    the complex, so neighbouring degrees and every coefficient group share
+    it. Nothing that depends on G is kept there."""
 
     def __init__(self, base, coefficients):
         self.base = base
         self.coefficients = coefficients
         self.dual = CoefficientComplex(base, coefficients)
-        self._cache = {}
 
     def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        memo = self.base._integral
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def cocycles(self, n):
         return self._memo(("Z", n), lambda: kernel_basis(self.base.diff(n)))
@@ -385,6 +397,38 @@ class UctSuite:
 
     def cohomology_sq(self, n):
         return self._memo(("H", n), lambda: Subquotient(self.cocycles(n), self.base.diff(n - 1)))
+
+    def _solved(self, key, lattice, rhs, failure):
+        """solve_columns(lattice, rhs), memoised under ``key``; raise
+        CertificateFailure(failure) when it has no solution."""
+        def build():
+            sol = solve_columns(lattice, rhs)
+            if sol is None:
+                raise CertificateFailure(failure)
+            return sol
+        return self._memo(key, build)
+
+    def _in_b_basis(self, n):
+        """d^n written in the basis of B^{n+1}."""
+        return self._solved(("dB", n), self.coboundaries(n + 1), self.base.diff(n),
+                            "d^n does not factor through its own image basis")
+
+    def _inside(self, n):
+        """The inclusion of B^n into Z^n, in their bases."""
+        return self._solved(("BZ", n), self.cocycles(n), self.coboundaries(n),
+                            "coboundaries escape the cocycle lattice at degree %d" % n)
+
+    def _projected_basis(self, n):
+        """The basis of C^n projected onto Z^n along the complement cut out by
+        an integer left inverse P of the cocycle basis, in H^n coordinates."""
+        def build():
+            z = self.cocycles(n)
+            p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
+            if p is None:
+                raise CertificateFailure(
+                    "cocycle lattice of degree %d is not a direct summand" % n)
+            return self.cohomology_sq(n).coords_matrix(z * p.transpose())
+        return self._memo(("P", n), build)
 
     def _sequence(self, n, left, mid):
         """The maps of 0 -> left -> mid -> Hom(H^n(C), G) -> 0, where ``left``
@@ -399,10 +443,7 @@ class UctSuite:
                   the free group C^{n+1}).
         """
         G, m = self.coefficients, self.coefficients.n_gens
-        in_b_basis = solve_columns(self.coboundaries(n + 1), self.base.diff(n))
-        if in_b_basis is None:
-            raise CertificateFailure("d^n does not factor through its own image basis")
-        push = _precompose(in_b_basis, m)
+        push = _precompose(self._in_b_basis(n), m)
         include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
 
         h_sq = self.cohomology_sq(n)
@@ -410,28 +451,21 @@ class UctSuite:
         evaluate = GroupMap(mid.group, homg.group,
                             homg.coords_of(_precompose(h_sq.lifts, m) * mid.lifts))
 
-        z = self.cocycles(n)
-        p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
-        if p is None:
-            raise CertificateFailure("cocycle lattice of degree %d is not a direct summand" % n)
-        h_of_basis = h_sq.coords_matrix(z * p.transpose())  # basis of C^n projected, in H^n
-        split = GroupMap(homg.group, mid.group,
-                         mid.coords_matrix(_precompose(h_of_basis, m) * homg._maps))
+        split = GroupMap(homg.group, mid.group, mid.coords_matrix(
+            _precompose(self._projected_basis(n), m) * homg._maps))
         return include, evaluate, split, homg
 
     def certificate(self, n):
         G = self.coefficients
-        # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0
-        bb = self.coboundaries(n + 1)
-        inside = solve_columns(self.cocycles(n + 1), bb)
-        if inside is None:
-            raise CertificateFailure("coboundaries escape the cocycle lattice at degree %d" % (n + 1))
-        restr = _precompose(inside, G.n_gens)
-        ext_sq = Subquotient(IntMatrix.identity(bb.cols * G.n_gens),
-                             hstack(restr, _relations_for_orders(G.orders * bb.cols)))
+        # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
+        # compared with the closed form of Ext(H^{n+1}, G)
+        inside = self._inside(n + 1)
+        ext_sq = Subquotient(IntMatrix.identity(inside.cols * G.n_gens),
+                             hstack(_precompose(inside, G.n_gens),
+                                    _relations_for_orders(G.orders * inside.cols)))
         if ext_sq.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
-                "Ext term disagrees between resolution and functor routes at degree %d" % n)
+                "Ext term disagrees between resolution and closed form at degree %d" % n)
 
         mid_sq = self.dual.homology_subquotient(n)
         injection, surjection, splitting, homg = self._sequence(n, ext_sq, mid_sq)

@@ -108,16 +108,6 @@ class PresentedGroup:
             raise ValueError("infinite group")
         return itertools.product(*[range(d) for d in self.torsion])
 
-    def element_order(self, vec):
-        vec = self.reduce(vec)
-        if any(x and d == 0 for x, d in zip(vec, self.orders)):
-            return 0
-        n = 1
-        for x, d in zip(vec, self.orders):
-            if x:
-                n = n * (d // gcd(d, x)) // gcd(n, d // gcd(d, x))
-        return n
-
     # -- construction ----------------------------------------------------
 
     @classmethod
@@ -380,9 +370,17 @@ def _reduce_rows(data, orders):
 
 def _relations_for_orders(orders):
     """One column d * e_i per nonzero order d = orders[i]."""
-    nonzero = [i for i, d in enumerate(orders) if d]
-    return IntMatrix._trusted(len(orders), len(nonzero), tuple(
-        tuple(d if i == k else 0 for k in nonzero) for i, d in enumerate(orders)))
+    zero = (0,) * sum(1 for d in orders if d)
+    data, k = [], 0
+    for d in orders:
+        if d:
+            row = list(zero)
+            row[k] = d
+            data.append(tuple(row))
+            k += 1
+        else:
+            data.append(zero)
+    return IntMatrix._trusted(len(orders), len(zero), tuple(data))
 
 
 def _preimage(matrix, lattice):
@@ -457,8 +455,30 @@ def inverse(f):
 
 def _precompose(mat, m):
     """mat^T (x) I_m as a dense matrix: phi |-> phi o mat on flattened maps
-    into a group on m generators (``mat`` dense or sparse)."""
-    return _SparseMatrix.of(mat).transpose().blockwise(m).dense()
+    into a group on m generators (``mat`` dense or sparse). Row j*m + g of
+    the result holds column j of a dense ``mat`` at the offsets g, g+m, ..."""
+    if isinstance(mat, _SparseMatrix):
+        return mat.transpose().blockwise(m).dense()
+    t = mat.transpose()
+    if m == 1:
+        return t
+    width, data = mat.rows * m, []
+    for col in t.data:
+        for g in range(m):
+            row = [0] * width
+            row[g::m] = col
+            data.append(tuple(row))
+    return IntMatrix._trusted(mat.cols * m, width, tuple(data))
+
+
+def _checked_subquotient(closed, numerator, denominator, name):
+    """Subquotient(numerator, denominator), whose group must be ``closed``,
+    the closed form of the same functor value."""
+    sq = Subquotient(numerator, denominator)
+    if sq.group != closed:
+        raise AssertionError("%s: the lattice gives %s, the closed form %s"
+                             % (name, sq.group, closed))
+    return sq
 
 
 class HomGroup:
@@ -468,11 +488,15 @@ class HomGroup:
     The generator pairs are (source generator j, coefficient generator i);
     the component at such a pair is cyclic of order gcd(d_j, e_i) generated
     by the map sending the j-th generator to c = e_i/gcd times the i-th.
-    ``_maps`` holds the flattened maps of the canonical generators, one per
-    column, and ``coords_of`` reads coordinates back off flattened maps.
+    ``group`` is the direct sum of those cyclic groups in normal form
+    (Hatcher, *Algebraic Topology*, 3.1). The Subquotient ``_sq`` that
+    names its canonical generators, and ``_maps``, the flattened maps of
+    those generators one per column, are built on first use and checked
+    against ``group``; ``coords_of`` reads coordinates back off flattened
+    maps.
     """
 
-    __slots__ = ("source", "coefficients", "pairs", "_sq", "group", "_maps")
+    __slots__ = ("source", "coefficients", "pairs", "group", "_lattice")
 
     def __init__(self, source, coefficients):
         self.source = source
@@ -489,15 +513,31 @@ class HomGroup:
                     if g > 1:
                         pairs.append((j, i, ei // g, g))
         self.pairs = tuple(pairs)
-        self._sq = Subquotient(IntMatrix.identity(len(pairs)),
-                               _relations_for_orders(tuple(p[3] for p in pairs)))
-        self.group = self._sq.group
-        m, k = coefficients.n_gens, self.group.n_gens
-        rows = [(0,) * k] * (source.n_gens * m)
-        for (j, i, c, _), lift in zip(pairs, self._sq.lifts.data):
-            rows[j * m + i] = tuple(c * x for x in lift)
-        self._maps = IntMatrix._trusted(len(rows), k, _reduce_rows(
-            rows, coefficients.orders * source.n_gens))
+        self.group = PresentedGroup.from_orders([p[3] for p in pairs])
+        self._lattice = None
+
+    def _built(self):
+        """(_sq, _maps), built once."""
+        if self._lattice is None:
+            pairs = self.pairs
+            sq = _checked_subquotient(self.group, IntMatrix.identity(len(pairs)),
+                                      _relations_for_orders(tuple(p[3] for p in pairs)),
+                                      "Hom(%s, %s)" % (self.source, self.coefficients))
+            m, k = self.coefficients.n_gens, self.group.n_gens
+            rows = [(0,) * k] * (self.source.n_gens * m)
+            for (j, i, c, _), lift in zip(pairs, sq.lifts.data):
+                rows[j * m + i] = tuple(c * x for x in lift)
+            self._lattice = sq, IntMatrix._trusted(len(rows), k, _reduce_rows(
+                rows, self.coefficients.orders * self.source.n_gens))
+        return self._lattice
+
+    @property
+    def _sq(self):
+        return self._built()[0]
+
+    @property
+    def _maps(self):
+        return self._built()[1]
 
     def coords_of(self, flat):
         """Canonical coordinates of each column of ``flat``, a flattened map
@@ -547,26 +587,38 @@ class HomGroup:
 
 
 class ExtGroup:
-    """Ext(A, G) computed from the free resolution
-    0 -> Z^t --R--> Z^n -> A -> 0, i.e. the cokernel of
-    Hom(Z^n, G) --(R transposed)--> Hom(Z^t, G).
+    """Ext(A, G) in closed form: the direct sum of Z/gcd(d, e) over the
+    torsion coefficients d of A and the orders e of G's generators, where a
+    free summand of G (e = 0) contributes Z/d (Weibel, *An Introduction to
+    Homological Algebra*, 3.3).
 
-    Elements are carried as G-tuples indexed by the torsion relations of A,
-    and ``pullback`` gives the contravariant action by lifting a map of
-    groups to a map of resolutions.
+    The Subquotient ``_sq``, built on first use by ``pullback`` and checked
+    against ``group``, comes from the free resolution 0 -> Z^t --R--> Z^n
+    -> A -> 0: the cokernel of Hom(Z^n, G) --(R transposed)--> Hom(Z^t, G).
+    Its elements are G-tuples indexed by the torsion relations of A, and
+    ``pullback`` gives the contravariant action by lifting a map of groups
+    to a map of resolutions.
     """
 
-    __slots__ = ("source", "coefficients", "_sq", "group")
+    __slots__ = ("source", "coefficients", "group", "_lattice")
 
     def __init__(self, source, coefficients):
         self.source = source
         self.coefficients = coefficients
-        t = len(source.torsion)
-        m = coefficients.n_gens
-        restr = _precompose(source.relation_matrix(), m)      # (t*m) x (n*m)
-        self._sq = Subquotient(IntMatrix.identity(t * m),
-                               hstack(restr, _relations_for_orders(coefficients.orders * t)))
-        self.group = self._sq.group
+        self.group = PresentedGroup.from_orders(
+            [gcd(d, e) for d in source.torsion for e in coefficients.orders])
+        self._lattice = None
+
+    @property
+    def _sq(self):
+        if self._lattice is None:
+            t, m = len(self.source.torsion), self.coefficients.n_gens
+            restr = _precompose(self.source.relation_matrix(), m)      # (t*m) x (n*m)
+            self._lattice = _checked_subquotient(
+                self.group, IntMatrix.identity(t * m),
+                hstack(restr, _relations_for_orders(self.coefficients.orders * t)),
+                "Ext(%s, %s)" % (self.source, self.coefficients))
+        return self._lattice
 
     def pullback(self, f, dest):
         """Contravariant action: f: B -> A induces Ext(A,G) -> Ext(B,G)."""

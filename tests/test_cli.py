@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import tauthom
-from tauthom import cli, tautness
+from tauthom import cli, complexes, tautness
 from tauthom.cli import build_parser, main
 from tauthom.complexes import FreeComplex
 from tauthom.groups import GroupMap, PresentedGroup
@@ -226,6 +226,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "tautness", "--preset", "solenoid:2")
         assert code == 2 and "--degree" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["homology"], ["homology", "--coefficients", "Z/2"], ["uct"], ["kolmogoroff"]],
+        ids=["homology", "homology-coefficients", "uct", "kolmogoroff"])
+    @pytest.mark.parametrize("degree", ["7", "-1"])
+    def test_degree_out_of_range_is_two(self, capsys, argv, degree):
+        code, out, err = run_cli(capsys, *argv, "--preset", "rp2-6vertex", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: degree %s outside [0, 2]\n" % degree
+
     def test_bad_coefficient_string_is_two(self, capsys):
         code, _, err = run_cli(capsys, "group", "--coefficients", "Q/3")
         assert code == 2
@@ -388,6 +397,19 @@ class TestDeterminism:
                                 "--coefficients", "Z+Z/4", "--format", "json")
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_uct_degree_builds_that_degree_only(self, capsys, monkeypatch):
+        _, full, _ = run_cli(capsys, "uct", "--preset", "rp2-6vertex",
+                             "--coefficients", "Z+Z/4", "--format", "json")
+        built = []
+        certificate = complexes.UctSuite.certificate
+        monkeypatch.setattr(complexes.UctSuite, "certificate",
+                            lambda suite, n: built.append(n) or certificate(suite, n))
+        _, one, _ = run_cli(capsys, "uct", "--preset", "rp2-6vertex",
+                            "--coefficients", "Z+Z/4", "--format", "json", "--degree", "1")
+        assert built == [1]
+        full, one = json.loads(full), json.loads(one)
+        assert one == {**full, "degrees": {"1": full["degrees"]["1"]}}
 
     def test_proptest_seed_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "proptest", "--seed", "7", "--format", "json")

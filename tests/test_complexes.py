@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -267,6 +268,30 @@ class TestUct:
                     include, evaluate, _ = sequence_reference(
                         suite, n, homb, suite.dual.cycles_subquotient(n))
                     assert (seq.include, seq.evaluate) == (include, evaluate)
+
+    def test_shared_integral_data_matches_fresh_complexes(self):
+        # the lattice data memoised on a complex does not depend on G: over
+        # every G, in either order, one shared complex reports what a fresh
+        # copy of it reports, and later groups add nothing to the memo
+        def report(cx, g):
+            return json.dumps({
+                "uct": {str(n): c.to_json() for n, c in uct_certificates(cx, g).items()},
+                "cbs": [cycle_boundary_sequence(cx, g, n).to_json() for n in cx.degrees()]},
+                sort_keys=True)
+
+        groups = (Z, Z2, Z12, MIXED)
+        rng = seeded(27)
+        for _ in range(15):
+            cx, _ = random_free_cochain_complex(rng)
+            fresh = {g: report(FreeComplex.from_json(cx.to_json()), g) for g in groups}
+            for order in (groups, groups[::-1]):
+                shared = FreeComplex.from_json(cx.to_json())
+                assert report(shared, order[0]) == fresh[order[0]]
+                keys = set(shared._integral)
+                assert keys
+                for g in order[1:]:
+                    assert report(shared, g) == fresh[g]
+                assert set(shared._integral) == keys
 
     def test_splitting_is_right_inverse(self):
         for g in (Z, Z4, MIXED):

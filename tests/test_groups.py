@@ -61,13 +61,6 @@ class TestPresentedGroup:
         assert len(list(g.elements())) == 8
         assert Z.cardinality() is None
 
-    def test_element_order(self):
-        g = PresentedGroup(0, (2, 4))
-        assert g.element_order((1, 0)) == 2
-        assert g.element_order((0, 1)) == 4
-        assert g.element_order((1, 1)) == 4
-        assert g.element_order((0, 0)) == 1
-
     def test_parse(self):
         assert parse_group("Z") == Z
         assert parse_group("Z/2+Z/4").torsion == (2, 4)
@@ -353,6 +346,51 @@ class TestHomExt:
     def test_coords_of_reduces_modulo_the_coefficients(self):
         h = HomGroup(parse_group("Z/4"), parse_group("Z/8"))
         assert h.coords_of(IntMatrix(1, 3, [[2, 10, -6]])) == IntMatrix(1, 3, [[1, 1, 1]])
+
+
+class TestClosedForms:
+    """``.group`` of HomGroup and ExtGroup is the closed form; the
+    Subquotient behind their maps is built on first use and must agree."""
+
+    @staticmethod
+    def assert_routes_agree(sources, targets):
+        for a in sources:
+            for g in targets:
+                for functor in (HomGroup, ExtGroup):
+                    value = functor(a, g)
+                    assert value._sq.group == value.group
+
+    def test_every_pair_of_small_finite_groups(self):
+        groups = [PresentedGroup(0, a) for a in all_finite_groups_to(64)]
+        self.assert_routes_agree(groups, groups)
+
+    def test_free_summands(self):
+        free = [parse_group(t) for t in ("Z", "Z^2", "Z+Z/4", "Z^2+Z/6", "Z+Z/2+Z/12")]
+        finite = [parse_group(t) for t in ("0", "Z/2", "Z/12", "Z/2+Z/4", "Z/3+Z/9")]
+        self.assert_routes_agree(free, free + finite)
+        self.assert_routes_agree(finite, free)
+
+    def test_group_builds_no_subquotient(self, monkeypatch):
+        built = []
+        init = Subquotient.__init__
+        monkeypatch.setattr(Subquotient, "__init__",
+                            lambda sq, num, den: built.append(num) or init(sq, num, den))
+        a, g = parse_group("Z+Z/4"), parse_group("Z^2+Z/6")
+        hom = HomGroup(a, g)
+        assert hom.group == parse_group("Z^2 + Z/2 + Z/6")
+        assert ExtGroup(a, g).group == parse_group("Z/4 + Z/4 + Z/2")
+        assert built == []
+        hom.to_map(hom.group.zero())
+        hom.from_map(GroupMap.zero(a, g))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("functor", [HomGroup, ExtGroup])
+    def test_disagreement_raises(self, functor):
+        value = functor(Z4, PresentedGroup(0, (6,)))
+        assert value.group == Z2
+        value.group = Z4
+        with pytest.raises(AssertionError, match="closed form Z/4"):
+            value.pullback(GroupMap.identity(Z4), value)
 
 
 @given(groups_strategy(), groups_strategy())

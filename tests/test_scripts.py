@@ -15,12 +15,16 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("solenoid_report", ["--degrees", "2"]),
+@pytest.mark.parametrize("name, argv, shown", [
+    ("solenoid_report", ["--degrees", "2"], ""),
     ("homology_survey", ["--models", "arc-circle:4", "--coefficients", "Z",
-                         "--chains", "2"]),
-    ("scaling_ladder", ["--arcs", "6", "--tori", "3", "--dense", "6", "--repeat", "1"]),
+                         "--chains", "2"], ""),
+    ("scaling_ladder", ["--arcs", "6", "--tori", "3", "--dense", "6", "--repeat", "1"],
+     "det_bits"),
+    ("scaling_ladder", ["--arcs", "6", "--tori", "3", "--dense", "--repeat", "1", "--uct"],
+     "Z+Z/4_s"),
 ])
-def test_script_main_exits_zero(capsys, name, argv):
+def test_script_main_exits_zero(capsys, name, argv, shown):
     assert load_script(name).main(argv) == 0
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out and shown in out
