@@ -4,8 +4,8 @@ For every model preset the script computes homology at the finest partition
 over a list of coefficient groups, reports the nerve profile, re-derives
 the same groups through universal-coefficient certificates, and coarsens
 the circle models block by block to show which coarsenings still carry the
-fundamental class. A seeded stress pass exercises the restriction and
-extension maps on random set functions.
+fundamental class. A seeded stress pass checks that the boundary of the
+boundary of random set functions vanishes.
 
 Usage: python3 scripts/homology_survey.py [--models octahedron rp2-6vertex]
        [--coefficients Z Z/2 Z/4] [--chains 50] [--seed 0]
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from tauthom.complexes import uct_certificates
 from tauthom.groups import parse_group
-from tauthom.kolmogoroff import (KolmogoroffChain, NerveComplex, Partition,
-                                 kolmogoroff_homology, model_preset,
-                                 random_chain)
+from tauthom.kolmogoroff import (NerveComplex, Partition, kolmogoroff_homology,
+                                 model_preset, random_chain)
 from tauthom.randomgen import seeded
 
 DEFAULT_MODELS = ("arc-circle:4", "arc-circle:6", "arc-circle:8",
@@ -67,13 +66,10 @@ def survey_model(name, cfg, rng):
         g = parse_group(cfg.coefficients[k % len(cfg.coefficients)])
         deg = rng.randrange(0, nerve.dimension + 1)
         f = random_chain(rng, nerve, deg, g)
-        assert KolmogoroffChain.from_nerve_chain(f.to_nerve_chain()) == f
         if deg >= 1:
-            assert f.boundary().to_nerve_chain() == \
-                f.to_nerve_chain().boundary()
+            assert f.boundary().boundary().is_zero()
         ok += 1
-    print("  %d random set functions: restriction/extension round trips "
-          "and boundary naturality hold" % ok)
+    print("  %d random set functions: the boundary of the boundary vanishes" % ok)
 
 
 def main(argv=None):

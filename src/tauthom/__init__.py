@@ -27,7 +27,7 @@ from .limits import (IsoReport, LimOutcome, MalformedTower, ShiftReport,
                      shift_isomorphism_check, six_term_check)
 from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           FreeBasisCertificate, KolmogoroffChain,
-                          NerveComplex, NerveGChain, NotACover,
+                          NerveComplex, NotACover,
                           NotARefinement, Partition, PipelineMismatch,
                           RefinementMap, arc_circle, free_colimit_basis,
                           kolmogoroff_homology, kolmogoroff_uct_check,

@@ -17,9 +17,9 @@ import sys
 from .complexes import (CoefficientComplex, DegreeOutOfRange, FreeComplex, uct_certificate,
                         uct_certificates)
 from .groups import PresentedGroup, parse_group
-from .kolmogoroff import (ConditionViolated, FiniteModel, KolmogoroffChain,
-                          NerveComplex, Partition, kolmogoroff_homology,
-                          model_preset, random_chain)
+from .kolmogoroff import (ConditionViolated, FiniteModel, NerveComplex,
+                          Partition, kolmogoroff_homology, model_preset,
+                          random_chain)
 from .limits import (Telescope, Tower, colim, hom_into_colim_check, lim, lim1,
                      lim_higher, six_term_check)
 from .matrices import IntMatrix, smith_normal_form
@@ -70,6 +70,13 @@ def _load(args):
         raise ValueError("this verb needs --input")
     with open(args.input, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _coefficients(args):
+    """The --coefficients group, Z when the flag is absent; an empty
+    expression is rejected like any other malformed one."""
+    return PresentedGroup(1, ()) if args.coefficients is None \
+        else parse_group(args.coefficients)
 
 
 def _need_degree(args):
@@ -147,7 +154,7 @@ def _cmd_homology(args):
         if cx.direction != "cochain":
             raise ValueError("coefficient homology is computed from cochain "
                              "complexes; this input is a chain complex")
-        coeffs = parse_group(args.coefficients or "Z")
+        coeffs = _coefficients(args)
         hom = CoefficientComplex(cx, coeffs).homology_all()
         title = "homology of Hom(C, %s)" % coeffs.describe()
     else:
@@ -163,7 +170,7 @@ def _cmd_homology(args):
 
 def _cmd_uct(args):
     cx = _complex_from_args(args)
-    coeffs = parse_group(args.coefficients or "Z")
+    coeffs = _coefficients(args)
     # uct_certificate raises DegreeOutOfRange for a degree outside the complex
     certs = uct_certificates(cx, coeffs) if args.degree is None \
         else {args.degree: uct_certificate(cx, coeffs, args.degree)}
@@ -208,7 +215,7 @@ def _cmd_colim(args):
 
 def _cmd_sixterm(args):
     telescope = Telescope.from_json(_load(args))
-    coeffs = parse_group(args.coefficients or "Z")
+    coeffs = _coefficients(args)
     rep = six_term_check(telescope, coeffs)
     obj = rep.to_json()
     lines = ["six-term limit sequence over %s" % coeffs.describe()]
@@ -243,7 +250,7 @@ def _model_and_partition(args):
 
 def _cmd_kolmogoroff(args):
     model, part = _model_and_partition(args)
-    coeffs = parse_group(args.coefficients or "Z")
+    coeffs = _coefficients(args)
     hom = kolmogoroff_homology(model, part, coeffs)
     degrees = _chosen_degrees(args, hom)
     obj = {"coefficients": coeffs.describe(),
@@ -291,7 +298,7 @@ def _report_lines(rep):
 def _cmd_tautness(args):
     data = _ntower_from_args(args)
     n = _need_degree(args)
-    coeffs = parse_group(args.coefficients or "Z")
+    coeffs = _coefficients(args)
     if args.preset is not None and coeffs != PresentedGroup(1, ()):
         raise ValueError("tautness presets carry integral homology; --coefficients "
                          "must be Z with --preset, got %s" % coeffs.describe())
@@ -343,14 +350,13 @@ def _cmd_proptest(args):
         model = model_preset(name)
         part = Partition.singletons(model.atoms)
         nerve = NerveComplex(model, part)
+        assert kolmogoroff_homology(model, part, zz12) == \
+            CoefficientComplex(nerve.cochain_complex(), zz12).homology_all()
         for _ in range(20):
             deg = rng.randrange(0, nerve.dimension + 1)
             f = random_chain(rng, nerve, deg, zz12)
-            assert KolmogoroffChain.from_nerve_chain(f.to_nerve_chain()) == f
             if deg >= 1:
                 assert f.boundary().boundary().is_zero()
-                assert f.boundary().to_nerve_chain().coords == \
-                    f.to_nerve_chain().boundary().coords
             else:
                 assert f.boundary().is_zero()
     counts["kolmogoroff"] = 40

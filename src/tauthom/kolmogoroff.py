@@ -12,10 +12,10 @@ G-valued functions on (n+1)-tuples of blocks of a partition, subject to
   disjointness    f vanishes on tuples whose closures have empty common
                   intersection.
 
-Only compact models are supported: the whole space is an admissible open
-bounded set, so the boundary operator is total,
-Delta f(E_0,...,E_{n-1}) = f(U, E_0,...,E_{n-1}) with U = everything. The
-repeated-argument clause then gives Delta Delta f = f(U, U, ...) = 0.
+Every model is compact, so U = the union of all blocks is an admissible
+open bounded set and the boundary operator is total,
+Delta f(E_0,...,E_{n-1}) = f(U, E_0,...,E_{n-1}). The repeated-argument
+clause then gives Delta Delta f = f(U, U, ...) = 0.
 
 The homology of this chain complex is computed once, by ``homology_groups``
 on boundary matrices obtained by evaluating Delta on generator chains.
@@ -98,8 +98,7 @@ def _atom(x, what="atoms"):
 class FiniteModel:
     """Atoms 0..atoms-1 plus the downward-closed family of atom subsets
     with commonly intersecting closures. Every singleton is present (each
-    atom meets its own closure); the model always stands for a compact
-    space, so the union of all atoms is open and bounded."""
+    atom meets its own closure)."""
 
     __slots__ = ("atoms", "simplices", "maximal")
 
@@ -312,13 +311,6 @@ class NerveComplex:
         return FreeComplex("cochain", 0, self.dimension, self.chain.ranks,
                            {n - 1: d.transpose() for n, d in self.chain.diffs.items()})
 
-    def is_simplex(self, blocks):
-        s, _ = _sort_with_sign(tuple(blocks))
-        if s is None:
-            return False
-        n = len(s) - 1
-        return n <= self.dimension and s in self.index[n]
-
     def __eq__(self, other):
         return (isinstance(other, NerveComplex) and self.model == other.model
                 and self.partition == other.partition)
@@ -326,50 +318,6 @@ class NerveComplex:
     def __repr__(self):
         return "NerveComplex(%d blocks, counts=%r)" % (
             len(self.partition), [self.count(n) for n in range(self.dimension + 1)])
-
-
-class NerveGChain:
-    """A G-valued function on the n-simplices of a nerve, stored as a flat
-    coordinate vector of ints (simplex-major, G-generator-minor)."""
-
-    __slots__ = ("nerve", "degree", "coefficients", "coords")
-
-    def __init__(self, nerve, degree, coefficients, coords):
-        m = nerve.count(degree) * coefficients.n_gens
-        coords = tuple(_atom(c, "chain coordinates") for c in coords)
-        if len(coords) != m:
-            raise ValueError("expected %d coordinates, got %d" % (m, len(coords)))
-        g = coefficients.n_gens
-        reduced = []
-        for s in range(nerve.count(degree)):
-            reduced.extend(coefficients.reduce(coords[s * g:(s + 1) * g]))
-        self.nerve = nerve
-        self.degree = degree
-        self.coefficients = coefficients
-        self.coords = tuple(reduced)
-
-    def value(self, simplex):
-        s, sign = _sort_with_sign(tuple(simplex))
-        g = self.coefficients.n_gens
-        if s is None or not self.nerve.is_simplex(s):
-            return (0,) * g
-        i = self.nerve.index[self.degree][s]
-        vec = self.coords[i * g:(i + 1) * g]
-        return self.coefficients.reduce(tuple(sign * v for v in vec))
-
-    def boundary(self):
-        """Simplicial boundary acting on G-valued coefficient vectors."""
-        mat = self.nerve.chain._sparse(self.degree).blockwise(self.coefficients.n_gens)
-        return NerveGChain(self.nerve, self.degree - 1, self.coefficients,
-                           mat.dense().apply(self.coords))
-
-    def __eq__(self, other):
-        return (isinstance(other, NerveGChain) and self.nerve == other.nerve
-                and self.degree == other.degree and self.coords == other.coords
-                and self.coefficients == other.coefficients)
-
-    def __repr__(self):
-        return "NerveGChain(degree=%d, coords=%r)" % (self.degree, self.coords)
 
 
 class KolmogoroffChain:
@@ -477,50 +425,14 @@ class KolmogoroffChain:
             total = tuple(a + b for a, b in zip(total, v))
         return self.coefficients.reduce(total)
 
-    def boundary_value(self, args, support=None):
-        """One boundary evaluation Delta f(E_0,...,E_{n-1}) = f(U, E_0,...)
-        on a tuple of block indices, with U decomposed into blocks.
-
-        ``support`` optionally replaces the whole space by a smaller
-        bounded neighborhood: a block set that must contain the argument
-        blocks and every block whose closure meets all their closures (the
-        combinatorial counterpart of an open superset of the closures).
-        Admissibility is checked, so the value never depends on the choice.
-        """
-        args = tuple(int(b) for b in args)
-        if len(args) != self.degree:
-            raise ValueError("expected %d argument blocks" % self.degree)
-        if support is None:
-            blocks = range(len(self.nerve.partition))
-        else:
-            support = set(int(b) for b in support)
-            required = set(args)
-            for b in range(len(self.nerve.partition)):
-                joined, _ = _sort_with_sign((b,) + args)
-                if joined is not None and self.nerve.is_simplex(joined):
-                    required.add(b)
-            missing = required - support
-            if missing:
-                raise ValueError("support omits blocks %s whose closures meet the "
-                                 "arguments; not an admissible bounded neighborhood"
-                                 % sorted(missing))
-            blocks = sorted(support)
-        g = self.coefficients.n_gens
-        total = (0,) * g
-        for b in blocks:
-            v = self.evaluate_blocks((b,) + args)
-            total = tuple(x + y for x, y in zip(total, v))
-        return self.coefficients.reduce(total)
-
-    def boundary(self, support=None):
+    def boundary(self):
         """The boundary chain: evaluate against the whole space in front,
         Delta f(E_0,...,E_{n-1}) = f(U, E_0,...,E_{n-1}), decomposing U
         into partition blocks.
 
-        ``support`` optionally replaces U by a smaller admissible bounded
-        set (a set of block indices); it must still contain every block
-        whose closure meets a tuple the result is evaluated on, which is
-        checked, so the boundary never depends on the choice. As f(b, tau)
+        Any admissible U gives the same result: it contains the star of each
+        face, and a block outside that star contributes 0 by the
+        disjointness axiom. As f(b, tau)
         vanishes unless (b,) + tau sorts to a key of ``values``, only those
         keys' faces tau and the block b each one omits are summed. A degree-0
         chain has the zero degree -1 chain as its boundary (homology in degree
@@ -531,15 +443,6 @@ class KolmogoroffChain:
             raise ValueError("no boundary below degree 0")
         if n == 0:
             return KolmogoroffChain._trusted(self.nerve, -1, self.coefficients, {})
-        if support is not None:
-            support = set(int(b) for b in support)
-            for s in self.nerve.simplices[n]:
-                for tau in itertools.combinations(s, n):
-                    extra = (set(s) - set(tau)).pop()
-                    if extra not in support:
-                        raise ValueError(
-                            "support omits block %d whose closure meets %r; not an "
-                            "admissible bounded neighborhood" % (extra, tau))
         sums = {}
         for s in self.values:
             for i, b in enumerate(s):
@@ -554,51 +457,6 @@ class KolmogoroffChain:
             if any(total):
                 out[tau] = total
         return KolmogoroffChain._trusted(self.nerve, n - 1, self.coefficients, out)
-
-    def to_nerve_chain(self):
-        """Restrict to nerve simplices: the simplicial chain with the same
-        values on strictly increasing block tuples."""
-        g = self.coefficients.n_gens
-        coords = []
-        if 0 <= self.degree <= self.nerve.dimension:
-            for s in self.nerve.simplices[self.degree]:
-                coords.extend(self.values.get(s, (0,) * g))
-        return NerveGChain(self.nerve, self.degree, self.coefficients, coords)
-
-    @classmethod
-    def from_nerve_chain(cls, chain):
-        """Extend a simplicial chain to a set function: values on block
-        tuples by alternation, on everything else by mosaic summation."""
-        g = chain.coefficients.n_gens
-        values = {}
-        for i, s in enumerate(chain.nerve.simplices[chain.degree]):
-            vec = chain.coords[i * g:(i + 1) * g]
-            if any(vec):
-                values[s] = vec
-        return cls(chain.nerve, chain.degree, chain.coefficients, values)
-
-    def __add__(self, other):
-        self._compatible(other)
-        keys = set(self.values) | set(other.values)
-        g = self.coefficients.n_gens
-        zero = (0,) * g
-        return KolmogoroffChain(self.nerve, self.degree, self.coefficients,
-                                {k: tuple(a + b for a, b in
-                                          zip(self.values.get(k, zero),
-                                              other.values.get(k, zero)))
-                                 for k in keys})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return KolmogoroffChain(self.nerve, self.degree, self.coefficients,
-                                {k: tuple(c * x for x in v) for k, v in self.values.items()})
-
-    def _compatible(self, other):
-        if (self.nerve != other.nerve or self.degree != other.degree
-                or self.coefficients != other.coefficients):
-            raise BlockMismatch("chains live on different nerves, degrees or coefficients")
 
     def is_zero(self):
         return not self.values

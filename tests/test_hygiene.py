@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used in the module that imports it.
+"""Source hygiene: every imported name is used in the module that imports it,
+and every library hook of the benchmark under ``perfbench/`` still resolves.
 
 The scan is a plain ``ast`` walk over the package, the tests and the
 scripts. ``__future__`` imports and the package's ``__init__`` (whose
@@ -6,12 +7,17 @@ imports are its public re-exports) are skipped.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 
 import pytest
 
+import tauthom
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "tauthom")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 SCANNED = (PACKAGE, os.path.join(ROOT, "tests"), os.path.join(ROOT, "scripts"))
 
 
@@ -52,3 +58,30 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", list(_sources()), ids=lambda p: os.path.relpath(p, ROOT))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_benchmark_tracing_hooks_resolve():
+    # the traced run keys every span and counter by its function's __code__
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooks = {name: funcs + ([under] if under is not None else [])
+             for name, (funcs, under) in tracing._spans(tauthom).items()}
+    hooks.update((name, [f]) for name, f in tracing._counters(tauthom).items())
+    assert hooks
+    assert [name for name, funcs in hooks.items()
+            if not all(hasattr(f, "__code__") for f in funcs)] == []
+
+
+def test_benchmark_workload_imports_resolve():
+    path = os.path.join(PERFBENCH, "workloads.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    names = [(node.module, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[0] == "tauthom" for a in node.names]
+    assert names
+    missing = ["%s.%s" % (module, name) for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
