@@ -10,21 +10,18 @@ re-checks its own certificate.
 
 from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
                        hermite_form, hstack, kernel_basis, column_basis,
-                       lattice_contains, lattice_equal, matrix_power,
                        smith_normal_form, solve_columns, vstack)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
                      image, inverse, is_injective, is_isomorphism,
                      is_surjective, kernel, kernel_lattice, parse_group)
 from .complexes import (CertificateFailure, CoefficientComplex,
-                        CycleBoundarySequence, DegreeOutOfRange, FreeComplex,
-                        NotFree, UctCertificate, UctSuite,
-                        cycle_boundary_sequence, uct_certificate,
+                        DegreeOutOfRange, FreeComplex, NotFree,
+                        UctCertificate, UctSuite, uct_certificate,
                         uct_certificates)
-from .limits import (IsoReport, LimOutcome, MalformedTower, ShiftReport,
-                     SixTermReport, Telescope, Tower, colim, ext_tower,
-                     hom_into_colim_check, hom_tower, lim, lim1, lim_higher,
-                     shift_isomorphism_check, six_term_check)
+from .limits import (IsoReport, LimOutcome, MalformedTower, SixTermReport,
+                     Telescope, Tower, colim, ext_tower, hom_into_colim_check,
+                     hom_tower, lim, lim1, lim_higher, six_term_check)
 from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           FreeBasisCertificate, KolmogoroffChain,
                           NerveComplex, NotACover,

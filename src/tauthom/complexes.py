@@ -20,8 +20,7 @@ e∘i = 0 and e∘s = 1, a retraction r solved from i∘r = 1 - s∘e modulo the
 middle group's relations, and r∘i = 1. These make the sequence split exact.
 The Ext term is built from the cocycle/coboundary resolution and compared
 with its closed form, a sum of cyclic groups (``ExtGroup.group``); a
-disagreement raises instead of returning. The cycle-boundary sequence is
-built and checked the same way.
+disagreement raises instead of returning.
 
 The integral lattice work of a certificate (cocycle and coboundary bases,
 cohomology, d^n in the coboundary basis, the resolution inclusion and the
@@ -268,10 +267,6 @@ class CoefficientComplex:
         """Raw matrix of the degree-lowering differential at degree n."""
         return _precompose(self.base._sparse(n - 1), self.coefficients.n_gens)
 
-    def cycles_subquotient(self, n):
-        return Subquotient(kernel_lattice(self.diff_matrix(n), self.orders(n - 1)),
-                           _relations_for_orders(self.orders(n)))
-
     def homology_subquotient(self, n):
         num = kernel_lattice(self.diff_matrix(n), self.orders(n - 1))
         den = hstack(self.diff_matrix(n + 1), _relations_for_orders(self.orders(n)))
@@ -321,35 +316,11 @@ class UctCertificate:
                 "verified": True}
 
 
-@dataclass(frozen=True)
-class CycleBoundarySequence:
-    """Verified short exact sequence
-    0 -> Hom(B^{n+1}, G) -> Z_n(Hom(C,G)) -> Hom(H^n(C), G) -> 0
-    relating coboundary evaluations, coefficient cycles, and cohomology
-    evaluations in one degree."""
-
-    degree: int
-    hom_boundaries: PresentedGroup
-    cycles: PresentedGroup
-    hom_cohomology: PresentedGroup
-    include: GroupMap
-    evaluate: GroupMap
-
-    def to_json(self):
-        return {"degree": self.degree,
-                "hom_boundaries": self.hom_boundaries.describe(),
-                "cycles": self.cycles.describe(),
-                "hom_cohomology": self.hom_cohomology.describe(),
-                "include": self.include.matrix.to_json(),
-                "evaluate": self.evaluate.matrix.to_json(),
-                "verified": True}
-
-
-def _check_split(n, include, evaluate, split, left):
+def _check_split(n, include, evaluate, split):
     """Raise CertificateFailure unless include, evaluate and split extend to
     a biproduct: e∘i = 0, e∘s = 1, and some r with i∘r = 1 - s∘e and r∘i = 1.
-    These identities make 0 -> . -include-> . -evaluate-> . -> 0 split exact
-    (Mac Lane, VIII.2); ``left`` names the first term in the messages."""
+    These identities make 0 -> Ext -include-> . -evaluate-> . -> 0 split
+    exact (Mac Lane, VIII.2)."""
     if not (evaluate @ include).is_zero:
         raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
     if not (evaluate @ split).is_identity:
@@ -358,16 +329,16 @@ def _check_split(n, include, evaluate, split, left):
     rest = IntMatrix.identity(middle.n_gens) - split.matrix * evaluate.matrix
     sol = solve_columns(hstack(include.matrix, middle.relation_matrix()), rest)
     if sol is None:
-        raise CertificateFailure("degree %d: kernel of evaluation escapes the image of %s"
-                                 % (n, left))
+        raise CertificateFailure("degree %d: kernel of evaluation escapes the image of "
+                                 "the Ext term" % n)
     try:
         retract = GroupMap(middle, include.source, IntMatrix._trusted(
             include.source.n_gens, middle.n_gens, sol.data[:include.source.n_gens]))
     except IllFormedMap:
-        raise CertificateFailure("degree %d: retraction onto %s is not well defined"
-                                 % (n, left)) from None
+        raise CertificateFailure("degree %d: retraction onto the Ext term is not well "
+                                 "defined" % n) from None
     if not (retract @ include).is_identity:
-        raise CertificateFailure("degree %d: %s fails to inject" % (n, left))
+        raise CertificateFailure("degree %d: the Ext term fails to inject" % n)
 
 
 class UctSuite:
@@ -430,53 +401,42 @@ class UctSuite:
             return self.cohomology_sq(n).coords_matrix(z * p.transpose())
         return self._memo(("P", n), build)
 
-    def _sequence(self, n, left, mid):
-        """The maps of 0 -> left -> mid -> Hom(H^n(C), G) -> 0, where ``left``
-        is a Subquotient of Hom(B^{n+1}, G)-tuples and ``mid`` one of degree-n
-        coefficient cycles: (include, evaluate, split, Hom(H^n(C), G)).
-
-        include:  psi |-> psi o d^n, with d^n written in the coboundary basis;
-        evaluate: a cycle restricted to the lifted cohomology generators;
-        split:    a homomorphism on H^n extended by zero off the cocycle
-                  lattice Z, along the complement cut out by an integer left
-                  inverse P of its basis (P exists because C^n / Z embeds in
-                  the free group C^{n+1}).
-        """
-        G, m = self.coefficients, self.coefficients.n_gens
-        push = _precompose(self._in_b_basis(n), m)
-        include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
-
-        h_sq = self.cohomology_sq(n)
-        homg = HomGroup(h_sq.group, G)
-        evaluate = GroupMap(mid.group, homg.group,
-                            homg.coords_of(_precompose(h_sq.lifts, m) * mid.lifts))
-
-        split = GroupMap(homg.group, mid.group, mid.coords_matrix(
-            _precompose(self._projected_basis(n), m) * homg._maps))
-        return include, evaluate, split, homg
-
     def certificate(self, n):
-        G = self.coefficients
+        """The verified certificate of degree n. The injection is
+        psi |-> psi o d^n on Hom(B^{n+1}, G)-tuples, with d^n in the
+        coboundary basis; the splitting extends a homomorphism on H^n by zero
+        along the complement of the cocycle lattice cut out by an integer
+        left inverse of its basis (``_projected_basis``)."""
+        G, m = self.coefficients, self.coefficients.n_gens
         # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
         # compared with the closed form of Ext(H^{n+1}, G)
         inside = self._inside(n + 1)
-        ext_sq = Subquotient(IntMatrix.identity(inside.cols * G.n_gens),
-                             hstack(_precompose(inside, G.n_gens),
+        ext_sq = Subquotient(IntMatrix.identity(inside.cols * m),
+                             hstack(_precompose(inside, m),
                                     _relations_for_orders(G.orders * inside.cols)))
         if ext_sq.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and closed form at degree %d" % n)
 
-        mid_sq = self.dual.homology_subquotient(n)
-        injection, surjection, splitting, homg = self._sequence(n, ext_sq, mid_sq)
-        cert = UctCertificate(n, ext_sq.group, homg.group, mid_sq.group,
+        mid = self.dual.homology_subquotient(n)
+        push = _precompose(self._in_b_basis(n), m)
+        injection = GroupMap(ext_sq.group, mid.group, mid.coords_matrix(push * ext_sq.lifts))
+
+        h_sq = self.cohomology_sq(n)
+        homg = HomGroup(h_sq.group, G)
+        surjection = GroupMap(mid.group, homg.group,
+                              homg.coords_of(_precompose(h_sq.lifts, m) * mid.lifts))
+
+        splitting = GroupMap(homg.group, mid.group, mid.coords_matrix(
+            _precompose(self._projected_basis(n), m) * homg._maps))
+        cert = UctCertificate(n, ext_sq.group, homg.group, mid.group,
                               injection, surjection, splitting)
         self._verify(cert)
         return cert
 
     def _verify(self, cert):
         n = cert.degree
-        _check_split(n, cert.injection, cert.surjection, cert.splitting, "the Ext term")
+        _check_split(n, cert.injection, cert.surjection, cert.splitting)
         if cert.middle != cert.ext_term.direct_sum(cert.hom_term):
             raise CertificateFailure("degree %d: middle group is not the direct sum of the ends" % n)
 
@@ -497,15 +457,3 @@ def uct_certificates(base, coefficients):
     suite = UctSuite(base, coefficients)
     return {n: suite.certificate(n) for n in base.degrees()}
 
-
-def cycle_boundary_sequence(base, coefficients, n):
-    """Verified sequence 0 -> Hom(B^{n+1},G) -> Z_n(Hom(C,G)) -> Hom(H^n,G) -> 0."""
-    if not base.lo <= n <= base.hi:
-        raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, base.lo, base.hi))
-    suite = UctSuite(base, coefficients)
-    orders = coefficients.orders * suite.coboundaries(n + 1).cols
-    homb_sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
-    z_sq = suite.dual.cycles_subquotient(n)
-    include, evaluate, split, homg = suite._sequence(n, homb_sq, z_sq)
-    _check_split(n, include, evaluate, split, "Hom(B^%d, G)" % (n + 1))
-    return CycleBoundarySequence(n, homb_sq.group, z_sq.group, homg.group, include, evaluate)

@@ -93,8 +93,12 @@ class PresentedGroup:
         return _relations_for_orders(self.orders)
 
     def reduce(self, vec):
-        """Canonical representative of an element given in generator coordinates."""
-        vec = tuple(int(x) for x in vec)
+        """Canonical representative of an element given in generator
+        coordinates, which must be ints like every other group datum."""
+        vec = tuple(vec)
+        for x in vec:
+            if type(x) is not int:
+                raise ValueError("element coordinates must be integers, got %r" % (x,))
         if len(vec) != self.n_gens:
             raise ValueError("element has %d coordinates, expected %d" % (len(vec), self.n_gens))
         return tuple(x % d if d else x for x, d in zip(vec, self.orders))
@@ -227,8 +231,8 @@ class Subquotient:
 
     - ``group``       the quotient in invariant-factor form,
     - ``lifts``       ambient representatives of the canonical generators,
-    - ``coords(x)``   canonical coordinates of an ambient vector (which must
-                      lie in the numerator lattice).
+    - ``coords_matrix(m)`` canonical coordinates of each column of ``m``
+      (every column must lie in the numerator lattice).
     """
 
     __slots__ = ("ambient_dim", "group", "lifts", "_hf", "_proj")
@@ -261,14 +265,6 @@ class Subquotient:
         raw = self._proj * t
         return IntMatrix._trusted(self.group.n_gens, mat.cols,
                                   _reduce_rows(raw.data, self.group.orders))
-
-    def coords(self, vec):
-        vec = tuple(vec)
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector has %d coordinates, expected %d"
-                             % (len(vec), self.ambient_dim))
-        col = IntMatrix._trusted(self.ambient_dim, 1, tuple((x,) for x in vec))
-        return self.coords_matrix(col).column(0)
 
 
 def normalize(presentation):
@@ -348,16 +344,6 @@ class GroupMap:
     @property
     def is_identity(self):
         return self.source == self.target and self == GroupMap.identity(self.source)
-
-    def to_json(self):
-        return {"source": self.source.to_json(), "target": self.target.to_json(),
-                "matrix": self.matrix.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(PresentedGroup.from_json(obj["source"]),
-                   PresentedGroup.from_json(obj["target"]),
-                   IntMatrix.from_json(obj["matrix"]))
 
 
 # -- kernels, images, cokernels ------------------------------------------

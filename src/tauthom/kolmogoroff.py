@@ -124,11 +124,6 @@ class FiniteModel:
         self.maximal = tuple(sorted(tuple(sorted(s)) for s in closed
                                     if not any(s < t for t in closed)))
 
-    def closure_meets(self, atom_set):
-        """Whether the closures of the given atoms have a common point."""
-        s = frozenset(atom_set)
-        return bool(s) and s in self.simplices
-
     @property
     def dimension(self):
         return max(len(s) for s in self.simplices) - 1
@@ -364,10 +359,6 @@ class KolmogoroffChain:
         chain.values = values
         return chain
 
-    @classmethod
-    def zero(cls, nerve, degree, coefficients):
-        return cls(nerve, degree, coefficients, {})
-
     def evaluate_blocks(self, blocks):
         """Value on an arbitrary tuple of block indices: the stored reduced
         vector of the sorted tuple, negated and reduced again when sorting
@@ -381,7 +372,7 @@ class KolmogoroffChain:
         return tuple(-x % d if d else -x for x, d in zip(vec, self.coefficients.orders))
 
     def _block_union(self, atom_set):
-        atoms = set(int(a) for a in atom_set)
+        atoms = set(_atom(a) for a in atom_set)
         blocks = sorted({self.nerve.partition.block_of[a] for a in atoms
                          if a in self.nerve.partition.block_of})
         covered = set()
@@ -399,29 +390,6 @@ class KolmogoroffChain:
         total = (0,) * g
         for combo in itertools.product(*decomposed):
             v = self.evaluate_blocks(combo)
-            total = tuple(a + b for a, b in zip(total, v))
-        return self.coefficients.reduce(total)
-
-    def evaluate_via_mosaic(self, sets, pieces=None):
-        """Value on a tuple of atom sets computed through an intermediate
-        mosaic: decompose each set into the mosaic pieces it contains,
-        evaluate each piece tuple, and sum. Must agree with evaluate_sets
-        for every admissible mosaic."""
-        sets = [frozenset(int(a) for a in s) for s in sets]
-        if pieces is None:
-            pieces = mosaic(sets)
-        pieces = [frozenset(p) for p in pieces]
-        for s in sets:
-            covered = set()
-            for p in pieces:
-                if p <= s:
-                    covered.update(p)
-            if covered != s:
-                raise BlockMismatch("mosaic does not decompose %s" % sorted(s))
-        g = self.coefficients.n_gens
-        total = (0,) * g
-        for combo in itertools.product(*[[p for p in pieces if p <= s] for s in sets]):
-            v = self.evaluate_sets(combo)
             total = tuple(a + b for a, b in zip(total, v))
         return self.coefficients.reduce(total)
 

@@ -524,31 +524,3 @@ def six_term_check(telescope, coefficients):
         notes.append("colimit is %s (%s)" % (co.kind, co.description))
     return SixTermReport(l1h, ext_colim, le, l2h, iso, tuple(notes))
 
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """lim^i Ext(A_k, G) compared against lim^{i+2} Hom(A_k, G)."""
-
-    i: int
-    lim_ext_i: LimOutcome
-    lim_hom_i2: LimOutcome
-    consistent: bool
-
-    def to_json(self):
-        return {"i": self.i, "lim_ext_i": self.lim_ext_i.to_json(),
-                "lim_hom_i2": self.lim_hom_i2.to_json(), "consistent": self.consistent}
-
-
-def shift_isomorphism_check(telescope, coefficients, i):
-    """Check the degree-shift identification lim^i Ext = lim^{i+2} Hom.
-
-    For i >= 1 the Ext towers consist of finite groups, so their derived
-    limits are certified Zero by Mittag-Leffler, matching the vanishing of
-    lim^{i+2} of any countable Hom tower. Towers whose limits vanish
-    outright are never built.
-    """
-    if i < 1:
-        raise ValueError("shift comparison needs i >= 1")
-    left = lim1(ext_tower(telescope, coefficients)[0]) if i == 1 else lim_higher(None, i)
-    right = lim_higher(None, i + 2)
-    return ShiftReport(i, left, right, left.kind == right.kind)

@@ -150,9 +150,6 @@ class IntMatrix:
         return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data)) if self.rows
                                   else ((),) * self.cols)
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -610,27 +607,3 @@ def column_basis(mat):
     Hermite form, equal for two matrices exactly when their spans are."""
     return hermite_form(mat).h
 
-
-def lattice_contains(generators, candidates):
-    """Do all columns of ``candidates`` lie in the column span of ``generators``?"""
-    return hermite_form(generators).solve(candidates) is not None
-
-
-def lattice_equal(a, b):
-    """Column-span equality of two generator matrices over the same ambient rank."""
-    if a.rows != b.rows:
-        raise ValueError("lattices live in different ambient ranks")
-    return column_basis(a) == column_basis(b)
-
-
-def matrix_power(mat, k):
-    if mat.rows != mat.cols:
-        raise ValueError("power of a non-square matrix")
-    result = IntMatrix.identity(mat.rows)
-    base = mat
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    return result

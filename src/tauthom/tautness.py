@@ -225,12 +225,6 @@ class SequenceReport:
     def failed(self):
         return any(j.verdict == FAILED for j in self.junctions)
 
-    def middle_outcome(self):
-        for t in self.terms:
-            if "(A" in t.label:
-                return t.outcome
-        return None
-
     def text(self):
         """Aligned two-row diagram plus one line per junction."""
         labels = ["0"] + [t.label for t in self.terms] + ["0"]

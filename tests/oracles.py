@@ -848,11 +848,11 @@ def unreduced_kolmogoroff_groups(model, partition, coefficients):
 
 def same_subgroup(f, g):
     """Do two maps into a common target have the same image subgroup?"""
-    from tauthom.matrices import hstack, lattice_equal
+    from tauthom.matrices import column_basis, hstack
     if f.target != g.target:
         raise ValueError("maps land in different groups")
     rel = f.target.relation_matrix()
-    return lattice_equal(hstack(f.matrix, rel), hstack(g.matrix, rel))
+    return column_basis(hstack(f.matrix, rel)) == column_basis(hstack(g.matrix, rel))
 
 
 def check_short_exact(n, include, evaluate, left):
@@ -917,13 +917,14 @@ def hom_from_map_reference(hom, f):
     """HomGroup.from_map pair by pair: entry (i, j) of the checked GroupMap
     divided by the pair's scale c."""
     from tauthom.groups import IllFormedMap
+    from tauthom.matrices import IntMatrix
     t = []
     for j, i, c, _ in hom.pairs:
         e = f.matrix.data[i][j]
         if e % c:
             raise IllFormedMap("entry (%d,%d) is not a multiple of %d" % (i, j, c))
         t.append(e // c)
-    return hom._sq.coords(t)
+    return hom._sq.coords_matrix(IntMatrix(len(t), 1, [[x] for x in t])).column(0)
 
 
 def _columns_map(source, target, cols):

@@ -226,10 +226,10 @@ def test_criterion_9_tautness_milnor_harness():
     uncountable; constant finite data collapses to a verified isomorphism;
     the three sequence builders agree junction by junction on the corpus."""
     rep = tautness_sequence(solenoid_tower(2), 1, Z)
-    assert rep.middle_outcome().kind == ZERO
+    assert rep.terms[1].outcome.kind == ZERO
     assert not rep.failed
     rep = tautness_sequence(solenoid_tower(2, reduced=True), 0, Z)
-    assert rep.middle_outcome().kind == NONZERO_UNCOUNTABLE
+    assert rep.terms[1].outcome.kind == NONZERO_UNCOUNTABLE
     assert not rep.failed
 
     finite = trivially_taut_tower()

@@ -49,9 +49,13 @@ class TestPresentedGroup:
         (lambda: PresentedGroup(0, (2.9,)), "torsion coefficients must be integers"),
         (lambda: PresentedGroup(True, ()), "free rank must be an integer"),
         (lambda: PresentedGroup(1.0, ()), "free rank must be an integer"),
-    ], ids=["orders-float", "orders-bool", "torsion-float", "free-bool", "free-float"])
+        (lambda: GroupMap.identity(Z4)((5.9,)), "element coordinates must be integers"),
+        (lambda: Z4.reduce((True,)), "element coordinates must be integers"),
+        (lambda: Z4.reduce(("3",)), "element coordinates must be integers"),
+    ], ids=["orders-float", "orders-bool", "torsion-float", "free-bool", "free-float",
+            "element-float", "element-bool", "element-str"])
     def test_non_int_rejected(self, make, message):
-        # int() coercion would give Z + Z/2, Z + Z/4, Z/2, Z and Z instead
+        # int() coercion would give Z + Z/2, Z + Z/4, Z/2, Z, Z, (1,), (1,) and (3,)
         with pytest.raises(ValueError, match=message):
             make()
 
@@ -156,11 +160,11 @@ class TestSubquotient:
     def test_coords_rejects_non_members(self):
         num = IntMatrix.from_rows([[2], [0]])  # subgroup 2Z x 0 of Z^2
         sq = Subquotient(num, IntMatrix.zeros(2, 0))
-        sq.coords((4, 0))
+        sq.coords_matrix(IntMatrix.from_rows([[4], [0]]))
         with pytest.raises(ValueError):
-            sq.coords((1, 0))
+            sq.coords_matrix(IntMatrix.from_rows([[1], [0]]))
         with pytest.raises(ValueError):
-            sq.coords((0, 1))
+            sq.coords_matrix(IntMatrix.from_rows([[0], [1]]))
 
     def test_lifts_land_in_numerator(self):
         rng = seeded(11)

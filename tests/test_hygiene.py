@@ -1,5 +1,7 @@
 """Source hygiene: every imported name is used in the module that imports it,
-and every library hook of the benchmark under ``perfbench/`` still resolves.
+every public top-level name of the package is reached from the package's own
+code, the scripts or the benchmark (or is kept on purpose), and every library
+hook of the benchmark under ``perfbench/`` still resolves.
 
 The scan is a plain ``ast`` walk over the package, the tests and the
 scripts. ``__future__`` imports and the package's ``__init__`` (whose
@@ -18,21 +20,43 @@ import tauthom
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "tauthom")
 PERFBENCH = os.path.join(ROOT, "perfbench")
-SCANNED = (PACKAGE, os.path.join(ROOT, "tests"), os.path.join(ROOT, "scripts"))
+SCRIPTS = os.path.join(ROOT, "scripts")
+SCANNED = (PACKAGE, os.path.join(ROOT, "tests"), SCRIPTS)
+
+# public names that no caller in the package, the scripts or the benchmark
+# reaches, kept on purpose
+KEPT = (
+    "mosaic",                 # the mosaic of a set system (acceptance criterion 7)
+    "regularize",             # a cover disjointified into a partition (criterion 7)
+    "kolmogoroff_uct_check",  # UCT along a refinement chain (criterion 8)
+    "comparison_into_limit",  # H(A) -> lim H(N), the tautness comparison (criterion 9)
+    "normalize",              # the presentation entry point of the groups doctests
+    "vstack",                 # hstack's row counterpart; only tests call it
+)
 
 
-def _sources():
-    for folder in SCANNED:
+def _sources(folders=SCANNED):
+    for folder in folders:
         for name in sorted(os.listdir(folder)):
             path = os.path.join(folder, name)
             if name.endswith(".py") and path != os.path.join(PACKAGE, "__init__.py"):
                 yield path
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), path)
+
+
+def _named(node):
+    """Every identifier and attribute name referenced under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def unused_imports(path):
     """``file:line:name`` for each name imported in ``path`` and never referenced."""
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), path)
+    tree = _parse(path)
     imported = []
     used = set()
     for node in ast.walk(tree):
@@ -58,6 +82,51 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", list(_sources()), ids=lambda p: os.path.relpath(p, ROOT))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unreached_public_names(package, callers, kept=()):
+    """``module:name`` for each public top-level function or class of the
+    ``package`` modules that no code reaches. The roots are the ``kept``
+    names, everything in ``callers`` and every module-level statement of the
+    package that is not a definition; a definition reached from a root
+    reaches every name in its body. Tests are no roots, so a name only they
+    call is reported."""
+    defs, reached = {}, set(kept)
+    for path in callers:
+        reached |= _named(_parse(path))
+    for path in package:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = (os.path.basename(path), _named(node))
+            else:
+                reached |= _named(node)
+    todo = [name for name in reached if name in defs]
+    while todo:
+        for name in defs[todo.pop()][1]:
+            if name in defs and name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return sorted("%s:%s" % (module, name) for name, (module, _) in defs.items()
+                  if not name.startswith("_") and name not in reached)
+
+
+def test_reach_scan_flags_a_test_only_name(tmp_path):
+    lib, caller = tmp_path / "lib.py", tmp_path / "caller.py"
+    lib.write_text("TABLE = {'a': used}\n\ndef used():\n    return Helper()\n\n"
+                   "class Helper:\n    pass\n\ndef chained():\n    return orphan()\n\n"
+                   "def orphan():\n    pass\n\ndef _private():\n    pass\n\n"
+                   "def called():\n    pass\n", encoding="utf-8")
+    caller.write_text("import lib\nlib.called()\n", encoding="utf-8")
+    assert unreached_public_names([str(lib)], [str(caller)]) == \
+        ["lib.py:chained", "lib.py:orphan"]
+
+
+def test_every_public_name_has_a_caller():
+    package, callers = list(_sources((PACKAGE,))), list(_sources((SCRIPTS, PERFBENCH)))
+    assert unreached_public_names(package, callers, KEPT) == []
+    # a kept name that gains a caller leaves KEPT
+    unreached = unreached_public_names(package, callers)
+    assert set(KEPT) <= {item.split(":")[1] for item in unreached}
 
 
 def test_benchmark_tracing_hooks_resolve():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -77,23 +78,26 @@ class TestMosaic:
             regularize([{0, 1}], 3)
 
     def test_non_int_atoms_rejected(self):
-        # neither is coerced into another atom system
+        # none is coerced into another atom system
         with pytest.raises(ValueError, match="got 1.5"):
             mosaic([{0, 1}, {1, 1.5}])
         with pytest.raises(ValueError, match="got '2'"):
             regularize([[0, 1], ["2"]], 3)
+        f = KolmogoroffChain(make_nerve("arc-circle:4"), 1, Z4, {(0, 1): (1,)})
+        with pytest.raises(ValueError, match="got 0.9"):
+            f.evaluate_sets(({0.9}, {True}))
 
 
 class TestModelAndPartition:
     def test_faces_downward_closed(self):
         m = FiniteModel(3, [(0, 1, 2)])
-        assert m.closure_meets({0, 1})
-        assert m.closure_meets({2})
+        assert frozenset({0, 1}) in m.simplices
+        assert frozenset({2}) in m.simplices
         assert m.dimension == 2
 
     def test_singletons_always_present(self):
         m = FiniteModel(4, [])
-        assert all(m.closure_meets({a}) for a in range(4))
+        assert all(frozenset({a}) in m.simplices for a in range(4))
 
     def test_face_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -234,12 +238,19 @@ class TestKolmogoroffChains:
             f.evaluate_sets((frozenset({0}),))  # half of a block
 
     def test_mosaic_consistency(self):
+        # additivity: the value on the sets is the sum of the values on
+        # every tuple of mosaic pieces they contain
         nerve = make_nerve("arc-circle:5")
         rng = seeded(42)
         for _ in range(10):
             f = random_chain(rng, nerve, 1, Z4)
-            args = (frozenset({0, 1}), frozenset({2, 3}))
-            assert f.evaluate_sets(args) == f.evaluate_via_mosaic(args)
+            for args in ((frozenset({0, 1}), frozenset({2, 3})),
+                         (frozenset({0, 1, 2}), frozenset({1, 2, 3}))):
+                pieces = [frozenset(p) for p in mosaic(args)]
+                inside = [[p for p in pieces if p <= s] for s in args]
+                assert [frozenset().union(*ps) for ps in inside] == list(args)
+                total = sum(f.evaluate_sets(combo)[0] for combo in itertools.product(*inside))
+                assert f.evaluate_sets(args) == Z4.reduce((total,))
 
     def test_boundary_star_support(self):
         # summing over the star of each face alone gives the boundary, so
@@ -366,7 +377,7 @@ class TestKolmogoroffChains:
         f = random_chain(seeded(47), nerve, 0, ZZ4)
         d = f.boundary()
         assert d == KolmogoroffChain._trusted(nerve, -1, ZZ4, {}) and d.is_zero()
-        for chain in (d, KolmogoroffChain.zero(nerve, -1, ZZ4)):
+        for chain in (d, KolmogoroffChain(nerve, -1, ZZ4, {})):
             with pytest.raises(ValueError, match="no boundary below degree 0"):
                 chain.boundary()
 

@@ -6,8 +6,7 @@ import pytest
 from tauthom.groups import GroupMap, PresentedGroup, cokernel, is_injective
 from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
                             hom_into_colim_check, hom_tower, lim, lim1,
-                            lim_higher, shift_isomorphism_check,
-                            six_term_check)
+                            lim_higher, six_term_check)
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import (random_finite_telescope, random_finite_tower,
                                random_group_map, seeded)
@@ -314,10 +313,6 @@ class TestSixTerm:
         # Hom(Z, Z/4) tower has finite stages: lim1 vanishes
         assert rep.lim1_hom.describe() == "0"
         assert rep.ext_colim.describe() == "0"
-
-    def test_shift_consistency(self):
-        rep = shift_isomorphism_check(Telescope.periodic(times(2)), Z, 1)
-        assert rep.consistent
 
 
 def test_ext_tower_of_dyadic_vanishes():

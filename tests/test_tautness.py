@@ -170,8 +170,8 @@ class TestMilnorSequence:
     def test_solenoid_reduced_degree_zero(self):
         rep = milnor_sequence(solenoid_tower(2, reduced=True), 0)
         assert rep.terms[0].outcome.kind == NONZERO_UNCOUNTABLE
-        assert rep.middle_outcome().kind == NONZERO_UNCOUNTABLE
-        assert rep.middle_outcome().describe() == "nonzero (uncountable)"
+        assert rep.terms[1].outcome.kind == NONZERO_UNCOUNTABLE
+        assert rep.terms[1].outcome.describe() == "nonzero (uncountable)"
         assert rep.terms[2].outcome.kind == ZERO
         assert all(j.verdict == BY_CLASSIFICATION for j in rep.junctions)
         assert not rep.failed
@@ -179,11 +179,11 @@ class TestMilnorSequence:
     def test_solenoid_unreduced_keeps_the_limit(self):
         rep = milnor_sequence(solenoid_tower(2), 0)
         assert rep.terms[2].outcome.group == Z
-        assert rep.middle_outcome().kind == NONZERO_UNCOUNTABLE
+        assert rep.terms[1].outcome.kind == NONZERO_UNCOUNTABLE
 
     def test_degree_one_vanishes(self):
         rep = milnor_sequence(solenoid_tower(5), 1)
-        assert rep.middle_outcome().kind == ZERO
+        assert rep.terms[1].outcome.kind == ZERO
         assert not rep.failed
 
     def test_theory_tags(self):
@@ -213,14 +213,14 @@ class TestTautnessSequence:
     def test_solenoid_degree_one_is_exactly_zero(self):
         for p in (2, 3, 5):
             rep = tautness_sequence(solenoid_tower(p), 1, Z)
-            assert rep.middle_outcome().kind == ZERO
+            assert rep.terms[1].outcome.kind == ZERO
             assert rep.terms[0].outcome.kind == ZERO
             assert rep.terms[2].outcome.kind == ZERO
             assert not rep.failed
 
     def test_solenoid_reduced_degree_zero_uncountable(self):
         rep = tautness_sequence(solenoid_tower(2, reduced=True), 0, Z)
-        assert rep.middle_outcome().kind == NONZERO_UNCOUNTABLE
+        assert rep.terms[1].outcome.kind == NONZERO_UNCOUNTABLE
         assert rep.junctions[0].verdict == BY_CLASSIFICATION
 
     def test_transfinite_junction_recorded(self):
