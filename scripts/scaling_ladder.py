@@ -11,8 +11,9 @@ complex's homology_all. The dense rungs take one seeded n x n matrix with
 entries in -9..9 each and print the median CPU time of smith_normal_form
 and of hermite_form, the largest bit length of the entries of the Smith
 transforms U and V, and that of the determinant. The Hermite and Smith
-memos are emptied before every run, and every complex is built afresh
-before its run, so no run reads the forms of the run before it.
+memos are emptied before every run, and every model and complex is built
+afresh before its run, so no run reads the forms or the nerve of the run
+before it.
 
 Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
        [--dense 16 32 48] [--repeat 3] [--uct]
@@ -92,7 +93,8 @@ def main(argv=None):
         for text in texts:
             coefficients = parse_group(text)
             seconds, groups = cpu_seconds(
-                lambda _: kolmogoroff_homology(model, partition, coefficients), repeat)
+                lambda fresh: kolmogoroff_homology(fresh, partition, coefficients), repeat,
+                lambda: FiniteModel(model.atoms, model.maximal))
             print("%-16s %-5s %10.4f  %s" % (label, text, seconds, "  ".join(
                 "H_%d=%s" % (n, g.describe()) for n, g in sorted(groups.items()))))
     if args.uct:

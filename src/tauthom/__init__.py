@@ -10,7 +10,7 @@ re-checks its own certificate.
 
 from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
                        hermite_form, hstack, kernel_basis, column_basis,
-                       smith_normal_form, solve_columns, vstack)
+                       smith_normal_form, solve_columns)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
                      image, inverse, is_injective, is_isomorphism,

@@ -288,11 +288,8 @@ def _ntower_from_args(args):
 
 
 def _report_lines(rep):
-    lines = rep.text().split("\n")
-    lines.append("lim1: %s" % rep.terms[0].outcome.describe())
-    lines.append("middle: %s" % rep.terms[1].outcome.describe())
-    lines.append("lim: %s" % rep.terms[2].outcome.describe())
-    return lines
+    return rep.text().split("\n") + ["%s: %s" % (name, term.outcome.describe())
+                                     for name, term in zip(("lim1", "middle", "lim"), rep.terms)]
 
 
 def _cmd_tautness(args):
@@ -307,10 +304,7 @@ def _cmd_tautness(args):
     obj = {"tautness": taut.to_json(), "four_term": four.to_json(),
            "junction_agreement": agree}
     lines = ["tautness sequence at degree %d over %s" % (n, coeffs.describe())]
-    lines += _report_lines(taut)
-    lines.append("")
-    lines.append("four-term comparison")
-    lines += _report_lines(four)
+    lines += _report_lines(taut) + ["", "four-term comparison"] + _report_lines(four)
     lines.append("junction agreement: %s" % ("yes" if agree else "NO"))
     code = 1 if (taut.failed or four.failed or not agree) else 0
     return code, _emit(args, obj, lines)

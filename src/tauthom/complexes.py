@@ -6,8 +6,10 @@ dense IntMatrix views are built on demand (``FreeComplex.diff``).
 Every group-only homology computation (``homology``, ``homology_all`` and
 ``homology_groups``) first unit-reduces the complex: isomorphism components
 between coordinates of equal order are split off by Gaussian elimination,
-so the Hermite and Smith work runs on what is left. Certificates keep the
-full-size ``CoefficientComplex.homology_subquotient``, whose lifts they need.
+so the Hermite and Smith work runs on what is left, or on nothing where
+the reduced differentials vanish (always over a field; ``homology_groups``).
+Certificates keep the full-size ``CoefficientComplex.homology_subquotient``,
+whose lifts they need.
 
 A certificate for degree n packages the short exact sequence
 
@@ -73,7 +75,11 @@ def homology_groups(mats, orders):
     its candidate rows the one with the fewest nonzeros (ties by index).
     Eliminating in D_n only deletes entries of D_{n-1} and D_{n+1}, so one
     pass in ascending degree leaves no unit pivot. Each group is then
-    Subquotient(kernel_lattice(D_n), [D_{n+1} | relations]) on what is left.
+    Subquotient(kernel_lattice(D_n), [D_{n+1} | relations]) on what is left,
+    except where the reduced D_n and D_{n+1} are both zero: then ker D_n is
+    all of degree n and im D_{n+1} = 0, so H_n is the sum of the Z/d of the
+    coordinates left. Over a field Z/p every nonzero entry is a unit modulo
+    p, none survives the reduction, and every degree takes this closed form.
     """
     ords = {n: tuple(o) for n, o in orders.items()}
     cols, rows = {}, {}
@@ -148,8 +154,10 @@ def homology_groups(mats, orders):
         o = ords.get(n, ())
         return tuple(o[i] for i in kept.get(n, ()))
 
-    return {n: Subquotient(kernel_lattice(reduced(n), left(n - 1)),
-                           hstack(reduced(n + 1), _relations_for_orders(left(n)))).group
+    live = {n for n, C in cols.items() if any(C.values())}  # reduced D_n is nonzero
+    return {n: PresentedGroup.from_orders(left(n)) if not live & {n, n + 1} else
+            Subquotient(kernel_lattice(reduced(n), left(n - 1)),
+                        hstack(reduced(n + 1), _relations_for_orders(left(n)))).group
             for n in sorted(ords)}
 
 

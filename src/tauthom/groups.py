@@ -141,10 +141,7 @@ class PresentedGroup:
         return cls(len(orders) - len(chain), tuple(d for d in chain if d != 1))
 
     def direct_sum(self, *others):
-        orders = list(self.orders)
-        for g in others:
-            orders.extend(g.orders)
-        return PresentedGroup.from_orders(orders)
+        return PresentedGroup.from_orders(sum((g.orders for g in others), self.orders))
 
     # -- reporting -------------------------------------------------------
 

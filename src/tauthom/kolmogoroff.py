@@ -28,7 +28,9 @@ simplex and generator. Dense boundary matrices are built on demand
 
 Chains the package builds itself, the one-generator chains behind the
 boundary matrices and every boundary chain, skip re-validation; chains
-constructed by a caller are still validated.
+constructed by a caller are still validated. One-generator chains are
+evaluated face by face, with no boundary chain built, on a nerve kept on
+the model, so queries over several coefficient groups share it.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ def _atom(x, what="atoms"):
 class FiniteModel:
     """Atoms 0..atoms-1 plus the downward-closed family of atom subsets
     with commonly intersecting closures. Every singleton is present (each
-    atom meets its own closure)."""
+    atom meets its own closure). ``_nerves`` keeps the NerveComplex of each
+    partition a query has used (``_nerve``); equality and hashing ignore it."""
 
-    __slots__ = ("atoms", "simplices", "maximal")
+    __slots__ = ("atoms", "simplices", "maximal", "_nerves")
 
     def __init__(self, atoms, faces):
         atoms = _atom(atoms)
@@ -115,14 +118,13 @@ class FiniteModel:
             if min(face) < 0 or max(face) >= atoms:
                 raise ValueError("face %s mentions an atom outside 0..%d"
                                  % (sorted(face), atoms - 1))
-            for r in range(1, len(face) + 1):
-                for sub in itertools.combinations(sorted(face), r):
-                    closed.add(frozenset(sub))
-        for a in range(atoms):
-            closed.add(frozenset((a,)))
+            closed.update(frozenset(sub) for r in range(1, len(face) + 1)
+                          for sub in itertools.combinations(sorted(face), r))
+        closed.update(frozenset((a,)) for a in range(atoms))
         self.simplices = frozenset(closed)
         self.maximal = tuple(sorted(tuple(sorted(s)) for s in closed
                                     if not any(s < t for t in closed)))
+        self._nerves = {}
 
     @property
     def dimension(self):
@@ -155,7 +157,6 @@ class Partition:
 
     def __init__(self, blocks):
         cleaned = []
-        seen = {}
         for block in blocks:
             block = tuple(sorted(_atom(a) for a in block))
             if not block:
@@ -167,9 +168,8 @@ class Partition:
         block_of = {}
         for i, block in enumerate(cleaned):
             for a in block:
-                if a in seen:
+                if a in block_of:
                     raise ValueError("atom %d appears in two blocks" % a)
-                seen[a] = True
                 block_of[a] = i
         self.blocks = tuple(cleaned)
         self.block_of = block_of
@@ -299,7 +299,8 @@ class NerveComplex:
         return 0
 
     def boundary_matrix(self, n):
-        return self.chain.diff(n)
+        """A dense view built afresh, so a nerve kept on its model holds none."""
+        return self.chain._sparse(n).dense()
 
     def cochain_complex(self):
         """Integral simplicial cochains: transposed sparse boundaries."""
@@ -313,6 +314,14 @@ class NerveComplex:
     def __repr__(self):
         return "NerveComplex(%d blocks, counts=%r)" % (
             len(self.partition), [self.count(n) for n in range(self.dimension + 1)])
+
+
+def _nerve(model, partition):
+    """The nerve of (model, partition), kept on the model: it has no G in it."""
+    nerve = model._nerves.get(partition)
+    if nerve is None:
+        nerve = model._nerves[partition] = NerveComplex(model, partition)
+    return nerve
 
 
 class KolmogoroffChain:
@@ -440,10 +449,8 @@ class KolmogoroffChain:
 
 def random_chain(rng, nerve, degree, coefficients, bound=9):
     """Uniform random values on every nerve simplex of the degree."""
-    values = {}
-    for s in nerve.simplices[degree]:
-        values[s] = tuple(rng.randrange(-bound, bound + 1)
-                          for _ in range(coefficients.n_gens))
+    values = {s: tuple(rng.randrange(-bound, bound + 1) for _ in range(coefficients.n_gens))
+              for s in nerve.simplices[degree]}
     return KolmogoroffChain(nerve, degree, coefficients, values)
 
 
@@ -452,16 +459,22 @@ def random_chain(rng, nerve, degree, coefficients, bound=9):
 
 def _generator_boundary_matrix(nerve, n, coefficients):
     """Sparse columns: Delta evaluated on each one-generator chain of
-    degree n, expressed in the degree n-1 coordinate layout."""
+    degree n, expressed in the degree n-1 coordinate layout. The chain f
+    with value e_j on s is evaluated face by face: Delta f is f(b, tau) on
+    the face tau of s omitting b and 0 off the faces. The faces are
+    distinct, so each entry is one reduced evaluation with nothing to sum;
+    the pairs (b, tau) and tau's row are taken once per simplex, rows ascending."""
     g = coefficients.n_gens
     lower = nerve.index[n - 1] if 0 <= n - 1 <= nerve.dimension else {}
     units = [tuple(int(i == j) for i in range(g)) for j in range(g)]
     columns = {}
-    for k, s in enumerate(nerve.simplices[n] if n <= nerve.dimension else ()):
+    for k, s in enumerate(nerve.simplices[n] if 1 <= n <= nerve.dimension else ()):
+        faces = [(s[i:i + 1] + s[:i] + s[i + 1:], lower[s[:i] + s[i + 1:]] * g)
+                 for i in reversed(range(len(s)))]
         for j, unit in enumerate(units):
             chain = KolmogoroffChain._trusted(nerve, n, coefficients, {s: unit})
-            col = {lower[tau] * g + i: x for tau, vec in chain.boundary().values.items()
-                   for i, x in enumerate(vec) if x}
+            col = {row + i: x for blocks, row in faces
+                   for i, x in enumerate(chain.evaluate_blocks(blocks)) if x}
             if col:
                 columns[k * g + j] = col
     return _SparseMatrix(len(lower) * g, nerve.count(n) * g, columns)
@@ -496,7 +509,7 @@ def kolmogoroff_homology(model, partition, coefficients):
     nerve's simplicial boundary (x) G (``_check_boundary_identity``), then
     unit-reduced and read off in one ``homology_groups`` run.
     """
-    nerve = NerveComplex(model, partition)
+    nerve = _nerve(model, partition)
     dim = nerve.dimension
     mats = {}
     for n in range(1, dim + 1):
@@ -646,7 +659,7 @@ def kolmogoroff_uct_check(model, partitions, coefficients):
     0 -> Ext(H^{n+1}, G) -> H_n -> Hom(H^n, G) -> 0, and each middle term
     is required to match kolmogoroff_homology of the finest partition.
     """
-    nerves = [NerveComplex(model, p) for p in partitions]
+    nerves = [_nerve(model, p) for p in partitions]
     for k in range(len(nerves) - 1):
         if not nerves[k + 1].partition.refines(nerves[k].partition):
             raise NotARefinement("partition %d does not refine partition %d"

@@ -66,9 +66,7 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, entries):
         entries = [list(row) for row in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        return cls(rows, cols, entries)
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -278,16 +276,6 @@ def hstack(*mats):
         raise ValueError("hstack row mismatch")
     data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
     return IntMatrix._trusted(rows, sum(m.cols for m in mats), data)
-
-
-def vstack(*mats):
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack column mismatch")
-    data = tuple(row for m in mats for row in m.data)
-    return IntMatrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,9 @@ class TestUnitReduction:
             homology_groups({1: IntMatrix.zeros(2, 1)}, {0: (0,), 1: (0,)})
 
     def test_lattice_work_sees_the_reduced_complex(self, monkeypatch):
-        # a 12-gon: eleven unit pivots leave one vertex and one edge
+        # a 12-gon: eleven unit pivots leave one vertex, one edge and a zero
+        # differential, so both groups are read off with no lattice work;
+        # diag(I_11, [2]) leaves the differential [2], seen only at 1 x 1
         import tauthom.complexes as complexes
         d1 = IntMatrix._trusted(12, 12, tuple(
             tuple((1 if i == (j + 1) % 12 else 0) - (1 if i == j else 0) for j in range(12))
@@ -202,7 +204,43 @@ class TestUnitReduction:
         monkeypatch.setattr(complexes, "kernel_lattice", recording)
         cx = FreeComplex("chain", 0, 1, [12, 12], {1: d1})
         assert cx.homology_all() == {0: Z, 1: Z}
-        assert max(max(s) for s in shapes) == 1
+        assert shapes == []
+        diag = IntMatrix._trusted(12, 12, tuple(
+            tuple((2 if i == 11 else 1) if i == j else 0 for j in range(12)) for i in range(12)))
+        cx = FreeComplex("chain", 0, 1, [12, 12], {1: diag})
+        assert cx.homology_all() == {0: Z2, 1: ZERO}
+        assert (1, 1) in shapes and max(max(s) for s in shapes) == 1
+
+    def test_closed_form_battery(self, monkeypatch):
+        # a degree whose reduced differentials in and out vanish is read off
+        # in closed form, any other through a Subquotient; both agree with
+        # the full-size route, and over a field no Subquotient is built
+        import tauthom.complexes as complexes
+        built = []
+
+        def recording(numerator, denominator):
+            built.append(numerator.rows)
+            return Subquotient(numerator, denominator)
+
+        monkeypatch.setattr(complexes, "Subquotient", recording)
+        rng = seeded(63)
+        paths = {}
+        for text in ("Z", "Z/2", "Z/3", "Z/4", "Z+Z/4"):
+            g = parse_group(text)
+            closed = 0
+            before = len(built)
+            for _ in range(12):
+                cx, _ = random_free_cochain_complex(rng)
+                cc = CoefficientComplex(cx, g)
+                mats = {n: cc.diff_matrix(n) for n in range(cx.lo + 1, cx.hi + 1)}
+                orders = {n: cc.orders(n) for n in cx.degrees()}
+                count = len(built)
+                assert homology_groups(mats, orders) == unreduced_homology_groups(mats, orders)
+                closed += len(orders) - (len(built) - count)
+            paths[text] = (closed, len(built) - before)
+        assert paths["Z/2"][1] == paths["Z/3"][1] == 0
+        for text in ("Z", "Z/4", "Z+Z/4"):
+            assert min(paths[text]) > 0, (text, paths[text])
 
 
 def accepts(check, *args):

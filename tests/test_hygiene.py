@@ -31,7 +31,6 @@ KEPT = (
     "kolmogoroff_uct_check",  # UCT along a refinement chain (criterion 8)
     "comparison_into_limit",  # H(A) -> lim H(N), the tautness comparison (criterion 9)
     "normalize",              # the presentation entry point of the groups doctests
-    "vstack",                 # hstack's row counterpart; only tests call it
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from tauthom import kolmogoroff
 from tauthom.cli import main
 from tauthom.complexes import CoefficientComplex, FreeComplex, homology_groups
-from tauthom.groups import GroupMap, PresentedGroup, parse_group
+from tauthom.groups import GroupMap, PresentedGroup, Subquotient, parse_group
 from tauthom.kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                                  KolmogoroffChain, NerveComplex, NotACover,
                                  NotARefinement, Partition, PipelineMismatch,
@@ -343,8 +343,8 @@ class TestKolmogoroffChains:
         assert h.evaluate_blocks((2, 1)) == (1, 1)
         assert h.evaluate_blocks((2, 2)) == (0, 0)
 
-    @pytest.mark.parametrize("coefficients", [Z, Z2, PresentedGroup(0, (12,)), ZZ4],
-                             ids=["Z", "Z/2", "Z/12", "Z+Z/4"])
+    @pytest.mark.parametrize("coefficients", [Z, Z2, Z4, PresentedGroup(0, (12,)), ZZ4, Z2Z6],
+                             ids=["Z", "Z/2", "Z/4", "Z/12", "Z+Z/4", "Z/2+Z/6"])
     def test_generator_boundary_matches_definition(self, coefficients):
         # every column is Delta of a one-generator chain summed over every
         # block, as written in tests/oracles.py; the sparse form holds
@@ -397,9 +397,16 @@ class TestHomology:
     def test_no_large_dense_matrices(self, monkeypatch):
         # differentials stay sparse from the nerve to homology_groups; the
         # only dense matrices are those of the unit-reduced complexes and
-        # their lattice work, both validated and trusted ones
-        shapes = []
+        # their lattice work, both validated and trusted ones. Both complexes
+        # reduce to zero differentials, so every group is read off in closed
+        # form and no Subquotient is built
+        shapes, subquotients = [], []
         validated, trusted = IntMatrix.__init__, IntMatrix._trusted.__func__
+        subquotient = Subquotient.__init__
+
+        def counting_subquotient(self, numerator, denominator):
+            subquotients.append((numerator.rows, numerator.cols))
+            subquotient(self, numerator, denominator)
 
         def counting(self, rows, cols, entries):
             shapes.append((rows, cols))
@@ -411,11 +418,42 @@ class TestHomology:
 
         monkeypatch.setattr(IntMatrix, "__init__", counting)
         monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(Subquotient, "__init__", counting_subquotient)
         circle = kolmogoroff_homology(arc_circle(400), Partition.singletons(400), Z2)
         torus = kolmogoroff_homology(torus_grid(15), Partition.singletons(225), Z)
         assert circle == {0: Z2, 1: Z2}
         assert torus == {0: Z, 1: PresentedGroup(2, ()), 2: Z}
-        assert shapes and max(r * c for r, c in shapes) <= 16 * 16
+        assert max((r * c for r, c in shapes), default=0) <= 16 * 16
+        assert subquotients == []
+
+    def test_nerve_built_once_per_model_and_partition(self, monkeypatch):
+        # the nerve is kept on the model, keyed by the partition: an equal
+        # but distinct partition reuses it over any G, another one builds
+        # its own, and a model with a filled memo still equals a fresh one
+        built = []
+        nerve_complex = NerveComplex
+
+        def counting(model, partition):
+            built.append(partition)
+            return nerve_complex(model, partition)
+
+        monkeypatch.setattr(kolmogoroff, "NerveComplex", counting)
+        model = octahedron()
+        first = kolmogoroff_homology(model, Partition.singletons(6), Z)
+        assert len(built) == 1
+        assert kolmogoroff_homology(model, Partition([[a] for a in range(6)]), Z) == first
+        kolmogoroff_homology(model, Partition.singletons(6), Z2)
+        assert len(built) == 1
+        kolmogoroff_homology(model, Partition([[0, 1], [2], [3], [4], [5]]), Z)
+        assert len(built) == 2
+        # the UCT check along a refinement chain reuses both nerves and
+        # leaves no dense boundary view on them
+        kolmogoroff_uct_check(model, [Partition([[0, 1], [2], [3], [4], [5]]),
+                                      Partition.singletons(6)], Z)
+        assert len(built) == 2 and not any(nv.chain._dense for nv in model._nerves.values())
+        fresh = octahedron()
+        assert len(model._nerves) == 2 and fresh._nerves == {}
+        assert fresh == model and hash(fresh) == hash(model)
 
     def test_circle_over_z(self):
         m = arc_circle(4)

@@ -9,8 +9,7 @@ from sympy.polys.matrices.normalforms import hermite_normal_form, invariant_fact
 from tauthom.kolmogoroff import FiniteModel, NerveComplex, Partition
 from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
                               column_basis, determinant, hermite_form, hstack,
-                              kernel_basis, smith_normal_form, solve_columns,
-                              vstack)
+                              kernel_basis, smith_normal_form, solve_columns)
 
 from oracles import (_det, hermite_core_reference, hermite_oracle,
                      hermite_solve_reference, matmul_oracle,
@@ -398,4 +397,3 @@ class TestLattices:
         a = IntMatrix.from_rows([[1], [2]])
         b = IntMatrix.from_rows([[3], [4]])
         assert hstack(a, b).data == ((1, 3), (2, 4))
-        assert vstack(a, b).cols == 1 and vstack(a, b).rows == 4

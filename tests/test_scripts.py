@@ -28,3 +28,21 @@ def test_script_main_exits_zero(capsys, name, argv, shown):
     assert load_script(name).main(argv) == 0
     out = capsys.readouterr().out
     assert out and shown in out
+
+
+def test_scaling_ladder_builds_a_nerve_per_run(monkeypatch, capsys):
+    # the nerve memo lives on the model, so each timed run gets a fresh
+    # model and builds its own nerve: three rungs, two runs each
+    import tauthom.kolmogoroff as kolmogoroff
+    built = []
+    nerve_complex = kolmogoroff.NerveComplex
+
+    def counting(model, partition):
+        built.append(model)
+        return nerve_complex(model, partition)
+
+    monkeypatch.setattr(kolmogoroff, "NerveComplex", counting)
+    argv = ["--arcs", "6", "--tori", "3", "--dense", "--repeat", "2"]
+    assert load_script("scaling_ladder").main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(built) == 6 and len({id(m) for m in built}) == 6
