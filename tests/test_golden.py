@@ -1,11 +1,14 @@
-"""Golden outputs of the tautness and Milnor reports.
+"""Golden outputs of the tautness, Milnor, lim, colim and six-term reports.
 
 Each case runs the command line (or ``scripts/solenoid_report.py``) and
 compares the sha256 of its exit code, stdout and stderr with the digest
 recorded in ``golden_reports.json``. The JSON inputs live in the same file
 under ``fixtures``, so a case never depends on how the library would build
-them today. After a deliberate change of output, re-record the digests
-from the stored fixtures with
+them today: a ``tower-`` fixture is read by ``lim``, a ``telescope-``
+fixture by ``colim`` and by ``sixterm`` over each of ``SIXTERM_COEFFICIENTS``,
+and every other fixture, a neighborhood tower, by ``tautness`` and
+``milnor``. After a deliberate change of output, re-record the digests of
+all five verbs from the stored fixtures with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -25,6 +28,7 @@ from test_scripts import load_script
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
 PRESETS = [(p, r) for p in ("solenoid:2", "solenoid:3", "solenoid:5")
            for r in ((), ("--reduced",))] + [("trivial-taut", ())]
+SIXTERM_COEFFICIENTS = ("Z/12", "Z+Z/4")
 
 
 def _golden():
@@ -40,15 +44,24 @@ def _write_fixtures(folder):
 
 def cases():
     """Case name -> (runner, argv); fixture argvs name the fixture, not a path."""
+    fixtures = sorted(_golden()["fixtures"])
+    towers = [name for name in fixtures if name.startswith("tower-")]
+    telescopes = [name for name in fixtures if name.startswith("telescope-")]
     sources = [("--preset", name) + extra for name, extra in PRESETS]
-    sources += [("--input", name) for name in sorted(_golden()["fixtures"])]
+    sources += [("--input", name) for name in fixtures
+                if name not in towers and name not in telescopes]
+    runs = [(verb,) + source + ("--degree", str(n))
+            for verb in ("tautness", "milnor") for source in sources for n in (0, 1, 2)]
+    runs += [("lim", "--input", name) for name in towers]
+    for name in telescopes:
+        runs.append(("colim", "--input", name))
+        runs += [("sixterm", "--input", name, "--coefficients", g)
+                 for g in SIXTERM_COEFFICIENTS]
     out = {}
-    for verb in ("tautness", "milnor"):
-        for source in sources:
-            for n in (0, 1, 2):
-                for fmt in ("text", "json"):
-                    argv = (verb,) + source + ("--degree", str(n), "--format", fmt)
-                    out[" ".join(argv)] = ("cli", argv)
+    for run in runs:
+        for fmt in ("text", "json"):
+            argv = run + ("--format", fmt)
+            out[" ".join(argv)] = ("cli", argv)
     for extra in ((), ("--reduced",)):
         out[" ".join(("solenoid_report",) + extra)] = ("solenoid_report", extra)
     return out
