@@ -13,8 +13,7 @@ from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
                        smith_normal_form, solve_columns)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
-                     image, inverse, is_injective, is_isomorphism,
-                     is_surjective, kernel, kernel_lattice, parse_group)
+                     image, inverse, kernel, kernel_lattice, parse_group)
 from .complexes import (CertificateFailure, CoefficientComplex,
                         DegreeOutOfRange, FreeComplex, NotFree,
                         UctCertificate, UctSuite, uct_certificate,
@@ -30,11 +29,10 @@ from .kolmogoroff import (BlockMismatch, ConditionViolated, FiniteModel,
                           kolmogoroff_homology, kolmogoroff_uct_check,
                           model_preset, mosaic, octahedron, projective_plane,
                           regularize)
-from .tautness import (ComparisonReport, InconsistentData, LimNotExact,
-                       NeighborhoodTower, SequenceReport, SubspaceData,
-                       comparison_into_limit, four_term_sequence,
-                       milnor_sequence, reports_consistent, solenoid_tower,
-                       tautness_preset, tautness_sequence,
+from .tautness import (InconsistentData, LimNotExact, NeighborhoodTower,
+                       SequenceReport, SubspaceData, comparison_into_limit,
+                       four_term_sequence, milnor_sequence, reports_consistent,
+                       solenoid_tower, tautness_preset, tautness_sequence,
                        trivially_taut_tower)
 
 __version__ = "0.1.0"

@@ -208,7 +208,7 @@ def _cmd_colim(args):
     obj = {"colim": out.to_json()}
     lines = ["colimit of a telescope (%d prefix stages%s)"
              % (len(telescope.stages), ", periodic tail" if telescope.tail else "")]
-    lines += ["  colim: %s" % out.description,
+    lines += ["  colim: %s" % out.describe(),
               "    certificate: %s" % out.certificate]
     return 0, _emit(args, obj, lines)
 

@@ -340,7 +340,7 @@ class GroupMap:
 
     @property
     def is_identity(self):
-        return self.source == self.target and self == GroupMap.identity(self.source)
+        return self.source == self.target and self.matrix.is_identity()
 
 
 # -- kernels, images, cokernels ------------------------------------------
@@ -396,18 +396,6 @@ def cokernel(f):
     n = f.target.n_gens
     sq = Subquotient(IntMatrix.identity(n), hstack(f.matrix, f.target.relation_matrix()))
     return sq.group, GroupMap(f.target, sq.group, sq.coords_matrix(IntMatrix.identity(n)))
-
-
-def is_injective(f):
-    return kernel(f)[0].is_trivial
-
-
-def is_surjective(f):
-    return cokernel(f)[0].is_trivial
-
-
-def is_isomorphism(f):
-    return is_injective(f) and is_surjective(f)
 
 
 def inverse(f):

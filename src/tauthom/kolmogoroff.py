@@ -122,8 +122,9 @@ class FiniteModel:
                           for sub in itertools.combinations(sorted(face), r))
         closed.update(frozenset((a,)) for a in range(atoms))
         self.simplices = frozenset(closed)
-        self.maximal = tuple(sorted(tuple(sorted(s)) for s in closed
-                                    if not any(s < t for t in closed)))
+        # a face is maximal unless it is another face minus one atom
+        covered = {t - {a} for t in closed for a in t}
+        self.maximal = tuple(sorted(tuple(sorted(s)) for s in closed - covered))
         self._nerves = {}
 
     @property

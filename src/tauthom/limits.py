@@ -7,13 +7,13 @@ optionally continued forever by an endomorphism of the last prefix group;
 the two differ only in the direction of their maps. Whether a tail's
 image or kernel chain stabilizes is decided by comparing the canonical
 (Hermite) bases of its lattices, step by step up to a bound computed from
-the stage group. ``lim`` is a subgroup of the last prefix stage: the whole
+the stage group. ``lim`` is a subgroup of the last prefix stage (the whole
 stage, the stable image of the tail, or the unit part of a diagonal free
-tail; otherwise it is unknown. ``lim1`` is Zero (Mittag-Leffler) or
-NonzeroUncountable, and ``colim`` is exact or certified not finitely
-generated. For a countable sequence, lim^i vanishes for all i >= 2. Every
-outcome carries a human-readable certificate explaining which criterion
-fired.
+tail) or unknown; ``lim1`` is zero (Mittag-Leffler) or nonzero-uncountable;
+lim^i vanishes for i >= 2; ``colim`` is exact, or symbolic when certified not
+finitely generated. Each answer is one LimOutcome with a certificate naming
+the criterion that fired. ``LimOutcome.compare`` maps a comparison into the
+last prefix stage onto an exact lim and reports its kernel and cokernel.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
-                     Subquotient, _preimage, cokernel, is_isomorphism,
-                     kernel_lattice)
+                     Subquotient, _preimage, cokernel, kernel, kernel_lattice)
 from .matrices import (IntMatrix, _json_object, column_basis, hstack,
                        smith_normal_form)
 
@@ -131,18 +130,23 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LimOutcome:
-    """Result of a derived-limit computation.
+    """Result of a derived-limit or colimit computation.
 
-    kind is one of "exact" (group computed exactly), "zero",
-    "nonzero-uncountable" or "unknown"; ``certificate`` states the
-    criterion that produced the classification. ``presentation`` (internal)
-    lets callers express comparison maps into an exactly computed limit.
+    kind is one of "exact" (``group`` computed exactly), "zero",
+    "nonzero-uncountable", "unknown" or, for a colimit certified not
+    finitely generated, "symbolic", named by ``description``; ``certificate``
+    states the criterion that produced the classification. An exact colimit
+    carries the universal maps from the prefix stages in ``injections`` (the
+    last one doubling as the map from the tail stage). An exact lim keeps
+    its last prefix stage and its Subquotient there for ``compare``.
     """
 
     kind: str
     group: PresentedGroup | None
     certificate: str
-    presentation: object = field(default=None, compare=False, repr=False)
+    description: str | None = None
+    injections: tuple = ()
+    _stable: tuple | None = field(default=None, compare=False, repr=False)
 
     def describe(self):
         if self.kind == ZERO:
@@ -151,6 +155,8 @@ class LimOutcome:
             return self.group.describe()
         if self.kind == NONZERO_UNCOUNTABLE:
             return "nonzero (uncountable)"
+        if self.kind == "symbolic":
+            return self.description
         return "unknown"
 
     @property
@@ -163,31 +169,31 @@ class LimOutcome:
             obj["group"] = self.group.to_json()
         return obj
 
-
-def _outcome(group, certificate, presentation=None):
-    kind = ZERO if group.is_trivial else EXACT
-    return LimOutcome(kind, group, certificate, presentation)
-
-
-class _StableLimPresentation:
-    """lim of a tower as a subgroup of its last prefix stage; a comparison
-    map into that stage, compatible with the tower, lands inside it."""
-
-    def __init__(self, stage, sq):
-        self.stage = stage
-        self.sq = sq
-        self.group = sq.group
-
-    def map_into(self, f):
-        if f.target != self.stage:
+    def compare(self, f, name="", ok="", failed=""):
+        """A comparison ``f`` into the last prefix stage of an exactly
+        computed lim, compatible with the tower, as a map onto the limit,
+        reported with its kernel and cokernel and with ``ok`` or ``failed``
+        as its detail. Raises ValueError for any other outcome or target."""
+        if self._stable is None:
+            raise ValueError("only an exactly computed lim takes a comparison map")
+        stage, sq = self._stable
+        if f.target != stage:
             raise ValueError("comparison must land in the last prefix stage")
-        return GroupMap(f.source, self.group, self.sq.coords_matrix(f.matrix))
+        nat = GroupMap(f.source, self.group, sq.coords_matrix(f.matrix))
+        ker, coker = kernel(nat)[0], cokernel(nat)[0]
+        return IsoReport(name, nat, ker, coker,
+                         ok if ker.is_trivial and coker.is_trivial else failed)
+
+
+def _outcome(group, certificate, stable=None):
+    kind = ZERO if group.is_trivial else EXACT
+    return LimOutcome(kind, group, certificate, _stable=stable)
 
 
 def _stable_outcome(stage, lattice, certificate):
     """lim as the subgroup of ``stage`` spanned by ``lattice``."""
-    pres = _StableLimPresentation(stage, Subquotient(lattice, stage.relation_matrix()))
-    return _outcome(pres.group, certificate, pres)
+    sq = Subquotient(lattice, stage.relation_matrix())
+    return _outcome(sq.group, certificate, (stage, sq))
 
 
 def _chain_bound(A):
@@ -311,31 +317,6 @@ def lim_higher(tower, i):
 # -- colimits ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColimOutcome:
-    """Direct limit of a telescope.
-
-    kind "exact": ``group`` holds colim, ``injections`` the universal maps
-    from the prefix stages (the last one doubling as the map from the tail
-    stage). kind "symbolic": the colimit is certified not finitely
-    generated, and ``description`` names it (Z[1/d] summands when the
-    induced endomorphism is diagonal). No other kind occurs: the kernel
-    chain of a tail always stabilizes within ``_chain_bound`` steps.
-    """
-
-    kind: str
-    group: PresentedGroup | None
-    certificate: str
-    description: str
-    injections: tuple = ()
-
-    def to_json(self):
-        obj = {"kind": self.kind, "value": self.description, "certificate": self.certificate}
-        if self.group is not None:
-            obj["group"] = self.group.to_json()
-        return obj
-
-
 def _prefix_composites_to_last(maps, stages):
     comps = [None] * len(stages)
     comps[-1] = GroupMap.identity(stages[-1])
@@ -355,14 +336,16 @@ def colim(telescope):
     described symbolically.
 
     A finitely generated colimit is always of kind ``exact``, even when it is
-    trivial (``lim`` and ``lim1`` report a trivial answer as ``zero``).
+    trivial (``lim`` and ``lim1`` report a trivial answer as ``zero``), and
+    carries its ``injections``; any other is ``symbolic``, named in
+    ``description`` (Z[1/d] summands when the induced endomorphism is diagonal).
     """
     stages, maps = telescope.stages, telescope.maps
     if telescope.tail is None:
         comps = _prefix_composites_to_last(maps, stages)
-        return ColimOutcome(EXACT, stages[-1],
-                            "finite telescope: the last stage with the composite maps into it",
-                            stages[-1].describe(), tuple(comps))
+        return LimOutcome(EXACT, stages[-1],
+                          "finite telescope: the last stage with the composite maps into it",
+                          injections=tuple(comps))
     A = stages[-1]
     f = telescope.tail
     # f is well defined, so its kernel lattice and every preimage hold the relations
@@ -380,18 +363,16 @@ def colim(telescope):
         proj = GroupMap(A, abar, quot.coords_matrix(IntMatrix.identity(A.n_gens)))
         comps = _prefix_composites_to_last(maps, stages)
         injections = tuple(proj @ c for c in comps)
-        return ColimOutcome(
+        return LimOutcome(
             EXACT, abar,
             "kernel chain stabilizes after %d steps; the induced endomorphism of the "
-            "quotient is an automorphism" % steps,
-            abar.describe(), injections)
-    desc = _symbolic_description(abar, fbar)
-    return ColimOutcome(
+            "quotient is an automorphism" % steps, injections=injections)
+    return LimOutcome(
         "symbolic", None,
         "kernel chain stabilizes after %d steps but the induced injective endomorphism "
         "has cokernel %s; the colimit is a strictly increasing union, hence not finitely "
         "generated" % (steps, coker_group.describe()),
-        desc)
+        _symbolic_description(abar, fbar))
 
 
 def _symbolic_description(abar, fbar):
@@ -434,19 +415,30 @@ def ext_tower(telescope, coefficients):
 
 @dataclass(frozen=True)
 class IsoReport:
-    """A constructed map together with the verdict of its isomorphism check."""
+    """A comparison map with its kernel and cokernel; it is verified as an
+    isomorphism when both are trivial."""
 
     name: str
-    source: PresentedGroup
-    target: PresentedGroup
-    map: GroupMap | None
-    verified: bool
+    map: GroupMap
+    kernel: PresentedGroup
+    cokernel: PresentedGroup
     detail: str
+
+    @property
+    def source(self):
+        return self.map.source
+
+    @property
+    def target(self):
+        return self.map.target
+
+    @property
+    def verified(self):
+        return self.kernel.is_trivial and self.cokernel.is_trivial
 
     def to_json(self):
         return {"name": self.name, "source": self.source.describe(),
-                "target": self.target.describe(),
-                "matrix": None if self.map is None else self.map.matrix.to_json(),
+                "target": self.target.describe(), "matrix": self.map.matrix.to_json(),
                 "verified": self.verified, "detail": self.detail}
 
 
@@ -460,13 +452,11 @@ def hom_into_colim_check(telescope, coefficients):
         raise NotComparable("colimit is %s; Hom comparison needs a finitely generated colimit"
                             % co.kind)
     tower, homs = hom_tower(telescope, coefficients)
-    limres = lim(tower)
     hom_colim = HomGroup(co.group, coefficients)
-    nat = limres.presentation.map_into(hom_colim.pullback(co.injections[-1], homs[-1]))
-    ok = is_isomorphism(nat)
-    detail = "kernel and cokernel of the comparison are trivial" if ok \
-        else "comparison map is not an isomorphism"
-    return IsoReport("Hom(colim, G) -> lim Hom", hom_colim.group, limres.group, nat, ok, detail)
+    return lim(tower).compare(hom_colim.pullback(co.injections[-1], homs[-1]),
+                              "Hom(colim, G) -> lim Hom",
+                              "kernel and cokernel of the comparison are trivial",
+                              "comparison map is not an isomorphism")
 
 
 @dataclass(frozen=True)
@@ -502,11 +492,9 @@ def six_term_check(telescope, coefficients):
     if co.kind == EXACT:
         ext_co = ExtGroup(co.group, coefficients)
         # the Ext tower consists of finite groups, so its limit is exact
-        nat = le.presentation.map_into(ext_co.pullback(co.injections[-1], exts[-1]))
-        ok = is_isomorphism(nat)
-        iso = IsoReport("Ext(colim, G) -> lim Ext", ext_co.group,
-                        le.group, nat, ok,
-                        "kernel and cokernel trivial" if ok else "not an isomorphism")
+        iso = le.compare(ext_co.pullback(co.injections[-1], exts[-1]),
+                         "Ext(colim, G) -> lim Ext", "kernel and cokernel trivial",
+                         "not an isomorphism")
         ext_colim = _outcome(ext_co.group,
                              "colimit is finitely generated; Ext computed directly")
         if l1h.kind != ZERO:
@@ -521,6 +509,6 @@ def six_term_check(telescope, coefficients):
             ext_colim = LimOutcome(
                 NONZERO_UNCOUNTABLE, None,
                 "Ext(colim, G) contains lim1 Hom as a subgroup, and lim1 Hom is uncountable")
-        notes.append("colimit is %s (%s)" % (co.kind, co.description))
+        notes.append("colimit is %s (%s)" % (co.kind, co.describe()))
     return SixTermReport(l1h, ext_colim, le, l2h, iso, tuple(notes))
 

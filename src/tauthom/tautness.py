@@ -19,26 +19,27 @@ Three sequence builders run over this data:
   milnor_sequence    the bare homology extension with a theory tag; no
                      cohomology needed.
 
-All three render one classification of the extension per degree, so the
-tautness and four-term reports can come from a single one.
+All three render one classification of the extension per degree (the
+tautness and four-term reports share one). Its two H_n(A) junctions, like
+``comparison_into_limit``, read the kernel and cokernel of
+``LimOutcome.compare`` on the supplied map into the last stage.
 
 Every junction carries a verdict: Verified (maps constructed and exactness
-checked in integer arithmetic), VerifiedByClassification (the terms are
-pinned by certified limit classifications, e.g. an uncountable lim1),
-NotCheckable (an unresolved classification, or a junction of the infinite
-sequence beyond desk scale), or Failed. Verdicts never claim more than the
-certificates support. Supplied subspace homology is cross-checked against
-the classification; contradictions raise InconsistentData rather than
-being resolved silently.
+checked in integer arithmetic), VerifiedByClassification (terms pinned by
+certified limit classifications, e.g. an uncountable lim1), NotCheckable
+(an unresolved classification, or a junction of the infinite sequence
+beyond desk scale), or Failed. Verdicts never claim more than the
+certificates support; supplied subspace homology that contradicts the
+classification raises InconsistentData rather than being resolved silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup, cokernel, kernel
+from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup
 from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, LimOutcome,
-                     Telescope, Tower, hom_tower, lim, lim1, lim_higher)
+                     Telescope, Tower, _outcome, hom_tower, lim, lim1, lim_higher)
 from .matrices import IntMatrix, _json_degrees, _json_object
 
 VERIFIED = "Verified"
@@ -160,27 +161,10 @@ class NeighborhoodTower:
         return cls(homology, cohomology, subspace)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """The induced map from the subspace homology into an exactly computed
-    limit, with its kernel and cokernel."""
-
-    degree: int
-    map: GroupMap
-    limit: LimOutcome
-    kernel: PresentedGroup
-    cokernel: PresentedGroup
-
-    def to_json(self):
-        return {"degree": self.degree, "matrix": self.map.matrix.to_json(),
-                "limit": self.limit.to_json(), "kernel": self.kernel.to_json(),
-                "cokernel": self.cokernel.to_json()}
-
-
 def comparison_into_limit(tower_data, n):
-    """Build the natural map from the degree-n subspace homology into
-    lim of the degree-n homology tower. Raises LimNotExact when the limit
-    resists exact computation."""
+    """The natural map from the degree-n subspace homology into lim of the
+    degree-n homology tower, as an IsoReport with its kernel and cokernel.
+    Raises LimNotExact when the limit resists exact computation."""
     sub = tower_data.subspace.get(n)
     if sub is None:
         raise ValueError("no subspace homology at degree %d" % n)
@@ -188,8 +172,8 @@ def comparison_into_limit(tower_data, n):
     outcome = lim(tower)
     if not outcome.is_exact:
         raise LimNotExact("lim of the degree-%d tower is %s" % (n, outcome.kind))
-    nat = outcome.presentation.map_into(sub.maps[-1])
-    return ComparisonReport(n, nat, outcome, kernel(nat)[0], cokernel(nat)[0])
+    return outcome.compare(sub.maps[-1], "H_%d(A) -> lim H_%d(N)" % (n, n),
+                           "kernel and cokernel trivial", "not an isomorphism")
 
 
 @dataclass(frozen=True)
@@ -291,8 +275,7 @@ def _extension(name, tower_data, n, coefficients=None):
     l = lim(tower_data.homology_tower(n))
     supplied = tower_data.subspace.get(n)
     if supplied is not None:
-        middle = LimOutcome(EXACT if not supplied.group.is_trivial else ZERO,
-                            supplied.group, "supplied subspace homology")
+        middle = _outcome(supplied.group, "supplied subspace homology")
     elif l1.kind == ZERO and l.is_exact:
         middle = LimOutcome(l.kind, l.group,
                             "lim1 vanishes, so the middle term is the limit itself")
@@ -302,19 +285,17 @@ def _extension(name, tower_data, n, coefficients=None):
     else:
         middle = LimOutcome(UNKNOWN, None, "ends of the sequence did not both resolve")
     if supplied is not None and l.is_exact:
-        nat = l.presentation.map_into(supplied.maps[-1])
+        comp = l.compare(supplied.maps[-1])
         if l1.kind == ZERO:
-            ker = kernel(nat)[0]
-            into = (VERIFIED if ker.is_trivial else FAILED,
-                    "kernel %s vs vanishing lim1" % ker)
+            into = (VERIFIED if comp.kernel.is_trivial else FAILED,
+                    "kernel %s vs vanishing lim1" % comp.kernel)
         else:
             msg = ("finitely generated subspace homology cannot contain an "
                    "uncountable lim1 subgroup")
             if coefficients is not None:
                 raise InconsistentData(msg)
             into = (FAILED, msg)
-        coker = cokernel(nat)[0]
-        onto = (VERIFIED if coker.is_trivial else FAILED, "cokernel %s" % coker)
+        onto = (VERIFIED if comp.cokernel.is_trivial else FAILED, "cokernel %s" % comp.cokernel)
     elif supplied is not None:
         into = onto = (NOT_CHECKABLE, "lim did not resolve exactly")
     elif middle.kind == UNKNOWN:

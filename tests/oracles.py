@@ -757,6 +757,13 @@ def occurrence_systems(n_sets, max_atoms):
 # -- model faces -------------------------------------------------------------------
 
 
+def maximal_faces_scan(simplices):
+    """The faces of a family that lie in no other face, by comparing every
+    pair, sorted as ``FiniteModel.maximal``."""
+    return tuple(sorted(tuple(sorted(s)) for s in simplices
+                        if not any(s < t for t in simplices)))
+
+
 def torus_faces(n):
     """Facets of the n x n triangulated torus on atoms 0..n*n-1: two
     triangles per grid square."""

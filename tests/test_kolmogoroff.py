@@ -21,8 +21,8 @@ from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import seeded
 
 from oracles import (expected_mosaic_blocks, full_sum_boundary_oracle,
-                     generator_boundary_reference, mosaic_conditions_hold,
-                     occurrence_systems,
+                     generator_boundary_reference, maximal_faces_scan,
+                     mosaic_conditions_hold, occurrence_systems,
                      starred_sphere_faces, torus_faces, unreduced_homology,
                      unreduced_kolmogoroff_groups)
 
@@ -94,6 +94,17 @@ class TestModelAndPartition:
         assert frozenset({0, 1}) in m.simplices
         assert frozenset({2}) in m.simplices
         assert m.dimension == 2
+
+    def test_maximal_faces_match_pairwise_scan(self):
+        rng = seeded(52)
+        models = [torus_grid(n) for n in (3, 5, 8)]
+        for _ in range(200):
+            atoms = rng.randint(1, 9)
+            faces = [rng.sample(range(atoms), rng.randint(1, min(atoms, 5)))
+                     for _ in range(rng.randint(0, 6))]
+            models.append(FiniteModel(atoms, faces))
+        for m in models:
+            assert m.maximal == maximal_faces_scan(m.simplices)
 
     def test_singletons_always_present(self):
         m = FiniteModel(4, [])

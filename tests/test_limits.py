@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from tauthom.groups import GroupMap, PresentedGroup, cokernel, is_injective
+from tauthom.groups import GroupMap, PresentedGroup, cokernel, kernel
 from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
                             hom_into_colim_check, hom_tower, lim, lim1,
                             lim_higher, six_term_check)
@@ -109,8 +109,9 @@ class TestLim:
         out = lim(t)
         assert out.group == Z8
         # a compatible family x -> (proj(x), x) is determined by its last map
-        f = out.presentation.map_into(GroupMap.identity(Z8))
-        assert is_injective(f) and cokernel(f)[0].is_trivial
+        f = out.compare(GroupMap.identity(Z8)).map
+        assert f.source == Z8 and f.target == out.group
+        assert kernel(f)[0].is_trivial and cokernel(f)[0].is_trivial
 
     def test_solenoid_limits(self):
         for p in (2, 3, 5):
@@ -190,7 +191,7 @@ class TestDecidedChains:
         assert lim(t).kind == "zero"
         assert lim1(t).kind == "zero"
         out = colim(Telescope.periodic(times(2, big)))
-        assert out.kind == "exact" and out.description == "0"
+        assert out.kind == "exact" and out.describe() == "0"
 
     def test_non_diagonal_tail_with_torsion_is_fast(self):
         # the image chain of this tail never stabilizes; unreduced bases
@@ -231,6 +232,46 @@ class TestDecidedChains:
                                rng.choice(((), (2,), (2, 4), (3, 9), (2, 2, 2))))
             out = colim(Telescope.periodic(random_group_map(rng, g, g)))
             assert out.kind in ("exact", "symbolic")
+
+
+class TestCompare:
+    def test_non_isomorphism_reports_kernel_and_cokernel(self):
+        out = lim(Tower.periodic(GroupMap.identity(Z)))
+        assert out.kind == "exact" and out.group == Z
+        rep = out.compare(times(2), "x2", "isomorphism", "not an isomorphism")
+        assert rep.kernel.is_trivial and rep.cokernel == Z2
+        assert not rep.verified and rep.detail == "not an isomorphism"
+        assert rep.source == Z and rep.target == Z and rep.map.matrix.data == ((2,),)
+        rep = lim(Tower((Z2,), (), None)).compare(
+            GroupMap(Z4, Z2, IntMatrix.from_rows([[1]])))
+        assert rep.kernel == Z2 and rep.cokernel.is_trivial and not rep.verified
+
+    def test_isomorphism_is_verified(self):
+        rep = lim(Tower.periodic(times(-1))).compare(GroupMap.identity(Z), "id",
+                                                     "isomorphism", "not an isomorphism")
+        assert rep.verified and rep.detail == "isomorphism"
+        assert rep.to_json() == {"name": "id", "source": "Z", "target": "Z",
+                                 "matrix": {"rows": 1, "cols": 1, "entries": [[1]]},
+                                 "verified": True, "detail": "isomorphism"}
+
+    def test_only_an_exact_lim_takes_a_comparison(self):
+        z2free = PresentedGroup(2, ())
+        upper = GroupMap(z2free, z2free, IntMatrix.from_rows([[1, 1], [0, 2]]))
+        outcomes = [lim1(Tower.periodic(GroupMap.identity(Z))), lim1(Tower.periodic(times(3))),
+                    lim_higher(Tower.periodic(times(3)), 2),
+                    colim(Telescope.periodic(GroupMap.identity(Z))),
+                    colim(Telescope.periodic(times(2))), lim(Tower.periodic(upper))]
+        assert [o.kind for o in outcomes] == ["zero", "nonzero-uncountable", "zero",
+                                              "exact", "symbolic", "unknown"]
+        for out in outcomes:
+            with pytest.raises(ValueError):
+                out.compare(GroupMap.identity(Z))
+
+    def test_comparison_into_another_stage_rejected(self):
+        out = lim(Tower.periodic(GroupMap.identity(Z)))
+        for f in (GroupMap.identity(Z2), GroupMap(Z, Z2, IntMatrix.from_rows([[1]]))):
+            with pytest.raises(ValueError):
+                out.compare(f)
 
 
 class TestColim:

@@ -149,7 +149,7 @@ class TestComparisonIntoLimit:
     def test_constant_system_is_isomorphism(self):
         data = trivially_taut_tower()
         rep = comparison_into_limit(data, 1)
-        assert rep.limit.group == Z2
+        assert rep.target == Z2
         assert rep.kernel.is_trivial and rep.cokernel.is_trivial
 
     def test_requires_subspace_data(self):
