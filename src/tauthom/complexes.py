@@ -8,27 +8,33 @@ Every group-only homology computation (``homology``, ``homology_all`` and
 between coordinates of equal order are split off by Gaussian elimination,
 so the Hermite and Smith work runs on what is left, or on nothing where
 the reduced differentials vanish (always over a field; ``homology_groups``).
-Certificates keep the full-size ``CoefficientComplex.homology_subquotient``,
-whose lifts they need.
 
 A certificate for degree n packages the short exact sequence
 
     0 -> Ext(H^{n+1}(C), G) -> H_n(Hom(C, G)) -> Hom(H^n(C), G) -> 0
 
 as three explicit GroupMaps: injection i, surjection e and splitting s.
-Before the certificate is returned they are verified by the biproduct
-identities (Mac Lane, *Categories for the Working Mathematician*, VIII.2):
-e∘i = 0 and e∘s = 1, a retraction r solved from i∘r = 1 - s∘e modulo the
-middle group's relations, and r∘i = 1. These make the sequence split exact.
-The Ext term is built from the cocycle/coboundary resolution and compared
-with its closed form, a sum of cyclic groups (``ExtGroup.group``); a
-disagreement raises instead of returning.
+The middle group comes from the integral splitting C^n = Z^n + S^n of the
+proof of the theorem (Hatcher, *Algebraic Topology*, Thm 3.2): the
+cocycles z_n and a section s_n of d^n onto the coboundaries B^{n+1}, with
+[p; dB] [z_n | s_n] = I verified for the left inverse p of z_n and d^n in
+the basis of B^{n+1}. In that basis the coboundaries of C are blocks of
+the inclusions B^n -> Z^n, so H_n(Hom(C, G)) is Hom(H^n, G) plus the Ext
+term, and no lattice of Hom(C^n, G) is built. Before the certificate is
+returned the maps are verified by the biproduct identities (Mac Lane,
+*Categories for the Working Mathematician*, VIII.2): e∘i = 0 and e∘s = 1, a
+retraction r solved from i∘r = 1 - s∘e modulo the middle group's
+relations, and r∘i = 1. These make the sequence split exact. The Ext term
+is built from the cocycle/coboundary resolution and compared with its
+closed form, a sum of cyclic groups (``ExtGroup.group``); a disagreement
+raises instead of returning.
 
 The integral lattice work of a certificate (cocycle and coboundary bases,
-cohomology, d^n in the coboundary basis, the resolution inclusion and the
-projection onto the cocycles) does not depend on G. It is memoised on the
-FreeComplex, so certificates over several coefficient groups share it;
-every check still runs for each certificate.
+cohomology, d^n in the coboundary basis, the resolution inclusion, the left
+inverse of the cocycle basis, the projection onto the cocycles and the
+verified section) does not depend on G. It is memoised on the FreeComplex,
+so certificates over several coefficient groups share it; every check that
+involves G still runs for each certificate.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from math import gcd
 from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
                      Subquotient, _precompose, _relations_for_orders, kernel_lattice)
 from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix,
-                       column_basis, hstack, kernel_basis, solve_columns)
+                       column_basis, hermite_form, hstack, kernel_basis, solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -271,15 +277,6 @@ class CoefficientComplex:
     def orders(self, n):
         return self.coefficients.orders * self.base.rank(n)
 
-    def diff_matrix(self, n):
-        """Raw matrix of the degree-lowering differential at degree n."""
-        return _precompose(self.base._sparse(n - 1), self.coefficients.n_gens)
-
-    def homology_subquotient(self, n):
-        num = kernel_lattice(self.diff_matrix(n), self.orders(n - 1))
-        den = hstack(self.diff_matrix(n + 1), _relations_for_orders(self.orders(n)))
-        return Subquotient(num, den)
-
     def homology(self, n):
         if not self.lo <= n <= self.hi:
             raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, self.lo, self.hi))
@@ -349,18 +346,29 @@ def _check_split(n, include, evaluate, split):
         raise CertificateFailure("degree %d: the Ext term fails to inject" % n)
 
 
+def _check_integral_split(n, p, in_b_basis, z, s):
+    """Raise CertificateFailure unless [p; dB] * [z | s] = I, where z is the
+    cocycle basis of C^n, s the section of the coboundaries, p a left
+    inverse of z and dB the differential d^n in the basis of B^{n+1}. Then
+    Q = [z | s] is unimodular with inverse [p; dB], and d^n s = b_{n+1}."""
+    left = IntMatrix._trusted(p.rows + in_b_basis.rows, p.cols, p.data + in_b_basis.data)
+    if not (left * hstack(z, s)).is_identity():
+        raise CertificateFailure("degree %d: the cocycles and the section of the coboundaries "
+                                 "do not split the cochains" % n)
+
+
 class UctSuite:
     """Builds universal-coefficient certificates for one (complex, G) pair.
     The integral lattice work (cocycle and coboundary bases, cohomology,
-    d^n in the coboundary basis, the resolution inclusion and the
-    projection onto the cocycles) does not depend on G; it is memoised on
-    the complex, so neighbouring degrees and every coefficient group share
-    it. Nothing that depends on G is kept there."""
+    d^n in the coboundary basis, the resolution inclusion, the left inverse
+    of the cocycle basis, the projection onto the cocycles and the verified
+    splitting C^n = Z^n + S^n) does not depend on G; it is memoised on the
+    complex, so neighbouring degrees and every coefficient group share it.
+    Nothing that depends on G is kept there."""
 
     def __init__(self, base, coefficients):
         self.base = base
         self.coefficients = coefficients
-        self.dual = CoefficientComplex(base, coefficients)
 
     def _memo(self, key, build):
         memo = self.base._integral
@@ -397,24 +405,47 @@ class UctSuite:
         return self._solved(("BZ", n), self.cocycles(n), self.coboundaries(n),
                             "coboundaries escape the cocycle lattice at degree %d" % n)
 
-    def _projected_basis(self, n):
-        """The basis of C^n projected onto Z^n along the complement cut out by
-        an integer left inverse P of the cocycle basis, in H^n coordinates."""
+    def _left_inverse(self, n):
+        """An integer left inverse p of the cocycle basis, p * z_n = I; it
+        exists because C^n/Z^n embeds in the free group C^{n+1}."""
         def build():
             z = self.cocycles(n)
             p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
             if p is None:
                 raise CertificateFailure(
                     "cocycle lattice of degree %d is not a direct summand" % n)
-            return self.cohomology_sq(n).coords_matrix(z * p.transpose())
-        return self._memo(("P", n), build)
+            return p.transpose()
+        return self._memo(("p", n), build)
 
-    def certificate(self, n):
-        """The verified certificate of degree n. The injection is
-        psi |-> psi o d^n on Hom(B^{n+1}, G)-tuples, with d^n in the
-        coboundary basis; the splitting extends a homomorphism on H^n by zero
-        along the complement of the cocycle lattice cut out by an integer
-        left inverse of its basis (``_projected_basis``)."""
+    def _projected_basis(self, n):
+        """The basis of C^n projected onto Z^n along the complement cut out by
+        the left inverse p, in H^n coordinates."""
+        return self._memo(("P", n), lambda: self.cohomology_sq(n).coords_matrix(
+            self.cocycles(n) * self._left_inverse(n)))
+
+    def _section(self, n):
+        """The section s_n = x_0 - z_n (p x_0) of d^n onto B^{n+1}, where x_0
+        is the first columns of the Hermite transform of d^n (d^n x_0 =
+        b_{n+1}), verified once by the split identity [p; dB] [z | s] = I."""
+        def build():
+            z, p = self.cocycles(n), self._left_inverse(n)
+            hf = hermite_form(self.base.diff(n))
+            r = hf.h.cols
+            x0 = IntMatrix._trusted(hf.v.rows, r, tuple(row[:r] for row in hf.v.data))
+            s = x0 - z * (p * x0)
+            _check_integral_split(n, p, self._in_b_basis(n), z, s)
+            return s
+        return self._memo(("S", n), build)
+
+    def _middle(self, n):
+        """(ext_sq, homg, mid_sq, lifts) for degree n. In the basis
+        Q = [z_n | s_n] of C^n the coboundary d^{n-1} is [[0, inside(n)],
+        [0, 0]], so H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on
+        Hom(Z^n, G), which is Hom(H^n, G), plus the cokernel of
+        inside(n+1)^T (x) G on Hom(S^n, G), which is the Ext term ext_sq.
+        mid_sq names the normal form of their direct sum, and ``lifts`` are
+        its generators in Hom(C^n, G): an Ext class psi is psi o dB and a
+        homomorphism on H^n is extended by zero along S^n through p."""
         G, m = self.coefficients, self.coefficients.n_gens
         # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
         # compared with the closed form of Ext(H^{n+1}, G)
@@ -425,20 +456,30 @@ class UctSuite:
         if ext_sq.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and closed form at degree %d" % n)
+        self._section(n)  # the split identity behind the summands below
+        homg = HomGroup(self.cohomology_sq(n).group, G)
+        orders = ext_sq.group.orders + homg.group.orders
+        mid_sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
+        summands = hstack(_precompose(self._in_b_basis(n), m) * ext_sq.lifts,
+                          _precompose(self._projected_basis(n), m) * homg._maps)
+        return ext_sq, homg, mid_sq, summands * mid_sq.lifts
 
-        mid = self.dual.homology_subquotient(n)
-        push = _precompose(self._in_b_basis(n), m)
-        injection = GroupMap(ext_sq.group, mid.group, mid.coords_matrix(push * ext_sq.lifts))
-
-        h_sq = self.cohomology_sq(n)
-        homg = HomGroup(h_sq.group, G)
-        surjection = GroupMap(mid.group, homg.group,
-                              homg.coords_of(_precompose(h_sq.lifts, m) * mid.lifts))
-
-        splitting = GroupMap(homg.group, mid.group, mid.coords_matrix(
-            _precompose(self._projected_basis(n), m) * homg._maps))
-        cert = UctCertificate(n, ext_sq.group, homg.group, mid.group,
-                              injection, surjection, splitting)
+    def certificate(self, n):
+        """The verified certificate of degree n. The middle is the direct sum
+        of the Ext and Hom terms (``_middle``), so the injection and the
+        splitting are the summand inclusions; the surjection evaluates the
+        middle's lifts on the cocycles that represent H^n."""
+        ext_sq, homg, mid_sq, lifts = self._middle(n)
+        ext, hom, mid = ext_sq.group, homg.group, mid_sq.group
+        k = ext.n_gens
+        inclusions = mid_sq.coords_matrix(IntMatrix.identity(k + hom.n_gens))
+        injection = GroupMap(ext, mid, IntMatrix._trusted(
+            mid.n_gens, k, tuple(row[:k] for row in inclusions.data)))
+        splitting = GroupMap(hom, mid, IntMatrix._trusted(
+            mid.n_gens, hom.n_gens, tuple(row[k:] for row in inclusions.data)))
+        h_lifts = _precompose(self.cohomology_sq(n).lifts, self.coefficients.n_gens)
+        surjection = GroupMap(mid, hom, homg.coords_of(h_lifts * lifts))
+        cert = UctCertificate(n, ext, hom, mid, injection, surjection, splitting)
         self._verify(cert)
         return cert
 

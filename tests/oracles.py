@@ -807,11 +807,28 @@ def unreduced_homology_groups(mats, orders):
             for n in sorted(orders)}
 
 
+def coefficient_diff(cc, n):
+    """The differential of a CoefficientComplex Hom(C, G) out of degree n,
+    Hom(C^n, G) -> Hom(C^{n-1}, G), as the full-size dense matrix
+    (d^{n-1})^T (x) I_m, entry by entry."""
+    return kron_identity_reference(cc.base.diff(n - 1).transpose(), cc.coefficients.n_gens)
+
+
+def coefficient_homology_subquotient(cc, n):
+    """H_n(Hom(C, G)) as the full-size Subquotient of rank(n) * m: the kernel
+    lattice of the outgoing differential over the image of the incoming one
+    and the relations of G^rank(n)."""
+    from tauthom.groups import Subquotient, _relations_for_orders, kernel_lattice
+    from tauthom.matrices import hstack
+    return Subquotient(kernel_lattice(coefficient_diff(cc, n), cc.orders(n - 1)),
+                       hstack(coefficient_diff(cc, n + 1), _relations_for_orders(cc.orders(n))))
+
+
 def unreduced_homology(cx):
     """Every group of a FreeComplex or CoefficientComplex by the full-size
     route: the Subquotient of the kernel of the outgoing differential by the
-    image of the incoming one, for a CoefficientComplex the
-    homology_subquotient that certificates keep using."""
+    image of the incoming one (``coefficient_homology_subquotient`` for a
+    CoefficientComplex)."""
     from tauthom.complexes import FreeComplex
     from tauthom.groups import Subquotient
     from tauthom.matrices import kernel_basis
@@ -823,7 +840,7 @@ def unreduced_homology(cx):
 
     if isinstance(cx, FreeComplex):
         return {n: free_group(n) for n in cx.degrees()}
-    return {n: cx.homology_subquotient(n).group for n in range(cx.lo, cx.hi + 1)}
+    return {n: coefficient_homology_subquotient(cx, n).group for n in range(cx.lo, cx.hi + 1)}
 
 
 def unreduced_kolmogoroff_groups(model, partition, coefficients):
@@ -950,10 +967,11 @@ def hom_pullback_reference(hom, f, dest):
 
 
 def sequence_reference(suite, n, left, mid):
-    """UctSuite._sequence with per-column loops: include by the entrywise
-    Kronecker product, evaluate as one GroupMap H^n -> G per middle
-    generator, and split from each Hom generator's GroupMap. Returns
-    (include, evaluate, split)."""
+    """The certificate's three maps into and out of ``mid``, a Subquotient
+    of Hom(C^n, G) such as the full-size ``coefficient_homology_subquotient``,
+    with per-column loops: include by the entrywise Kronecker product,
+    evaluate as one GroupMap H^n -> G per middle generator, and split from
+    each Hom generator's GroupMap. Returns (include, evaluate, split)."""
     from tauthom.groups import GroupMap, HomGroup
     from tauthom.matrices import IntMatrix, solve_columns
     G, m = suite.coefficients, suite.coefficients.n_gens

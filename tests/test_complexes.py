@@ -7,13 +7,14 @@ from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                homology_groups, uct_certificate,
                                uct_certificates)
 from tauthom.groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
-                            _relations_for_orders, parse_group)
+                            _relations_for_orders, inverse, parse_group)
 from tauthom.matrices import IntMatrix, hstack, solve_columns
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
-from oracles import (check_short_exact, kron_identity_reference, rank_oracle,
-                     sequence_reference, unreduced_homology,
-                     unreduced_homology_groups, verify_certificate_reference)
+from oracles import (check_short_exact, coefficient_diff, coefficient_homology_subquotient,
+                     kron_identity_reference, rank_oracle, sequence_reference,
+                     unreduced_homology, unreduced_homology_groups,
+                     verify_certificate_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -232,7 +233,7 @@ class TestUnitReduction:
             for _ in range(12):
                 cx, _ = random_free_cochain_complex(rng)
                 cc = CoefficientComplex(cx, g)
-                mats = {n: cc.diff_matrix(n) for n in range(cx.lo + 1, cx.hi + 1)}
+                mats = {n: coefficient_diff(cc, n) for n in range(cx.lo + 1, cx.hi + 1)}
                 orders = {n: cc.orders(n) for n in cx.degrees()}
                 count = len(built)
                 assert homology_groups(mats, orders) == unreduced_homology_groups(mats, orders)
@@ -288,20 +289,29 @@ class TestUct:
                     assert cert.ext_term == ExtGroup(above, g).group
                     assert cert.hom_term == HomGroup(known[n], g).group
 
-    def test_sequence_maps_match_per_column_reference(self):
+    def test_sequence_maps_match_full_size_reference(self):
+        # the middle's lifts name an isomorphism onto the full-size
+        # H_n(Hom(C, G)); along it the three maps are the per-column ones
         rng = seeded(24)
         for _ in range(12):
             cx, _ = random_free_cochain_complex(rng)
             for g in (Z, Z2, Z12, MIXED):
                 suite = UctSuite(cx, g)
+                full_sq = CoefficientComplex(cx, g)
                 for n, cert in uct_certificates(cx, g).items():
+                    full = coefficient_homology_subquotient(full_sq, n)
+                    iso = GroupMap(cert.middle, full.group,
+                                   full.coords_matrix(suite._middle(n)[3]))
+                    assert inverse(iso) is not None
                     # the Ext term from the resolution B^{n+1} -> Z^{n+1}
                     inside = solve_columns(suite.cocycles(n + 1), suite.coboundaries(n + 1))
                     ext = Subquotient(IntMatrix.identity(inside.cols * g.n_gens), hstack(
                         kron_identity_reference(inside.transpose(), g.n_gens),
                         _relations_for_orders(g.orders * inside.cols)))
-                    assert sequence_reference(suite, n, ext, suite.dual.homology_subquotient(n)) \
-                        == (cert.injection, cert.surjection, cert.splitting)
+                    include, evaluate, split = sequence_reference(suite, n, ext, full)
+                    assert include == iso @ cert.injection
+                    assert evaluate @ iso == cert.surjection
+                    assert split == iso @ cert.splitting
 
     def test_shared_integral_data_matches_fresh_complexes(self):
         # the lattice data memoised on a complex does not depend on G: over
@@ -324,6 +334,82 @@ class TestUct:
                 for g in order[1:]:
                     assert report(shared, g) == fresh[g]
                 assert set(shared._integral) == keys
+
+    def test_split_identity_is_checked(self):
+        # [p; dB] [z | s] = I fails for a section shifted by a cocycle column
+        # and for a p that is no left inverse of the cocycle basis
+        from tauthom.complexes import _check_integral_split
+        rng = seeded(28)
+        shifted = doubled = 0
+        for _ in range(30):
+            cx, _ = random_free_cochain_complex(rng)
+            suite = UctSuite(cx, Z)
+            for n in cx.degrees():
+                z, p, db, s = (suite.cocycles(n), suite._left_inverse(n),
+                               suite._in_b_basis(n), suite._section(n))
+                _check_integral_split(n, p, db, z, s)
+                if not z.cols:
+                    continue
+                with pytest.raises(CertificateFailure, match="degree %d: " % n):
+                    _check_integral_split(n, p * 2, db, z, s)
+                doubled += 1
+                if s.cols:
+                    shift = IntMatrix.from_columns(
+                        [z.column(0)] + [(0,) * s.rows] * (s.cols - 1), rows=s.rows)
+                    with pytest.raises(CertificateFailure, match="degree %d: " % n):
+                        _check_integral_split(n, p, db, z, s + shift)
+                    shifted += 1
+        assert min(shifted, doubled) >= 10, (shifted, doubled)
+
+    def test_certificate_runs_the_split_identity(self):
+        # a p in the memo that is not a left inverse stops the certificate
+        rng = seeded(29)
+        stopped = 0
+        for _ in range(12):
+            cx, _ = random_free_cochain_complex(rng)
+            for n in cx.degrees():
+                fresh = FreeComplex.from_json(cx.to_json())
+                suite = UctSuite(fresh, Z12)
+                if not suite.cocycles(n).cols:
+                    continue
+                fresh._integral[("p", n)] = suite._left_inverse(n) * 2
+                with pytest.raises(CertificateFailure, match="degree %d: " % n):
+                    suite.certificate(n)
+                stopped += 1
+        assert stopped > 10
+
+    def test_certificates_build_no_full_size_subquotient(self, monkeypatch):
+        # Hom(C^n, G) has rank(n) * m coordinates; with the integral data
+        # memoised (cohomology_sq lives in C^n), every Subquotient a
+        # certificate builds is smaller. The 12-gon and a cone on it with
+        # H^2 = Z/2 keep every Ext and Hom term small.
+        import tauthom.complexes as complexes
+        import tauthom.groups as groups
+        d0 = IntMatrix._trusted(12, 12, tuple(
+            tuple((1 if i == (j + 1) % 12 else 0) - (1 if i == j else 0) for j in range(12))
+            for i in range(12)))
+        cxs = [FreeComplex("cochain", 0, 1, [12, 12], {0: d0}),
+               FreeComplex("cochain", 0, 2, [12, 12, 1], {0: d0, 1: m([[2] * 12])})]
+        groups_ = (Z, Z2, Z12, MIXED, parse_group("Z/2+Z/6"))
+        for cx in cxs:
+            uct_certificates(cx, Z)
+        ambient = []
+
+        def recording(numerator, denominator):
+            ambient.append(numerator.rows)
+            return Subquotient(numerator, denominator)
+
+        monkeypatch.setattr(complexes, "Subquotient", recording)
+        monkeypatch.setattr(groups, "Subquotient", recording)
+        for g in groups_:
+            for cx in cxs:
+                del ambient[:]
+                certs = uct_certificates(cx, g)
+                assert ambient and max(ambient) < 12 * g.n_gens
+                # the full-size route would build one of 12 * m
+                coefficient_homology_subquotient(CoefficientComplex(cx, g), 1)
+                assert ambient[-1] == 12 * g.n_gens
+            assert certs[2].middle == ExtGroup(ZERO, g).group.direct_sum(HomGroup(Z2, g).group)
 
     def test_splitting_is_right_inverse(self):
         for g in (Z, Z4, MIXED):

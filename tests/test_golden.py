@@ -1,4 +1,5 @@
-"""Golden outputs of the tautness, Milnor, lim, colim and six-term reports.
+"""Golden outputs of the tautness, Milnor, lim, colim, six-term and
+universal-coefficient reports.
 
 Each case runs the command line (or ``scripts/solenoid_report.py``) and
 compares the sha256 of its exit code, stdout and stderr with the digest
@@ -6,9 +7,10 @@ recorded in ``golden_reports.json``. The JSON inputs live in the same file
 under ``fixtures``, so a case never depends on how the library would build
 them today: a ``tower-`` fixture is read by ``lim``, a ``telescope-``
 fixture by ``colim`` and by ``sixterm`` over each of ``SIXTERM_COEFFICIENTS``,
-and every other fixture, a neighborhood tower, by ``tautness`` and
-``milnor``. After a deliberate change of output, re-record the digests of
-all five verbs from the stored fixtures with
+a ``complex-`` fixture, a cochain complex, by ``uct`` over each of
+``UCT_COEFFICIENTS`` (as are the ``UCT_PRESETS``), and every other fixture, a
+neighborhood tower, by ``tautness`` and ``milnor``. After a deliberate change
+of output, re-record the digests of all six verbs from the stored fixtures with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -29,6 +31,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_report
 PRESETS = [(p, r) for p in ("solenoid:2", "solenoid:3", "solenoid:5")
            for r in ((), ("--reduced",))] + [("trivial-taut", ())]
 SIXTERM_COEFFICIENTS = ("Z/12", "Z+Z/4")
+UCT_PRESETS = ("rp2-6vertex", "octahedron")
+UCT_COEFFICIENTS = ("Z", "Z/2", "Z/12", "Z+Z/4")
 
 
 def _golden():
@@ -47,9 +51,10 @@ def cases():
     fixtures = sorted(_golden()["fixtures"])
     towers = [name for name in fixtures if name.startswith("tower-")]
     telescopes = [name for name in fixtures if name.startswith("telescope-")]
+    complexes = [name for name in fixtures if name.startswith("complex-")]
     sources = [("--preset", name) + extra for name, extra in PRESETS]
     sources += [("--input", name) for name in fixtures
-                if name not in towers and name not in telescopes]
+                if name not in towers + telescopes + complexes]
     runs = [(verb,) + source + ("--degree", str(n))
             for verb in ("tautness", "milnor") for source in sources for n in (0, 1, 2)]
     runs += [("lim", "--input", name) for name in towers]
@@ -57,6 +62,10 @@ def cases():
         runs.append(("colim", "--input", name))
         runs += [("sixterm", "--input", name, "--coefficients", g)
                  for g in SIXTERM_COEFFICIENTS]
+    cochains = [("--preset", name) for name in UCT_PRESETS]
+    cochains += [("--input", name) for name in complexes]
+    runs += [("uct",) + source + ("--coefficients", g)
+             for source in cochains for g in UCT_COEFFICIENTS]
     out = {}
     for run in runs:
         for fmt in ("text", "json"):
