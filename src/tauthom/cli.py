@@ -98,9 +98,11 @@ def _chosen_degrees(args, available):
 
 
 def _emit(args, obj, text_lines):
+    """The report: ``obj`` as JSON, or the lines that ``text_lines()``
+    returns, which are built only for the text format."""
     if args.format == "json":
         return json.dumps(obj, indent=2, sort_keys=True)
-    return "\n".join(text_lines)
+    return "\n".join(text_lines())
 
 
 def _outcome_lines(label, outcome, indent="  "):
@@ -117,12 +119,12 @@ def _cmd_snf(args):
     nonzero = [x for x in s.diagonal if x != 0]
     obj = {"d": s.d.to_json(), "u": s.u.to_json(), "v": s.v.to_json(),
            "divisors": nonzero}
-    lines = ["smith normal form of a %d x %d matrix" % (mat.rows, mat.cols),
-             "  divisors: %s" % (nonzero,),
-             "  d: %s" % (s.d.data,),
-             "  u: %s" % (s.u.data,),
-             "  v: %s" % (s.v.data,)]
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "smith normal form of a %d x %d matrix" % (mat.rows, mat.cols),
+        "  divisors: %s" % (nonzero,),
+        "  d: %s" % (s.d.data,),
+        "  u: %s" % (s.u.data,),
+        "  v: %s" % (s.v.data,)])
 
 
 def _cmd_group(args):
@@ -134,10 +136,10 @@ def _cmd_group(args):
         raise ValueError("group needs --input or --coefficients")
     obj = {"group": g.to_json(), "name": g.describe(),
            "free_rank": g.free_rank, "torsion": list(g.torsion)}
-    lines = ["group: %s" % g.describe(),
-             "  free rank: %d" % g.free_rank,
-             "  invariant factors: %s" % (list(g.torsion),)]
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "group: %s" % g.describe(),
+        "  free rank: %d" % g.free_rank,
+        "  invariant factors: %s" % (list(g.torsion),)])
 
 
 def _complex_from_args(args):
@@ -163,9 +165,8 @@ def _cmd_homology(args):
             "homology" if cx.direction == "chain" else "cohomology")
     degrees = _chosen_degrees(args, hom)
     obj = {"degrees": {str(n): hom[n].describe() for n in degrees}}
-    lines = [title]
-    lines += ["  H_%d: %s" % (n, hom[n].describe()) for n in degrees]
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [title] + [
+        "  H_%d: %s" % (n, hom[n].describe()) for n in degrees])
 
 
 def _cmd_uct(args):
@@ -177,14 +178,17 @@ def _cmd_uct(args):
     degrees = sorted(certs)
     obj = {"coefficients": coeffs.describe(),
            "degrees": {str(n): certs[n].to_json() for n in degrees}}
-    lines = ["universal-coefficient certificates over %s" % coeffs.describe()]
-    for n in degrees:
-        c = certs[n]
-        lines += ["degree %d" % n,
-                  "  Ext-term: %s" % c.ext_term.describe(),
-                  "  Hom-term: %s" % c.hom_term.describe(),
-                  "  middle: %s" % c.middle.describe(),
-                  "  split: verified"]
+
+    def lines():
+        out = ["universal-coefficient certificates over %s" % coeffs.describe()]
+        for n in degrees:
+            c = certs[n]
+            out += ["degree %d" % n,
+                    "  Ext-term: %s" % c.ext_term.describe(),
+                    "  Hom-term: %s" % c.hom_term.describe(),
+                    "  middle: %s" % c.middle.describe(),
+                    "  split: verified"]
+        return out
     return 0, _emit(args, obj, lines)
 
 
@@ -194,23 +198,21 @@ def _cmd_lim(args):
     l1 = lim1(tower)
     l2 = lim_higher(tower, 2)
     obj = {"lim": l0.to_json(), "lim1": l1.to_json(), "lim2": l2.to_json()}
-    lines = ["derived limits of a tower (%d prefix stages%s)"
-             % (len(tower.stages), ", periodic tail" if tower.tail else "")]
-    lines += _outcome_lines("lim", l0)
-    lines += _outcome_lines("lim1", l1)
-    lines += _outcome_lines("lim2", l2)
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "derived limits of a tower (%d prefix stages%s)"
+        % (len(tower.stages), ", periodic tail" if tower.tail else "")]
+        + _outcome_lines("lim", l0) + _outcome_lines("lim1", l1) + _outcome_lines("lim2", l2))
 
 
 def _cmd_colim(args):
     telescope = Telescope.from_json(_load(args))
     out = colim(telescope)
     obj = {"colim": out.to_json()}
-    lines = ["colimit of a telescope (%d prefix stages%s)"
-             % (len(telescope.stages), ", periodic tail" if telescope.tail else "")]
-    lines += ["  colim: %s" % out.describe(),
-              "    certificate: %s" % out.certificate]
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "colimit of a telescope (%d prefix stages%s)"
+        % (len(telescope.stages), ", periodic tail" if telescope.tail else ""),
+        "  colim: %s" % out.describe(),
+        "    certificate: %s" % out.certificate])
 
 
 def _cmd_sixterm(args):
@@ -218,20 +220,19 @@ def _cmd_sixterm(args):
     coeffs = _coefficients(args)
     rep = six_term_check(telescope, coeffs)
     obj = rep.to_json()
-    lines = ["six-term limit sequence over %s" % coeffs.describe()]
-    lines += _outcome_lines("lim1 Hom", rep.lim1_hom)
-    lines += _outcome_lines("Ext(colim)", rep.ext_colim)
-    lines += _outcome_lines("lim Ext", rep.lim_ext)
-    lines += _outcome_lines("lim2 Hom", rep.lim2_hom)
-    code = 0
-    if rep.iso is not None:
-        lines.append("  middle comparison: %s"
-                     % ("isomorphism" if rep.iso.verified else "FAILED"))
-        lines.append("    %s" % rep.iso.detail)
-        if not rep.iso.verified:
-            code = 1
-    for note in rep.notes:
-        lines.append("  note: %s" % note)
+
+    def lines():
+        out = ["six-term limit sequence over %s" % coeffs.describe()]
+        out += _outcome_lines("lim1 Hom", rep.lim1_hom)
+        out += _outcome_lines("Ext(colim)", rep.ext_colim)
+        out += _outcome_lines("lim Ext", rep.lim_ext)
+        out += _outcome_lines("lim2 Hom", rep.lim2_hom)
+        if rep.iso is not None:
+            out.append("  middle comparison: %s"
+                       % ("isomorphism" if rep.iso.verified else "FAILED"))
+            out.append("    %s" % rep.iso.detail)
+        return out + ["  note: %s" % note for note in rep.notes]
+    code = 1 if rep.iso is not None and not rep.iso.verified else 0
     return code, _emit(args, obj, lines)
 
 
@@ -256,11 +257,11 @@ def _cmd_kolmogoroff(args):
     obj = {"coefficients": coeffs.describe(),
            "degrees": {str(n): hom[n].describe() for n in degrees},
            "pipelines": "agree"}
-    lines = ["set-function homology over %s (%d atoms, %d blocks)"
-             % (coeffs.describe(), model.atoms, len(part))]
-    lines += ["  H_%d: %s" % (n, hom[n].describe()) for n in degrees]
-    lines.append("  boundary-evaluation and nerve pipelines agree")
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "set-function homology over %s (%d atoms, %d blocks)"
+        % (coeffs.describe(), model.atoms, len(part))]
+        + ["  H_%d: %s" % (n, hom[n].describe()) for n in degrees]
+        + ["  boundary-evaluation and nerve pipelines agree"])
 
 
 def _cmd_nerve(args):
@@ -272,13 +273,12 @@ def _cmd_nerve(args):
                          for n in range(nerve.dimension + 1)},
            "boundaries": {str(n): nerve.boundary_matrix(n).to_json()
                           for n in range(1, nerve.dimension + 1)}}
-    lines = ["nerve on %d blocks, dimension %d" % (len(part), nerve.dimension),
-             "  simplex counts: %s" % (counts,)]
-    for n in range(nerve.dimension + 1):
-        lines.append("  dim %d: %s" % (n, " ".join(
-            "".join(str(v) for v in s) if max(s) < 10 else str(s)
-            for s in nerve.simplices[n])))
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "nerve on %d blocks, dimension %d" % (len(part), nerve.dimension),
+        "  simplex counts: %s" % (counts,)] + [
+        "  dim %d: %s" % (n, " ".join("".join(str(v) for v in s) if max(s) < 10 else str(s)
+                                     for s in nerve.simplices[n]))
+        for n in range(nerve.dimension + 1)])
 
 
 def _ntower_from_args(args):
@@ -303,11 +303,11 @@ def _cmd_tautness(args):
     agree = reports_consistent(taut, four)
     obj = {"tautness": taut.to_json(), "four_term": four.to_json(),
            "junction_agreement": agree}
-    lines = ["tautness sequence at degree %d over %s" % (n, coeffs.describe())]
-    lines += _report_lines(taut) + ["", "four-term comparison"] + _report_lines(four)
-    lines.append("junction agreement: %s" % ("yes" if agree else "NO"))
     code = 1 if (taut.failed or four.failed or not agree) else 0
-    return code, _emit(args, obj, lines)
+    return code, _emit(args, obj, lambda: [
+        "tautness sequence at degree %d over %s" % (n, coeffs.describe())]
+        + _report_lines(taut) + ["", "four-term comparison"] + _report_lines(four)
+        + ["junction agreement: %s" % ("yes" if agree else "NO")])
 
 
 def _cmd_milnor(args):
@@ -315,9 +315,8 @@ def _cmd_milnor(args):
     n = _need_degree(args)
     rep = milnor_sequence(data, n, "Milnor")
     obj = rep.to_json()
-    lines = ["milnor sequence at degree %d" % n]
-    lines += _report_lines(rep)
-    return (1 if rep.failed else 0), _emit(args, obj, lines)
+    return (1 if rep.failed else 0), _emit(args, obj, lambda: [
+        "milnor sequence at degree %d" % n] + _report_lines(rep))
 
 
 def _cmd_proptest(args):
@@ -370,10 +369,10 @@ def _cmd_proptest(args):
     counts["towers"] = 50
 
     obj = {"seed": args.seed, "passed": counts}
-    lines = ["property battery, seed %d" % args.seed]
-    lines += ["  %s: %d ok" % (k, v) for k, v in sorted(counts.items())]
-    lines.append("all invariants held")
-    return 0, _emit(args, obj, lines)
+    return 0, _emit(args, obj, lambda: [
+        "property battery, seed %d" % args.seed]
+        + ["  %s: %d ok" % (k, v) for k, v in sorted(counts.items())]
+        + ["all invariants held"])
 
 
 _DISPATCH = {"snf": _cmd_snf, "group": _cmd_group, "homology": _cmd_homology,

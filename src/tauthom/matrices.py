@@ -11,14 +11,24 @@ determinant. Smith reduction follows a deterministic pivot rule (smallest
 magnitude nonzero entry, ties broken in row-major order) so that every
 factorization is reproducible across runs and platforms.
 
-Both reduction cores cost time in proportion to the nonzeros they touch,
-not the matrix dimension: each row or column operation runs over the
-nonzeros of its pivot line only, the pivot scan stops at the first unit
-entry, and a unit pivot skips the divisibility sweep. The pivot rule and
-the order of elementary operations are those of the plain dense
-elimination, so each core's transforms and form are the same, entry for
-entry; the Smith transforms of ``smith_normal_form`` are those of the two
-cores composed.
+The Hermite core adds the columns one at a time, in the order of Kannan
+and Bachem (SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4): each
+column is reduced top-down against the Hermite basis of the columns
+before it, by an exact quotient where the pivot divides the entry and by
+a 2x2 extended-gcd step otherwise. Only the basis columns that changed
+are then reduced against the pivots below them, which keeps every entry
+near the size of the final form, and one back-reduction pass at the end
+makes H canonical. The Smith core eliminates with the pivot rule above;
+its pivot scan stops at the first unit entry, and a unit pivot skips the
+divisibility sweep.
+
+Both cores cost time in proportion to the nonzeros they touch, not the
+matrix dimension: each row or column operation runs over the nonzeros of
+its pivot line only, and the Hermite core keeps the nonzeros of each
+basis column until that column changes. Each core performs the elementary
+operations of its plain dense form in the same order, so its transforms
+are the same, entry for entry; the Smith transforms of
+``smith_normal_form`` are those of the two cores composed.
 """
 
 from __future__ import annotations
@@ -120,7 +130,10 @@ class IntMatrix:
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch in subtraction")
+        return IntMatrix._trusted(self.rows, self.cols, tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -480,53 +493,104 @@ class HermiteForm:
         return IntMatrix._trusted(len(ys), rhs.cols, tuple(ys))
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) > 0, by the extended
+    Euclidean algorithm; a and b are not both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _basis_nonzeros(i, H, W, nz):
+    """The nonzeros of basis column i in H (from its pivot row down) and in
+    V, kept in ``nz[i]`` until the column changes."""
+    nz[i] = pair = (_nonzeros(H[i], i), _nonzeros(W[i]))
+    return pair
+
+
+def _reduce_below(i, H, W, nz, r):
+    """Reduce basis column i into [0, pivot) in the pivot rows below row i;
+    True when it changed. A step at row l changes the column from row l
+    down only, so the scan reads every entry after the steps above it."""
+    a, w = H[i], W[i]
+    changed = False
+    for l in compress(range(i + 1, r), islice(a, i + 1, None)):
+        if H[l] is not None and (q := a[l] // H[l][l]):
+            a_nz, w_nz = nz[l] or _basis_nonzeros(l, H, W, nz)
+            for m, b in a_nz:
+                a[m] -= q * b
+            for m, b in w_nz:
+                w[m] -= q * b
+            changed = True
+    return changed
+
+
 def _hermite_core(mat):
     r, c = mat.rows, mat.cols
-    A = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
-    V = _identity_lines(c)
-    pivots = []
-
-    def col_sub(j, a_nz, v_nz, q):
-        # col_j -= q * col_k in place, over the nonzeros of col_k in A and V
-        Aj, Vj = A[j], V[j]
-        for m, b in a_nz:
-            Aj[m] -= q * b
-        for m, b in v_nz:
-            Vj[m] -= q * b
-
-    for i in range(r):
-        k = len(pivots)
-        # Euclidean reduction of row i over the columns without a pivot,
-        # smallest entry first, rounding to the nearest quotient
-        live = [j for j in range(k, c) if A[j][i]]
-        while len(live) > 1:
-            j = min(live, key=lambda j: abs(A[j][i]))
-            A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
-            p = A[k][i]
-            a_nz, v_nz = _nonzeros(A[k]), _nonzeros(V[k])
-            # only the live columns can be nonzero in row i
-            rest = [j for j in live if j > k and A[j][i]]
-            for j in rest:
-                q = (2 * A[j][i] + p) // (2 * p)
-                if q:
-                    col_sub(j, a_nz, v_nz, q)
-            live = [k] + [j for j in rest if A[j][i]]
-        if not live:
-            continue
-        j = live[0]
-        A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
-        if A[k][i] < 0:
-            A[k], V[k] = [-x for x in A[k]], [-x for x in V[k]]
-        p = A[k][i]
-        back = [(j, q) for j in range(k) if (q := A[j][i] // p)]
-        if back:
-            a_nz, v_nz = _nonzeros(A[k]), _nonzeros(V[k])
-        for j, q in back:
-            col_sub(j, a_nz, v_nz, q)
-        pivots.append(i)
-    h = tuple(zip(*A[:len(pivots)])) if pivots else ((),) * r
-    return IntMatrix._trusted(r, len(pivots), h), IntMatrix._trusted(c, c, tuple(zip(*V))), \
-        tuple(pivots)
+    # The Hermite basis of the columns added so far, by pivot row: its
+    # columns of H and V, their nonzeros (made on first use after a change),
+    # and the step that last changed each; ``low`` is the lowest pivot row.
+    H, W, nz, stamp = [None] * r, [None] * r, [None] * r, [0] * r
+    kernel, low = [], -1
+    for j, col in enumerate(zip(*mat.data) if r else [()] * c):
+        x, y = list(col), [0] * c
+        y[j] = 1
+        changed = []
+        # Reduce column j top-down against the basis: by an exact quotient
+        # where the pivot divides the entry, else by a 2x2 extended-gcd step
+        # that also replaces the pivot column. Both change x in place from
+        # row i down, so the scan reads every entry as it is when reached.
+        for i in compress(range(r), x):
+            a = H[i]
+            if a is None:
+                if x[i] < 0:
+                    x, y = [-v for v in x], [-v for v in y]
+                H[i], W[i] = x, y
+                changed.append(i)
+                break
+            p, e = a[i], x[i]
+            q, rem = divmod(e, p)
+            if rem:
+                # [a | x] * [[s, -e/g], [t, p/g]], a unimodular 2x2 step
+                g, s, t = _xgcd(p, e)
+                p, e, w = p // g, e // g, W[i]
+                H[i] = [s * u + t * v for u, v in zip(a, x)]
+                x[:] = [p * v - e * u for u, v in zip(a, x)]
+                W[i] = [s * u + t * v for u, v in zip(w, y)]
+                y[:] = [p * v - e * u for u, v in zip(w, y)]
+                changed.append(i)
+            else:
+                a_nz, w_nz = nz[i] or _basis_nonzeros(i, H, W, nz)
+                for m, b in a_nz:
+                    x[m] -= q * b
+                for m, b in w_nz:
+                    y[m] -= q * b
+        else:
+            kernel.append(y)
+        # Only the columns that changed are reduced against the pivots below
+        # them, bottom-up, which keeps the entries near the size of the form.
+        for i in reversed(changed):
+            if i < low:
+                _reduce_below(i, H, W, nz, r)
+            elif i > low:
+                low = i
+            nz[i], stamp[i] = None, j
+    # One back-reduction pass makes H canonical. A column stays reduced
+    # until a pivot below it appears or changes, so the others are skipped.
+    # H[i] and W[i] are nonempty lists at the pivot rows and None elsewhere.
+    pivots = tuple(compress(range(r), H))
+    latest = 0
+    for i in reversed(pivots):
+        if stamp[i] < latest and _reduce_below(i, H, W, nz, r):
+            nz[i] = None
+        if stamp[i] > latest:
+            latest = stamp[i]
+    h = tuple(zip(*filter(None, H))) if pivots else ((),) * r
+    v = tuple(zip(*filter(None, W), *kernel))
+    return IntMatrix._trusted(r, len(pivots), h), IntMatrix._trusted(c, c, v), pivots
 
 
 @functools.lru_cache(maxsize=4096)

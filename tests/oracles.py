@@ -179,47 +179,72 @@ def smith_core_reference(mat):
                  for M, cols in ((U, r), (Ui, r), (A, c), (V, c)))
 
 
+def xgcd(a, b):
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0, by the recursive
+    extended Euclidean algorithm."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = xgcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
 def hermite_core_reference(mat):
-    """The dense column Hermite core the library used before its reductions
-    touched only nonzeros, kept as the reference for bit-identical
-    transforms. Returns H and V as (rows, cols, row tuples) triples and the
-    pivot rows."""
+    """The column-incremental Hermite core in plain dense form, the
+    reference for bit-identical transforms. Column j is reduced top-down
+    against the basis of the columns before it (indexed by pivot row): an
+    exact quotient where the pivot divides the entry, else the unimodular
+    2x2 step [basis | x] * [[s, -e/g], [t, p/g]]. Every basis column that
+    changed, bottom-up, is then reduced into [0, pivot) in the pivot rows
+    below it; at the end every basis column is, bottom-up. Returns H and V
+    as (rows, cols, row tuples) triples and the pivot rows."""
     r, c = mat.rows, mat.cols
-    A = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
-    V = [[int(i == j) for i in range(c)] for j in range(c)]
-    pivots = []
+    cols = [list(col) for col in zip(*mat.data)] if r else [[] for _ in range(c)]
+    H, V = {}, {}
+    kernel = []
 
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        if not q:
-            return
-        A[j] = [a - q * b for a, b in zip(A[j], A[k])]
-        V[j] = [a - q * b for a, b in zip(V[j], V[k])]
+    def sub(u, v, q):
+        return [a - q * b for a, b in zip(u, v)]
 
-    for i in range(r):
-        k = len(pivots)
-        # Euclidean reduction of row i over the columns without a pivot,
-        # smallest entry first, rounding to the nearest quotient
-        live = [j for j in range(k, c) if A[j][i]]
-        while len(live) > 1:
-            j = min(live, key=lambda j: abs(A[j][i]))
-            A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
-            p = A[k][i]
-            for j in range(k + 1, c):
-                if A[j][i]:
-                    col_sub(j, k, (2 * A[j][i] + p) // (2 * p))
-            live = [j for j in range(k, c) if A[j][i]]
-        if not live:
-            continue
-        j = live[0]
-        A[k], A[j], V[k], V[j] = A[j], A[k], V[j], V[k]
-        if A[k][i] < 0:
-            A[k], V[k] = [-x for x in A[k]], [-x for x in V[k]]
-        for j in range(k):
-            col_sub(j, k, A[j][i] // A[k][i])
-        pivots.append(i)
-    h = tuple(zip(*A[:len(pivots)])) if pivots else ((),) * r
-    return (r, len(pivots), h), (c, c, tuple(zip(*V))), tuple(pivots)
+    def reduce_below(i):
+        for l in range(i + 1, r):
+            if l in H:
+                q = H[i][l] // H[l][l]
+                H[i], V[i] = sub(H[i], H[l], q), sub(V[i], V[l], q)
+
+    for j in range(c):
+        x, y = cols[j], [int(k == j) for k in range(c)]
+        changed = []
+        for i in range(r):
+            e = x[i]
+            if e == 0:
+                continue
+            if i not in H:
+                if e < 0:
+                    x, y = [-a for a in x], [-a for a in y]
+                H[i], V[i] = x, y
+                changed.append(i)
+                break
+            p = H[i][i]
+            if e % p == 0:
+                x, y = sub(x, H[i], e // p), sub(y, V[i], e // p)
+            else:
+                g, s, t = xgcd(p, e)
+                a, w = H[i], V[i]
+                H[i] = [s * u + t * v for u, v in zip(a, x)]
+                V[i] = [s * u + t * v for u, v in zip(w, y)]
+                x = [(p // g) * v - (e // g) * u for u, v in zip(a, x)]
+                y = [(p // g) * v - (e // g) * u for u, v in zip(w, y)]
+                changed.append(i)
+        else:
+            kernel.append(y)
+        for i in reversed(changed):
+            reduce_below(i)
+    pivots = sorted(H)
+    for i in reversed(pivots):
+        reduce_below(i)
+    h = tuple(zip(*(H[i] for i in pivots))) if pivots else ((),) * r
+    v = tuple(zip(*([V[i] for i in pivots] + kernel)))
+    return (r, len(pivots), h), (c, c, v), tuple(pivots)
 
 
 def hermite_solve_reference(hf, rhs):
@@ -254,13 +279,6 @@ def hermite_oracle(rows, cols):
     zeros above it, and earlier columns reduced into [0, pivot) there."""
     m = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(cols)]
     n = len(rows)
-
-    def xgcd(a, b):
-        if b == 0:
-            return (abs(a), 1 if a >= 0 else -1, 0)
-        g, x, y = xgcd(b, a % b)
-        return g, y, x - (a // b) * y
-
     k = 0
     for i in range(n):
         if k == cols:

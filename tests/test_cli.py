@@ -403,6 +403,20 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         json.loads(outs[0])
 
+    def test_json_reports_build_no_text_lines(self, capsys, monkeypatch, tower_file):
+        argvs = [("lim", "--input", tower_file),
+                 ("tautness", "--preset", "solenoid:2", "--degree", "1"),
+                 ("milnor", "--preset", "solenoid:2", "--degree", "1")]
+        want = [run_cli(capsys, *argv, "--format", "json") for argv in argvs]
+
+        def built(*args):
+            raise AssertionError("text lines built")
+        monkeypatch.setattr(cli, "_outcome_lines", built)
+        monkeypatch.setattr(cli, "_report_lines", built)
+        assert [run_cli(capsys, *argv, "--format", "json") for argv in argvs] == want
+        assert run_cli(capsys, *argvs[0], "--format", "text") == \
+            (1, "", "check failed: text lines built\n")
+
     def test_uct_runs_byte_identical(self, capsys):
         outs = []
         for _ in range(2):

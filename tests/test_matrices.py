@@ -63,6 +63,16 @@ class TestArithmetic:
             a, b = rand_matrix(rng, r, k), rand_matrix(rng, k, c)
             assert (a * b).transpose() == b.transpose() * a.transpose()
 
+    def test_subtraction(self):
+        rng = random.Random(912)
+        for _ in range(50):
+            r, c = rng.randrange(0, 5), rng.randrange(0, 5)
+            a, b = rand_matrix(rng, r, c), rand_matrix(rng, r, c)
+            assert a - b == a + b * -1 == IntMatrix(
+                r, c, [[x - y for x, y in zip(p, q)] for p, q in zip(a.data, b.data)])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            IntMatrix.zeros(2, 3) - IntMatrix.zeros(3, 2)
+
     def test_json_round_trip(self):
         a = IntMatrix.from_rows([[1, -2, 3]])
         assert IntMatrix.from_json(a.to_json()) == a
@@ -174,6 +184,18 @@ def sympy_invariant_factors(m):
     h = hermite_normal_form(dm, D=abs(det)).to_list()
     rev = DomainMatrix([row[::-1] for row in h[::-1]], (m.rows, m.cols), ZZ)
     return tuple(int(x) for x in invariant_factors(rev))
+
+
+def sympy_unique_solution(m, h):
+    """The V with M*V == H for M of full column rank, by sympy over QQ from
+    the normal equations (M^T M) V == M^T H; it must be integral."""
+    def dm(mat):
+        return DomainMatrix([[ZZ(x) for x in row] for row in mat.data], (mat.rows, mat.cols), ZZ)
+
+    mt = dm(m).transpose()
+    sol = (mt * dm(m)).to_field().lu_solve((mt * dm(h)).to_field()).to_list()
+    assert all(x.denominator == 1 for row in sol for x in row)
+    return IntMatrix(m.cols, h.cols, [[int(x.numerator) for x in row] for row in sol])
 
 
 def check_smith(m):
@@ -326,6 +348,35 @@ class TestHermite:
         assert hf.solve(IntMatrix.from_rows([[2], [4], [0]])) is not None
         assert hf.solve(IntMatrix.from_rows([[1], [0], [0]])) is None
         assert hf.solve(IntMatrix.from_rows([[2], [1], [1]])) is None
+
+    def test_full_column_rank_transform_is_unique(self):
+        # M*V == H has one solution when M has full column rank, so V is
+        # independent of the order of operations: compare it with sympy's
+        # exact rational solution on every such reference matrix and on the
+        # dense ladder
+        ladder = [rand_matrix(random.Random(1700 + n), n, n, 9) for n in (16, 32, 48)]
+        full = [m for m in reference_corpus() if m.cols and rank_oracle(m.data) == m.cols]
+        assert len(full) >= 20, len(full)
+        for m in full + ladder:
+            hf = hermite_form(m)
+            assert hf.v == sympy_unique_solution(m, hf.h), m
+
+    @given(st.integers(1, 6), st.integers(2, 6), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rank_deficient_products(self, r, c, data):
+        # A*B with an inner dimension below c: V is not unique, but it must
+        # be unimodular with M*V == [H | 0], and H the canonical form
+        k = data.draw(st.integers(0, c - 1))
+        a = IntMatrix(r, k, data.draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                               min_size=r, max_size=r)))
+        b = IntMatrix(k, c, data.draw(st.lists(st.lists(small, min_size=c, max_size=c),
+                                               min_size=k, max_size=k)))
+        m = a * b
+        hf = hermite_form(m)
+        assert hf.h.cols <= k < c
+        assert m * hf.v == hstack(hf.h, IntMatrix.zeros(r, c - hf.h.cols))
+        assert abs(_det([list(row) for row in hf.v.data])) == 1
+        assert [list(row) for row in hf.h.data] == hermite_oracle([list(row) for row in m.data], c)
 
     def test_solve_matches_reference(self):
         # the batched substitution against the column-at-a-time one, on
