@@ -97,11 +97,60 @@ def _chosen_degrees(args, available):
     return [args.degree]
 
 
+# the text json.dumps gives a str, an int, a bool or None, by exact type
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, without
+    the standard library's pure-Python indenting encoder."""
+    out = []
+    _json_pieces(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_pieces(obj, pad, out):
+    """Append the text of ``obj`` to ``out`` in small pieces, joined once
+    at the end: dicts with string keys and lists are laid out here, a list
+    of ints in one pass, and anything else, floats included, goes through
+    ``json.dumps`` itself. ``pad`` is a newline and the indentation of the
+    line that holds ``obj``."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar:
+        out.append(scalar(obj))
+        return
+    inner = pad + "  "
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        sep = "{" + inner
+        for k in sorted(obj):
+            out.append(sep + _SCALAR_TEXT[str](k) + ": ")
+            _json_pieces(obj[k], inner, out)
+            sep = "," + inner
+        out.append(pad + "}" if obj else "{}")
+    elif type(obj) in (list, tuple):
+        if not obj:
+            out.append("[]")
+        elif set(map(type, obj)) == {int}:
+            out.append("[" + inner + str(obj[0]))
+            out.extend(map(("," + inner).__add__, map(str, obj[1:])))
+            out.append(pad + "]")
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _json_pieces(x, inner, out)
+                sep = "," + inner
+            out.append(pad + "]")
+    else:
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
+
+
 def _emit(args, obj, text_lines):
     """The report: ``obj`` as JSON, or the lines that ``text_lines()``
     returns, which are built only for the text format."""
     if args.format == "json":
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return _json_text(obj)
     return "\n".join(text_lines())
 
 

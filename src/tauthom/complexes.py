@@ -24,17 +24,25 @@ term, and no lattice of Hom(C^n, G) is built. Before the certificate is
 returned the maps are verified by the biproduct identities (Mac Lane,
 *Categories for the Working Mathematician*, VIII.2): e∘i = 0 and e∘s = 1, a
 retraction r solved from i∘r = 1 - s∘e modulo the middle group's
-relations, and r∘i = 1. These make the sequence split exact. The Ext term
-is built from the cocycle/coboundary resolution and compared with its
-closed form, a sum of cyclic groups (``ExtGroup.group``); a disagreement
-raises instead of returning.
+relations, and r∘i = 1. These make the sequence split exact.
+
+Every term over G is a sum of cyclic groups, put in normal form by the
+closed-form ``CyclicSum``, so a certificate builds no Subquotient and takes
+no Hermite or Smith form over G except the solve of the retraction. The
+Ext term's basis comes from the Smith form U inside^T V = D of the
+transposed inclusion B^{n+1} -> Z^{n+1}: it is the sum of Z/gcd(t_i, e) over
+the invariant factors t_i != 1 and the orders e of G, generated by the
+columns of U^-1 tensored with G's generators, and it is compared with its
+closed form from H^{n+1} (``ExtGroup.group``); a disagreement raises
+instead of returning. The Hom term's basis is ``HomGroup``'s, and the
+middle's normal form and summand inclusions are those of the sum of the two.
 
 The integral lattice work of a certificate (cocycle and coboundary bases,
-cohomology, d^n in the coboundary basis, the resolution inclusion, the left
-inverse of the cocycle basis, the projection onto the cocycles and the
-verified section) does not depend on G. It is memoised on the FreeComplex,
-so certificates over several coefficient groups share it; every check that
-involves G still runs for each certificate.
+cohomology, d^n in the coboundary basis, the resolution inclusion and its
+Smith form, the left inverse of the cocycle basis, the projection onto the
+cocycles and the verified section) does not depend on G. It is memoised on
+the FreeComplex, so certificates over several coefficient groups share it;
+every check that involves G still runs for each certificate.
 """
 
 from __future__ import annotations
@@ -43,10 +51,10 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
+from .groups import (CyclicSum, ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
                      Subquotient, _precompose, _relations_for_orders, kernel_lattice)
-from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix,
-                       column_basis, hermite_form, hstack, kernel_basis, solve_columns)
+from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix, column_basis,
+                       hermite_form, hstack, kernel_basis, smith_normal_form, solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -360,11 +368,11 @@ def _check_integral_split(n, p, in_b_basis, z, s):
 class UctSuite:
     """Builds universal-coefficient certificates for one (complex, G) pair.
     The integral lattice work (cocycle and coboundary bases, cohomology,
-    d^n in the coboundary basis, the resolution inclusion, the left inverse
-    of the cocycle basis, the projection onto the cocycles and the verified
-    splitting C^n = Z^n + S^n) does not depend on G; it is memoised on the
-    complex, so neighbouring degrees and every coefficient group share it.
-    Nothing that depends on G is kept there."""
+    d^n in the coboundary basis, the resolution inclusion and its Smith
+    form, the left inverse of the cocycle basis, the projection onto the
+    cocycles and the verified splitting C^n = Z^n + S^n) does not depend on
+    G; it is memoised on the complex, so neighbouring degrees and every
+    coefficient group share it. Nothing that depends on G is kept there."""
 
     def __init__(self, base, coefficients):
         self.base = base
@@ -437,46 +445,61 @@ class UctSuite:
             return s
         return self._memo(("S", n), build)
 
+    def _ext_basis(self, n):
+        """(t, w, wdB) for the Ext term of degree n. With U inside(n+1)^T V = D
+        the Smith form of the inclusion B^{n+1} -> Z^{n+1} transposed, the
+        cokernel of inside(n+1)^T is the sum of Z/t_i over the invariant
+        factors t_i != 1, generated by the columns w of U^-1 that belong to
+        them; the rows of wdB = w^T dB are those generators precomposed with
+        d^n in the basis of B^{n+1}, as cochains on C^n."""
+        def build():
+            s = smith_normal_form(self._inside(n + 1).transpose())
+            diag = s.diagonal + (0,) * (s.u.rows - len(s.diagonal))
+            kept = [i for i, d in enumerate(diag) if d != 1]
+            w = IntMatrix._trusted(s.uinv.rows, len(kept),
+                                   tuple(tuple(row[i] for i in kept) for row in s.uinv.data))
+            return tuple(diag[i] for i in kept), w, w.transpose() * self._in_b_basis(n)
+        return self._memo(("E", n), build)
+
     def _middle(self, n):
-        """(ext_sq, homg, mid_sq, lifts) for degree n. In the basis
-        Q = [z_n | s_n] of C^n the coboundary d^{n-1} is [[0, inside(n)],
-        [0, 0]], so H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on
-        Hom(Z^n, G), which is Hom(H^n, G), plus the cokernel of
-        inside(n+1)^T (x) G on Hom(S^n, G), which is the Ext term ext_sq.
-        mid_sq names the normal form of their direct sum, and ``lifts`` are
-        its generators in Hom(C^n, G): an Ext class psi is psi o dB and a
-        homomorphism on H^n is extended by zero along S^n through p."""
+        """(ext, homg, mid, lifts) for degree n. In the basis Q = [z_n | s_n]
+        of C^n the coboundary d^{n-1} is [[0, inside(n)], [0, 0]], so
+        H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on Hom(Z^n, G),
+        which is Hom(H^n, G), plus the cokernel of inside(n+1)^T (x) G on
+        Hom(S^n, G), the Ext term. Every term is a sum of cyclic groups in
+        closed form (CyclicSum): the Ext term is the sum of
+        Z/gcd(t_i, e_g) over the invariant factors t of ``_ext_basis`` and
+        the orders e of G, generated by w_i (x) e_g; ``homg`` the Hom term;
+        ``mid`` the normal form of their direct sum. ``lifts`` are the
+        middle's generators in Hom(C^n, G): an Ext class psi is psi o dB
+        and a homomorphism on H^n is extended by zero along S^n through p."""
         G, m = self.coefficients, self.coefficients.n_gens
-        # Ext term from the free resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
+        # the Ext term of the resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
         # compared with the closed form of Ext(H^{n+1}, G)
-        inside = self._inside(n + 1)
-        ext_sq = Subquotient(IntMatrix.identity(inside.cols * m),
-                             hstack(_precompose(inside, m),
-                                    _relations_for_orders(G.orders * inside.cols)))
-        if ext_sq.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
+        t, _, wdb = self._ext_basis(n)
+        ext = CyclicSum(gcd(d, e) for d in t for e in G.orders)
+        if ext.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and closed form at degree %d" % n)
         self._section(n)  # the split identity behind the summands below
         homg = HomGroup(self.cohomology_sq(n).group, G)
-        orders = ext_sq.group.orders + homg.group.orders
-        mid_sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
-        summands = hstack(_precompose(self._in_b_basis(n), m) * ext_sq.lifts,
+        mid = CyclicSum(ext.group.orders + homg.group.orders)
+        summands = hstack(_precompose(wdb, m) * ext.lifts,
                           _precompose(self._projected_basis(n), m) * homg._maps)
-        return ext_sq, homg, mid_sq, summands * mid_sq.lifts
+        return ext, homg, mid, summands * mid.lifts
 
     def certificate(self, n):
         """The verified certificate of degree n. The middle is the direct sum
         of the Ext and Hom terms (``_middle``), so the injection and the
         splitting are the summand inclusions; the surjection evaluates the
         middle's lifts on the cocycles that represent H^n."""
-        ext_sq, homg, mid_sq, lifts = self._middle(n)
-        ext, hom, mid = ext_sq.group, homg.group, mid_sq.group
-        k = ext.n_gens
-        inclusions = mid_sq.coords_matrix(IntMatrix.identity(k + hom.n_gens))
+        ext_sum, homg, mid_sum, lifts = self._middle(n)
+        ext, hom, mid = ext_sum.group, homg.group, mid_sum.group
+        k, inclusions = ext.n_gens, mid_sum.proj.data
         injection = GroupMap(ext, mid, IntMatrix._trusted(
-            mid.n_gens, k, tuple(row[:k] for row in inclusions.data)))
+            mid.n_gens, k, tuple(row[:k] for row in inclusions)))
         splitting = GroupMap(hom, mid, IntMatrix._trusted(
-            mid.n_gens, hom.n_gens, tuple(row[k:] for row in inclusions.data)))
+            mid.n_gens, hom.n_gens, tuple(row[k:] for row in inclusions)))
         h_lifts = _precompose(self.cohomology_sq(n).lifts, self.coefficients.n_gens)
         surjection = GroupMap(mid, hom, homg.coords_of(h_lifts * lifts))
         cert = UctCertificate(n, ext, hom, mid, injection, surjection, splitting)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
-from .matrices import (IntMatrix, _SparseMatrix, hermite_form, hstack, kernel_basis,
+from .matrices import (IntMatrix, _SparseMatrix, _xgcd, hermite_form, hstack, kernel_basis,
                        smith_normal_form, solve_columns)
 
 
@@ -264,6 +265,106 @@ class Subquotient:
                                   _reduce_rows(raw.data, self.group.orders))
 
 
+class CyclicSum:
+    """Z/o_1 (+) ... (+) Z/o_k (o_i = 0: Z) in normal form, in closed form.
+
+    The sweep of ``PresentedGroup.from_orders`` with explicit coordinates:
+    the zeros move to the front as free generators in their order, the
+    orders above 1 are stably sorted, and each pass step (a, b) -> (gcd,
+    lcm) with s*a + t*b = g is the unimodular change of coordinates
+    proj [[s, t], [-b/g, a/g]], whose inverse [[a/g, -t], [b/g, s]] gives
+    the new generators. Orders of 1 (and gcds of 1) are trivial summands
+    and drop out. Like a Subquotient of Z^k by the relations o_i e_i it has
+
+    - ``group``  the normal form,
+    - ``lifts``  k x n_gens, the canonical generators in the summands,
+    - ``proj``   n_gens x k, the coordinate map, its rows reduced modulo
+      the orders of ``group``,
+    - ``coords_matrix(m)`` canonical coordinates of each column of ``m``.
+
+    Every call verifies proj * lifts == I and proj * diag(o) == 0 modulo
+    the orders of ``group``, and ``group == from_orders(o)``: then proj is
+    a well-defined surjection between isomorphic finitely generated groups,
+    hence an isomorphism, with inverse ``lifts``.
+    """
+
+    __slots__ = ("orders", "group", "lifts", "proj")
+
+    def __init__(self, orders):
+        orders = self.orders = tuple(orders)
+        free = [i for i, d in enumerate(orders) if d == 0]
+        idx = sorted((i for i, d in enumerate(orders) if d > 1), key=orders.__getitem__)
+        chain = [orders[i] for i in idx]
+        # without a sweep, sorting alone gives the normal form
+        sweep = any(b % a for a, b in zip(chain, chain[1:]))
+        if sweep:
+            chain, proj, lifts = self._sweep(chain)
+            kept = [r for r, d in enumerate(chain) if d > 1]
+            chain = [chain[r] for r in kept]
+        k, n = len(orders), len(free) + len(chain)
+        P, L = [[0] * k for _ in range(n)], [[0] * n for _ in orders]
+        for r, i in enumerate(free if sweep else free + idx):
+            P[r][i] = L[i][r] = 1
+        if sweep:
+            for r, c in enumerate(kept, len(free)):
+                for i, x, y in zip(idx, proj[c], lifts[c]):
+                    P[r][i], L[i][r] = x, y
+        self.group = PresentedGroup.from_orders(orders)
+        self.lifts = IntMatrix._trusted(k, n, tuple(map(tuple, L)))
+        self.proj = IntMatrix._trusted(n, k, tuple(map(tuple, P)))
+        if self.group.orders != (0,) * len(free) + tuple(chain) or not self._identities_hold():
+            raise AssertionError("cyclic normal form of %r failed its identities" % (orders,))
+
+    @staticmethod
+    def _sweep(chain):
+        """The pass of from_orders over the sorted orders ``chain`` with its
+        coordinates: (new orders, proj rows, lifts), a proj row reduced
+        modulo its order and a lift modulo the orders of ``chain``."""
+        chain, t = list(chain), len(chain)
+        mods = tuple(chain)
+        proj = [[int(i == j) for j in range(t)] for i in range(t)]
+        lifts = [row[:] for row in proj]
+        for i in range(t):
+            a = chain[i]
+            for j in range(i + 1, t):
+                b = chain[j]
+                if b % a:
+                    g, s, u = _xgcd(a, b)
+                    ag, bg = a // g, b // g
+                    pi, pj, li, lj = proj[i], proj[j], lifts[i], lifts[j]
+                    proj[i] = [(s * x + u * y) % g for x, y in zip(pi, pj)]
+                    proj[j] = [(ag * y - bg * x) % (ag * b) for x, y in zip(pi, pj)]
+                    lifts[i] = [(ag * x + bg * y) % d for x, y, d in zip(li, lj, mods)]
+                    lifts[j] = [(s * y - u * x) % d for x, y, d in zip(li, lj, mods)]
+                    a, chain[j] = g, ag * b
+            chain[i] = a
+        return chain, proj, lifts
+
+    def _identities_hold(self):
+        """proj * lifts == I and proj * diag(o) == 0 modulo the orders of
+        ``group``, row by row over the nonzeros of proj."""
+        orders, lifts, gorders = self.orders, self.lifts.data, self.group.orders
+        coords = range(len(orders))
+        for r, (row, e) in enumerate(zip(self.proj.data, gorders)):
+            acc = [0] * len(gorders)
+            acc[r] = -1
+            for i in itertools.compress(coords, row):
+                x, d = row[i], orders[i]
+                if x * d % e if e else d:
+                    return False
+                acc = list(map(add, acc, map(x.__mul__, lifts[i])))
+            if any(map(e.__rmod__, acc)) if e else any(acc):
+                return False
+        return True
+
+    def coords_matrix(self, mat):
+        """Canonical coordinates of each column of ``mat``, a matrix in the
+        summands' coordinates."""
+        raw = self.proj * mat
+        return IntMatrix._trusted(self.group.n_gens, mat.cols,
+                                  _reduce_rows(raw.data, self.group.orders))
+
+
 def normalize(presentation):
     """Normal form of the abelian group with one generator per column of
     ``presentation`` and one relation per row.
@@ -442,16 +543,6 @@ def _precompose(mat, m):
     return IntMatrix._trusted(mat.cols * m, width, tuple(data))
 
 
-def _checked_subquotient(closed, numerator, denominator, name):
-    """Subquotient(numerator, denominator), whose group must be ``closed``,
-    the closed form of the same functor value."""
-    sq = Subquotient(numerator, denominator)
-    if sq.group != closed:
-        raise AssertionError("%s: the lattice gives %s, the closed form %s"
-                             % (name, sq.group, closed))
-    return sq
-
-
 class HomGroup:
     """Hom(A, G) for presented groups, with explicit conversions between
     canonical coordinates and actual homomorphisms.
@@ -460,14 +551,15 @@ class HomGroup:
     the component at such a pair is cyclic of order gcd(d_j, e_i) generated
     by the map sending the j-th generator to c = e_i/gcd times the i-th.
     ``group`` is the direct sum of those cyclic groups in normal form
-    (Hatcher, *Algebraic Topology*, 3.1). The Subquotient ``_sq`` that
-    names its canonical generators, and ``_maps``, the flattened maps of
-    those generators one per column, are built on first use and checked
-    against ``group``; ``coords_of`` reads coordinates back off flattened
+    (Hatcher, *Algebraic Topology*, 3.1). Its canonical generators come
+    from the closed-form normal form of that sum, ``_cyclic`` (a
+    CyclicSum, no lattice work), and ``_maps``, the flattened maps of those
+    generators one per column; both are built on first use and checked
+    against ``group``. ``coords_of`` reads coordinates back off flattened
     maps.
     """
 
-    __slots__ = ("source", "coefficients", "pairs", "group", "_lattice")
+    __slots__ = ("source", "coefficients", "pairs", "group", "_generators")
 
     def __init__(self, source, coefficients):
         self.source = source
@@ -485,25 +577,28 @@ class HomGroup:
                         pairs.append((j, i, ei // g, g))
         self.pairs = tuple(pairs)
         self.group = PresentedGroup.from_orders([p[3] for p in pairs])
-        self._lattice = None
+        self._generators = None
 
     def _built(self):
-        """(_sq, _maps), built once."""
-        if self._lattice is None:
+        """(_cyclic, _maps), built once."""
+        if self._generators is None:
             pairs = self.pairs
-            sq = _checked_subquotient(self.group, IntMatrix.identity(len(pairs)),
-                                      _relations_for_orders(tuple(p[3] for p in pairs)),
-                                      "Hom(%s, %s)" % (self.source, self.coefficients))
+            cyc = CyclicSum(p[3] for p in pairs)
+            if cyc.group != self.group:
+                raise AssertionError("Hom(%s, %s): the cyclic normal form gives %s, the closed "
+                                     "form %s" % (self.source, self.coefficients, cyc.group,
+                                                  self.group))
             m, k = self.coefficients.n_gens, self.group.n_gens
+            # a lift is reduced modulo its pair's order gcd(d_j, e_i), so c times
+            # it is reduced modulo e_i
             rows = [(0,) * k] * (self.source.n_gens * m)
-            for (j, i, c, _), lift in zip(pairs, sq.lifts.data):
+            for (j, i, c, _), lift in zip(pairs, cyc.lifts.data):
                 rows[j * m + i] = tuple(c * x for x in lift)
-            self._lattice = sq, IntMatrix._trusted(len(rows), k, _reduce_rows(
-                rows, self.coefficients.orders * self.source.n_gens))
-        return self._lattice
+            self._generators = cyc, IntMatrix._trusted(len(rows), k, tuple(rows))
+        return self._generators
 
     @property
-    def _sq(self):
+    def _cyclic(self):
         return self._built()[0]
 
     @property
@@ -530,7 +625,7 @@ class HomGroup:
                                    "source generator" % (r % m, r // m, self.source.orders[r // m]))
             if c:
                 t.append(tuple(x // c for x in row))
-        return self._sq.coords_matrix(IntMatrix._trusted(len(t), flat.cols, tuple(t)))
+        return self._cyclic.coords_matrix(IntMatrix._trusted(len(t), flat.cols, tuple(t)))
 
     def to_map(self, coords):
         """The homomorphism source -> coefficients at canonical coordinates."""
@@ -585,10 +680,12 @@ class ExtGroup:
         if self._lattice is None:
             t, m = len(self.source.torsion), self.coefficients.n_gens
             restr = _precompose(self.source.relation_matrix(), m)      # (t*m) x (n*m)
-            self._lattice = _checked_subquotient(
-                self.group, IntMatrix.identity(t * m),
-                hstack(restr, _relations_for_orders(self.coefficients.orders * t)),
-                "Ext(%s, %s)" % (self.source, self.coefficients))
+            sq = Subquotient(IntMatrix.identity(t * m), hstack(
+                restr, _relations_for_orders(self.coefficients.orders * t)))
+            if sq.group != self.group:
+                raise AssertionError("Ext(%s, %s): the lattice gives %s, the closed form %s"
+                                     % (self.source, self.coefficients, sq.group, self.group))
+            self._lattice = sq
         return self._lattice
 
     def pullback(self, f, dest):

@@ -568,6 +568,55 @@ def ext_oracle(a_torsion, g_torsion):
     return _classify_product(factors)
 
 
+def cyclic_sum_iso_oracle(orders, normal, proj, lifts):
+    """Is x |-> proj x an isomorphism of A = Z/o_1 + ... + Z/o_k onto
+    B = Z/e_1 + ... + Z/e_n (an order 0 is Z; o = ``orders``, e = ``normal``;
+    row r of ``proj`` is read modulo e_r), with column c of ``lifts`` sent to
+    the c-th generator of B?
+
+    The map is block triangular: a torsion coordinate can only go to the
+    torsion rows, so it is an isomorphism exactly when the free block is a
+    square integer matrix of determinant +-1 and the torsion part of A,
+    brute-forced element by element (a few hundred at most), goes one to one
+    onto the torsion part of B and respects addition: stepping any
+    coordinate by one, with wrap-around, adds the image of its generator.
+    """
+    free_a = [i for i, o in enumerate(orders) if o == 0]
+    tors_a = [i for i, o in enumerate(orders) if o]
+    free_b = [r for r, e in enumerate(normal) if e == 0]
+    tors_b = [r for r, e in enumerate(normal) if e]
+    if any(proj[r][i] for r in free_b for i in tors_a) or len(free_a) != len(free_b):
+        return False
+    if abs(_det([[proj[r][i] for i in free_a] for r in free_b])) != 1:
+        return False
+
+    def image(x):
+        return tuple(sum(proj[r][i] * a for i, a in zip(tors_a, x)) % normal[r]
+                     for r in tors_b)
+
+    tors_orders = [orders[i] for i in tors_a]
+    elements = list(product(*[range(o) for o in tors_orders]))
+    images = {x: image(x) for x in elements}
+    size = 1
+    for r in tors_b:
+        size *= normal[r]
+    if len(set(images.values())) != len(elements) or size != len(elements):
+        return False
+    units = [image(tuple(int(i == j) % o for j, o in enumerate(tors_orders)))
+             for i in range(len(tors_a))]
+    for x, fx in images.items():
+        for i, o in enumerate(tors_orders):
+            y = x[:i] + ((x[i] + 1) % o,) + x[i + 1:]
+            if images[y] != tuple((a + b) % normal[r] for a, b, r in zip(fx, units[i], tors_b)):
+                return False
+    for c in range(len(normal)):
+        got = [sum(row[i] * lifts[i][c] for i in range(len(orders))) for row in proj]
+        want = [int(r == c) for r in range(len(normal))]
+        if any((g - w) % e if e else g - w for g, w, e in zip(got, want, normal)):
+            return False
+    return True
+
+
 def _classify_product(factors):
     total = 1
     for _, order in factors:
@@ -947,7 +996,7 @@ def hom_to_map_reference(hom, coords):
     pair (j, i, c, _) adds t_p * c at entry (i, j)."""
     from tauthom.groups import GroupMap
     from tauthom.matrices import IntMatrix
-    t = hom._sq.lifts.apply(hom.group.reduce(coords))
+    t = hom._cyclic.lifts.apply(hom.group.reduce(coords))
     data = [[0] * hom.source.n_gens for _ in range(hom.coefficients.n_gens)]
     for (j, i, c, _), val in zip(hom.pairs, t):
         data[i][j] += val * c
@@ -966,7 +1015,7 @@ def hom_from_map_reference(hom, f):
         if e % c:
             raise IllFormedMap("entry (%d,%d) is not a multiple of %d" % (i, j, c))
         t.append(e // c)
-    return hom._sq.coords_matrix(IntMatrix(len(t), 1, [[x] for x in t])).column(0)
+    return hom._cyclic.coords_matrix(IntMatrix(len(t), 1, [[x] for x in t])).column(0)
 
 
 def _columns_map(source, target, cols):

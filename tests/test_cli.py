@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tauthom
 from tauthom import cli, complexes, tautness
@@ -454,3 +455,20 @@ class TestDeterminism:
         args = build_parser().parse_args(["snf"])
         assert args.format == "text"
         assert args.seed == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+    | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=6)
+                   | st.tuples(inner, inner) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4)),
+    max_leaves=24)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_json_writer_matches_the_standard_encoder(obj):
+    # nested dicts and lists, negative and bignum ints, non-ASCII text,
+    # bools, None and empty containers come out as json.dumps writes them
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -291,7 +291,9 @@ class TestUct:
 
     def test_sequence_maps_match_full_size_reference(self):
         # the middle's lifts name an isomorphism onto the full-size
-        # H_n(Hom(C, G)); along it the three maps are the per-column ones
+        # H_n(Hom(C, G)), and the Ext term's generators w (x) e_g one onto the
+        # lattice route's cokernel of inside^T (x) G; along the two the three
+        # maps are the per-column ones
         rng = seeded(24)
         for _ in range(12):
             cx, _ = random_free_cochain_complex(rng)
@@ -300,18 +302,44 @@ class TestUct:
                 full_sq = CoefficientComplex(cx, g)
                 for n, cert in uct_certificates(cx, g).items():
                     full = coefficient_homology_subquotient(full_sq, n)
-                    iso = GroupMap(cert.middle, full.group,
-                                   full.coords_matrix(suite._middle(n)[3]))
+                    ext_sum, _, _, lifts = suite._middle(n)
+                    iso = GroupMap(cert.middle, full.group, full.coords_matrix(lifts))
                     assert inverse(iso) is not None
                     # the Ext term from the resolution B^{n+1} -> Z^{n+1}
                     inside = solve_columns(suite.cocycles(n + 1), suite.coboundaries(n + 1))
                     ext = Subquotient(IntMatrix.identity(inside.cols * g.n_gens), hstack(
                         kron_identity_reference(inside.transpose(), g.n_gens),
                         _relations_for_orders(g.orders * inside.cols)))
+                    ext_iso = GroupMap(cert.ext_term, ext.group, ext.coords_matrix(
+                        kron_identity_reference(suite._ext_basis(n)[1], g.n_gens)
+                        * ext_sum.lifts))
+                    assert inverse(ext_iso) is not None
                     include, evaluate, split = sequence_reference(suite, n, ext, full)
-                    assert include == iso @ cert.injection
+                    assert include @ ext_iso == iso @ cert.injection
                     assert evaluate @ iso == cert.surjection
                     assert split == iso @ cert.splitting
+
+    def test_ext_generators_name_the_cokernel(self):
+        # the columns w of U^-1 that belong to the invariant factors t != 1 of
+        # U inside^T V = D generate the cokernel of inside^T, the Ext term over
+        # Z: read in the lattice route's coordinates they give an isomorphism
+        # from the sum of the Z/t_i, and their rows precomposed with d^n in the
+        # coboundary basis are the Ext classes on C^n
+        rng = seeded(30)
+        checked = 0
+        for _ in range(150):
+            cx, _ = random_free_cochain_complex(rng)
+            suite = UctSuite(cx, Z)
+            for n in cx.degrees():
+                t, w, wdb = suite._ext_basis(n)
+                inside = solve_columns(suite.cocycles(n + 1), suite.coboundaries(n + 1))
+                coker = Subquotient(IntMatrix.identity(inside.cols), inside.transpose())
+                iso = GroupMap(PresentedGroup(0, t), coker.group, coker.coords_matrix(w))
+                assert inverse(iso) is not None
+                in_b_basis = solve_columns(suite.coboundaries(n + 1), cx.diff(n))
+                assert wdb == w.transpose() * in_b_basis
+                checked += bool(t)
+        assert checked > 50, checked
 
     def test_shared_integral_data_matches_fresh_complexes(self):
         # the lattice data memoised on a complex does not depend on G: over
@@ -380,11 +408,13 @@ class TestUct:
 
     def test_certificates_build_no_full_size_subquotient(self, monkeypatch):
         # Hom(C^n, G) has rank(n) * m coordinates; with the integral data
-        # memoised (cohomology_sq lives in C^n), every Subquotient a
-        # certificate builds is smaller. The 12-gon and a cone on it with
-        # H^2 = Z/2 keep every Ext and Hom term small.
+        # memoised, a certificate builds no Subquotient at all and takes no
+        # Smith form, and its one Hermite form is the solve of _check_split.
+        # The 12-gon and a cone on it with H^2 = Z/2 keep every Ext and Hom
+        # term small.
         import tauthom.complexes as complexes
         import tauthom.groups as groups
+        import tauthom.matrices as matrices
         d0 = IntMatrix._trusted(12, 12, tuple(
             tuple((1 if i == (j + 1) % 12 else 0) - (1 if i == j else 0) for j in range(12))
             for i in range(12)))
@@ -393,19 +423,27 @@ class TestUct:
         groups_ = (Z, Z2, Z12, MIXED, parse_group("Z/2+Z/6"))
         for cx in cxs:
             uct_certificates(cx, Z)
-        ambient = []
+        ambient, forms = [], []
 
         def recording(numerator, denominator):
             ambient.append(numerator.rows)
             return Subquotient(numerator, denominator)
 
+        def counted(kind, form):
+            return lambda mat: forms.append(kind) or form(mat)
+
         monkeypatch.setattr(complexes, "Subquotient", recording)
         monkeypatch.setattr(groups, "Subquotient", recording)
+        for module in (matrices, groups, complexes):
+            monkeypatch.setattr(module, "hermite_form", counted("hermite", matrices.hermite_form))
+            monkeypatch.setattr(module, "smith_normal_form",
+                                counted("smith", matrices.smith_normal_form))
         for g in groups_:
             for cx in cxs:
-                del ambient[:]
+                del ambient[:], forms[:]
                 certs = uct_certificates(cx, g)
-                assert ambient and max(ambient) < 12 * g.n_gens
+                assert ambient == []
+                assert forms == ["hermite"] * len(certs)
                 # the full-size route would build one of 12 * m
                 coefficient_homology_subquotient(CoefficientComplex(cx, g), 1)
                 assert ambient[-1] == 12 * g.n_gens

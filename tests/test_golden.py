@@ -111,6 +111,21 @@ def test_output_matches_recorded_digest(name, fixture_folder, recorded):
     assert digest(runner, argv, fixture_folder) == recorded[name]
 
 
+def test_json_reports_match_the_standard_encoder(fixture_folder, monkeypatch):
+    # the command line writes each JSON report as json.dumps(obj, indent=2,
+    # sort_keys=True) would
+    from tauthom import cli
+    write, reports = cli._json_text, []
+    monkeypatch.setattr(cli, "_json_text", lambda obj: reports.append(obj) or write(obj))
+    runs = [argv for runner, argv in cases().values() if runner == "cli" and argv[-1] == "json"]
+    for argv in runs:
+        digest("cli", argv, fixture_folder)
+    # only tautness on the contradiction fixture stops without a report
+    assert len(reports) == len(runs) - 1
+    for obj in reports:
+        assert write(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
 def record():
     golden = _golden()
     with tempfile.TemporaryDirectory() as folder:

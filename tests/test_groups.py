@@ -1,22 +1,23 @@
 import doctest
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tauthom.groups
 import tauthom.matrices
-from tauthom.groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
+from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, GroupParseError, HomGroup,
                             IllFormedMap, PresentedGroup, Subquotient,
-                            _precompose, cokernel, image, inverse, kernel,
-                            kernel_lattice, normalize, parse_group)
+                            _precompose, _relations_for_orders, cokernel, image,
+                            inverse, kernel, kernel_lattice, normalize, parse_group)
 from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import (random_finite_group, random_group,
                                random_group_map, random_matrix, seeded)
 
-from oracles import (all_finite_groups_to, ext_oracle, hom_from_map_reference,
-                     hom_oracle, hom_pullback_reference, hom_to_map_reference,
-                     invariant_factors_oracle, kron_identity_reference)
+from oracles import (all_finite_groups_to, cyclic_sum_iso_oracle, ext_oracle,
+                     hom_from_map_reference, hom_oracle, hom_pullback_reference,
+                     hom_to_map_reference, invariant_factors_oracle, kron_identity_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -366,16 +367,20 @@ class TestHomExt:
 
 
 class TestClosedForms:
-    """``.group`` of HomGroup and ExtGroup is the closed form; the
-    Subquotient behind their maps is built on first use and must agree."""
+    """``.group`` of HomGroup and ExtGroup is the closed form; the cyclic
+    normal form behind Hom's maps and the Subquotient behind Ext's are
+    built on first use and must agree with it, and with the lattice route
+    of the sum of the pair components."""
 
     @staticmethod
     def assert_routes_agree(sources, targets):
         for a in sources:
             for g in targets:
-                for functor in (HomGroup, ExtGroup):
-                    value = functor(a, g)
-                    assert value._sq.group == value.group
+                hom, ext = HomGroup(a, g), ExtGroup(a, g)
+                lattice = Subquotient(IntMatrix.identity(len(hom.pairs)),
+                                      _relations_for_orders(tuple(p[3] for p in hom.pairs)))
+                assert hom._cyclic.group == lattice.group == hom.group
+                assert ext._sq.group == ext.group
 
     def test_every_pair_of_small_finite_groups(self):
         groups = [PresentedGroup(0, a) for a in all_finite_groups_to(64)]
@@ -397,9 +402,10 @@ class TestClosedForms:
         assert hom.group == parse_group("Z^2 + Z/2 + Z/6")
         assert ExtGroup(a, g).group == parse_group("Z/4 + Z/4 + Z/2")
         assert built == []
+        # Hom's generators come from the cyclic normal form, not a lattice
         hom.to_map(hom.group.zero())
         hom.from_map(GroupMap.zero(a, g))
-        assert len(built) == 1
+        assert built == []
 
     @pytest.mark.parametrize("functor", [HomGroup, ExtGroup])
     def test_disagreement_raises(self, functor):
@@ -423,6 +429,41 @@ def test_hom_ext_of_finite_parts_match_formula(a, g):
         assert ExtGroup(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
     # Ext(A, G) of finitely generated groups is always finite
     assert ExtGroup(a, g).group.free_rank == 0
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 9, 12]), max_size=6)
+       .filter(lambda orders: prod(d or 1 for d in orders) <= 200))
+@example([4, 6])
+@example([2, 3, 5])
+@example([12, 0, 4, 3])
+@example([1])
+@example([1, 0, 1, 6, 4])
+@example([])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cyclic_sum_against_oracle_and_lattice_route(orders):
+    # the closed-form normal form is an isomorphism by brute force, and it
+    # and the lattice route of Z^k over the relations o_i e_i name the same
+    # group, their coordinates related by mutually inverse maps
+    cyc = CyclicSum(orders)
+    assert cyclic_sum_iso_oracle(orders, cyc.group.orders, cyc.proj.data, cyc.lifts.data)
+    assert cyc.coords_matrix(IntMatrix.identity(len(orders))) == cyc.proj
+    sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
+    assert cyc.group == sq.group
+    there = GroupMap(cyc.group, sq.group, sq.coords_matrix(cyc.lifts))
+    back = GroupMap(sq.group, cyc.group, cyc.coords_matrix(sq.lifts))
+    assert (there @ back).is_identity and (back @ there).is_identity
+
+
+def test_cyclic_sum_oracle_rejects_broken_maps():
+    # two valid bases of Z/4 + Z/6, and the second's proj with the first's
+    # lifts; a proj that is not onto; lifts off by one; a torsion
+    # coordinate sent to the free row
+    assert cyclic_sum_iso_oracle([4, 6], [2, 12], [[1, 1], [9, 2]], [[2, 3], [3, 5]])
+    assert cyclic_sum_iso_oracle([4, 6], [2, 12], [[1, 1], [3, 2]], [[2, 1], [3, 5]])
+    assert not cyclic_sum_iso_oracle([4, 6], [2, 12], [[1, 1], [3, 2]], [[2, 3], [3, 5]])
+    assert not cyclic_sum_iso_oracle([2, 2], [2, 2], [[1, 1], [1, 1]], [[1, 0], [0, 1]])
+    assert not cyclic_sum_iso_oracle([0, 3], [0, 3], [[1, 0], [0, 1]], [[1, 0], [0, 2]])
+    assert not cyclic_sum_iso_oracle([0, 3], [0, 3], [[1, 1], [0, 1]], [[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("module, examples", [(tauthom.groups, 6), (tauthom.matrices, 1)],
