@@ -4,7 +4,7 @@ JSON in, JSON or aligned text out, deterministic bytes for a fixed input.
 Exit codes: 0 when everything asked for was computed and every performed
 check came back Verified or VerifiedByClassification, 1 when a check
 failed, 2 for invalid input. No interactive mode; randomized testing lives
-in the test suite, with only the seeded ``proptest`` battery exposed here.
+in the test suite.
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from .complexes import (CoefficientComplex, DegreeOutOfRange, FreeComplex, uct_c
                         uct_certificates)
 from .groups import PresentedGroup, parse_group
 from .kolmogoroff import (ConditionViolated, FiniteModel, NerveComplex,
-                          Partition, kolmogoroff_homology, model_preset,
-                          random_chain)
-from .limits import (Telescope, Tower, colim, hom_into_colim_check, lim, lim1,
-                     lim_higher, six_term_check)
+                          Partition, kolmogoroff_homology, model_preset)
+from .limits import Telescope, Tower, colim, lim, lim1, lim_higher, six_term_check
 from .matrices import IntMatrix, smith_normal_form
-from .randomgen import (random_finite_telescope, random_finite_tower,
-                        random_free_cochain_complex, random_matrix, seeded)
 from .tautness import (InconsistentData, LimNotExact, NeighborhoodTower,
                        _tautness_reports, milnor_sequence, reports_consistent,
                        tautness_preset)
@@ -43,7 +39,7 @@ def build_parser():
                     "and tautness checks")
     p.add_argument("verb", choices=["snf", "group", "homology", "uct", "lim",
                                     "colim", "sixterm", "kolmogoroff", "nerve",
-                                    "tautness", "milnor", "proptest"])
+                                    "tautness", "milnor"])
     p.add_argument("--input", help="path to the JSON input")
     p.add_argument("--preset", help="named built-in input")
     p.add_argument("--coefficients", default=None,
@@ -52,8 +48,6 @@ def build_parser():
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--reduced", action="store_true",
                    help="use reduced degree-zero data in presets")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the proptest battery")
     return p
 
 
@@ -368,67 +362,11 @@ def _cmd_milnor(args):
         "milnor sequence at degree %d" % n] + _report_lines(rep))
 
 
-def _cmd_proptest(args):
-    rng = seeded(args.seed)
-    counts = {}
-
-    for _ in range(200):
-        m = random_matrix(rng, rng.randrange(0, 5), rng.randrange(0, 5), 9)
-        chain = [x for x in smith_normal_form(m).diagonal if x != 0]
-        for i in range(len(chain) - 1):
-            assert chain[i + 1] % chain[i] == 0
-    counts["snf"] = 200
-
-    zz12 = PresentedGroup(0, (12,))
-    for _ in range(30):
-        cx, known = random_free_cochain_complex(rng)
-        for n, g in known.items():
-            assert cx.homology(n) == g
-        for g in (PresentedGroup(1, ()), zz12):
-            uct_certificates(cx, g)
-    counts["uct"] = 30
-
-    for name in ("arc-circle:5", "octahedron"):
-        model = model_preset(name)
-        part = Partition.singletons(model.atoms)
-        nerve = NerveComplex(model, part)
-        assert kolmogoroff_homology(model, part, zz12) == \
-            CoefficientComplex(nerve.cochain_complex(), zz12).homology_all()
-        for _ in range(20):
-            deg = rng.randrange(0, nerve.dimension + 1)
-            f = random_chain(rng, nerve, deg, zz12)
-            if deg >= 1:
-                assert f.boundary().boundary().is_zero()
-            else:
-                assert f.boundary().is_zero()
-    counts["kolmogoroff"] = 40
-
-    for _ in range(50):
-        t = random_finite_telescope(rng)
-        rep = six_term_check(t, zz12)
-        assert rep.iso is not None and rep.iso.verified
-        h = hom_into_colim_check(t, zz12)
-        assert h.verified
-    counts["sixterm"] = 50
-
-    for _ in range(50):
-        t = random_finite_tower(rng)
-        assert lim1(t).kind == "zero"
-        assert lim(t).is_exact
-    counts["towers"] = 50
-
-    obj = {"seed": args.seed, "passed": counts}
-    return 0, _emit(args, obj, lambda: [
-        "property battery, seed %d" % args.seed]
-        + ["  %s: %d ok" % (k, v) for k, v in sorted(counts.items())]
-        + ["all invariants held"])
-
-
 _DISPATCH = {"snf": _cmd_snf, "group": _cmd_group, "homology": _cmd_homology,
              "uct": _cmd_uct, "lim": _cmd_lim, "colim": _cmd_colim,
              "sixterm": _cmd_sixterm, "kolmogoroff": _cmd_kolmogoroff,
              "nerve": _cmd_nerve, "tautness": _cmd_tautness,
-             "milnor": _cmd_milnor, "proptest": _cmd_proptest}
+             "milnor": _cmd_milnor}
 
 
 def run(args):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import add
 
 from .matrices import (IntMatrix, _SparseMatrix, _xgcd, hermite_form, hstack, kernel_basis,
@@ -117,28 +117,18 @@ class PresentedGroup:
 
     @classmethod
     def from_orders(cls, orders):
-        """Normal form of a direct sum of cyclic groups Z/d (d=0 meaning Z).
-
-        Each zero is a free summand; the nonzero orders are swept pairwise,
-        (a_i, a_j) -> (gcd, lcm) for i < j, and the resulting 1s dropped.
-        Proof: after pass i, a_i divides every later entry, so the result is a divisor chain;
-        each step sends the p-exponents (e, f) to (min, max), so the prime-power multiset stays.
-        """
+        """Normal form of a direct sum of cyclic groups Z/d (d=0 meaning Z):
+        each zero is a free summand, and the one gcd/lcm sweep ``_sweep``
+        turns the sorted nonzero orders into the invariant factors."""
         orders = list(orders)
         for d in orders:
             if type(d) is not int:
                 raise ValueError("cyclic orders must be integers, got %r" % (d,))
             if d < 0:
                 raise ValueError("cyclic orders must be nonnegative")
-        chain = [d for d in orders if d]
-        for i, a in enumerate(chain):
-            for j in range(i + 1, len(chain)):
-                b = chain[j]
-                if b % a:
-                    g = gcd(a, b)
-                    chain[j] = a // g * b
-                    a = g
-            chain[i] = a
+        chain = sorted(d for d in orders if d)
+        for _ in _sweep(chain):
+            pass
         return cls(len(orders) - len(chain), tuple(d for d in chain if d != 1))
 
     def direct_sum(self, *others):
@@ -171,6 +161,26 @@ class PresentedGroup:
         if any(type(d) is not int or d < 1 for d in torsion):
             raise ValueError("group field 'torsion' must list integers >= 1, got %r" % (torsion,))
         return PresentedGroup.from_orders([0] * free + torsion)
+
+
+def _sweep(chain):
+    """The gcd/lcm pass over ``chain``, sorted nonzero cyclic orders, in
+    place: each entry is swept against every later one, (a, b) -> (gcd,
+    lcm) whenever a does not divide b, and each such step is yielded as
+    (i, j, a, b) before it is made. The 1s left in ``chain`` are trivial.
+
+    Proof: after pass i, a_i divides every later entry, so the result is a divisor chain;
+    each step sends the p-exponents (e, f) to (min, max), so the prime-power multiset stays.
+    """
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            if b % a:
+                yield i, j, a, b
+                g = gcd(a, b)
+                chain[j] = a // g * b
+                a = g
+        chain[i] = a
 
 
 def parse_group(text):
@@ -268,13 +278,13 @@ class Subquotient:
 class CyclicSum:
     """Z/o_1 (+) ... (+) Z/o_k (o_i = 0: Z) in normal form, in closed form.
 
-    The sweep of ``PresentedGroup.from_orders`` with explicit coordinates:
-    the zeros move to the front as free generators in their order, the
-    orders above 1 are stably sorted, and each pass step (a, b) -> (gcd,
-    lcm) with s*a + t*b = g is the unimodular change of coordinates
-    proj [[s, t], [-b/g, a/g]], whose inverse [[a/g, -t], [b/g, s]] gives
-    the new generators. Orders of 1 (and gcds of 1) are trivial summands
-    and drop out. Like a Subquotient of Z^k by the relations o_i e_i it has
+    The sweep ``_sweep`` with explicit coordinates: the zeros move to the
+    front as free generators in their order, the orders above 1 are stably
+    sorted and swept, and each step (a, b) -> (gcd, lcm) with s*a + t*b = g
+    is the unimodular change of coordinates proj [[s, t], [-b/g, a/g]],
+    whose inverse [[a/g, -t], [b/g, s]] gives the new generators. Orders of
+    1 (and gcds of 1) are trivial summands and drop out. Like a Subquotient
+    of Z^k by the relations o_i e_i it has
 
     - ``group``  the normal form,
     - ``lifts``  k x n_gens, the canonical generators in the summands,
@@ -282,10 +292,14 @@ class CyclicSum:
       the orders of ``group``,
     - ``coords_matrix(m)`` canonical coordinates of each column of ``m``.
 
-    Every call verifies proj * lifts == I and proj * diag(o) == 0 modulo
-    the orders of ``group``, and ``group == from_orders(o)``: then proj is
-    a well-defined surjection between isomorphic finitely generated groups,
-    hence an isomorphism, with inverse ``lifts``.
+    Every call verifies proj * diag(o) == 0 and proj * lifts == I modulo
+    the orders of ``group``, so proj is a well-defined surjection from the
+    sum onto ``group``; and that the free rank of ``group`` is the number
+    of zero orders and its torsion orders multiply to the product of the
+    nonzero o. Then proj is an isomorphism with inverse ``lifts``, with no
+    second computation of the group: a surjection Z^r (+) T -> Z^r (+) T'
+    has a kernel K of rank 0, so K lies in T and T/K = T', and |T| = |T'|
+    gives K = 0.
     """
 
     __slots__ = ("orders", "group", "lifts", "proj")
@@ -294,51 +308,38 @@ class CyclicSum:
         orders = self.orders = tuple(orders)
         free = [i for i, d in enumerate(orders) if d == 0]
         idx = sorted((i for i, d in enumerate(orders) if d > 1), key=orders.__getitem__)
-        chain = [orders[i] for i in idx]
-        # without a sweep, sorting alone gives the normal form
-        sweep = any(b % a for a, b in zip(chain, chain[1:]))
-        if sweep:
-            chain, proj, lifts = self._sweep(chain)
-            kept = [r for r, d in enumerate(chain) if d > 1]
-            chain = [chain[r] for r in kept]
-        k, n = len(orders), len(free) + len(chain)
+        mods = tuple(orders[i] for i in idx)
+        chain, t = list(mods), len(mods)
+        # proj rows (reduced modulo their order) and lifts (modulo ``mods``)
+        # on the sorted summands; the identity until the first step
+        proj = lifts = None
+        for i, j, a, b in _sweep(chain):
+            if proj is None:
+                proj = [[int(r == c) for c in range(t)] for r in range(t)]
+                lifts = [row[:] for row in proj]
+            g, s, u = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            pi, pj, li, lj = proj[i], proj[j], lifts[i], lifts[j]
+            proj[i] = [(s * x + u * y) % g for x, y in zip(pi, pj)]
+            proj[j] = [(ag * y - bg * x) % (ag * b) for x, y in zip(pi, pj)]
+            lifts[i] = [(ag * x + bg * y) % d for x, y, d in zip(li, lj, mods)]
+            lifts[j] = [(s * y - u * x) % d for x, y, d in zip(li, lj, mods)]
+        kept = [r for r, d in enumerate(chain) if d > 1]
+        k, n = len(orders), len(free) + len(kept)
         P, L = [[0] * k for _ in range(n)], [[0] * n for _ in orders]
-        for r, i in enumerate(free if sweep else free + idx):
+        for r, i in enumerate(free if proj else free + idx):
             P[r][i] = L[i][r] = 1
-        if sweep:
+        if proj:
             for r, c in enumerate(kept, len(free)):
                 for i, x, y in zip(idx, proj[c], lifts[c]):
                     P[r][i], L[i][r] = x, y
-        self.group = PresentedGroup.from_orders(orders)
+        self.group = PresentedGroup(len(free), tuple(chain[r] for r in kept))
         self.lifts = IntMatrix._trusted(k, n, tuple(map(tuple, L)))
         self.proj = IntMatrix._trusted(n, k, tuple(map(tuple, P)))
-        if self.group.orders != (0,) * len(free) + tuple(chain) or not self._identities_hold():
+        if (self.group.free_rank != orders.count(0)
+                or prod(self.group.torsion) != prod(d for d in orders if d)
+                or not self._identities_hold()):
             raise AssertionError("cyclic normal form of %r failed its identities" % (orders,))
-
-    @staticmethod
-    def _sweep(chain):
-        """The pass of from_orders over the sorted orders ``chain`` with its
-        coordinates: (new orders, proj rows, lifts), a proj row reduced
-        modulo its order and a lift modulo the orders of ``chain``."""
-        chain, t = list(chain), len(chain)
-        mods = tuple(chain)
-        proj = [[int(i == j) for j in range(t)] for i in range(t)]
-        lifts = [row[:] for row in proj]
-        for i in range(t):
-            a = chain[i]
-            for j in range(i + 1, t):
-                b = chain[j]
-                if b % a:
-                    g, s, u = _xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    pi, pj, li, lj = proj[i], proj[j], lifts[i], lifts[j]
-                    proj[i] = [(s * x + u * y) % g for x, y in zip(pi, pj)]
-                    proj[j] = [(ag * y - bg * x) % (ag * b) for x, y in zip(pi, pj)]
-                    lifts[i] = [(ag * x + bg * y) % d for x, y, d in zip(li, lj, mods)]
-                    lifts[j] = [(s * y - u * x) % d for x, y, d in zip(li, lj, mods)]
-                    a, chain[j] = g, ag * b
-            chain[i] = a
-        return chain, proj, lifts
 
     def _identities_hold(self):
         """proj * lifts == I and proj * diag(o) == 0 modulo the orders of
@@ -658,35 +659,37 @@ class ExtGroup:
     free summand of G (e = 0) contributes Z/d (Weibel, *An Introduction to
     Homological Algebra*, 3.3).
 
-    The Subquotient ``_sq``, built on first use by ``pullback`` and checked
-    against ``group``, comes from the free resolution 0 -> Z^t --R--> Z^n
-    -> A -> 0: the cokernel of Hom(Z^n, G) --(R transposed)--> Hom(Z^t, G).
-    Its elements are G-tuples indexed by the torsion relations of A, and
-    ``pullback`` gives the contravariant action by lifting a map of groups
-    to a map of resolutions.
+    Its elements are G-tuples indexed by the torsion relations of A: the
+    cokernel of Hom(Z^n, G) --(R transposed)--> Hom(Z^t, G) for the free
+    resolution 0 -> Z^t --R--> Z^n -> A -> 0. With A in normal form, R
+    sends the k-th basis vector to d_k times the k-th torsion generator, so
+    the cokernel is Z^(t*m) modulo d_k and e_g at coordinate k*m + g: the
+    CyclicSum of the gcds above, ``_cyclic``, built on first use by
+    ``pullback`` and checked against ``group``. ``pullback`` gives the
+    contravariant action by lifting a map of groups to a map of
+    resolutions.
     """
 
-    __slots__ = ("source", "coefficients", "group", "_lattice")
+    __slots__ = ("source", "coefficients", "group", "_sum")
 
     def __init__(self, source, coefficients):
         self.source = source
         self.coefficients = coefficients
         self.group = PresentedGroup.from_orders(
             [gcd(d, e) for d in source.torsion for e in coefficients.orders])
-        self._lattice = None
+        self._sum = None
 
     @property
-    def _sq(self):
-        if self._lattice is None:
-            t, m = len(self.source.torsion), self.coefficients.n_gens
-            restr = _precompose(self.source.relation_matrix(), m)      # (t*m) x (n*m)
-            sq = Subquotient(IntMatrix.identity(t * m), hstack(
-                restr, _relations_for_orders(self.coefficients.orders * t)))
-            if sq.group != self.group:
-                raise AssertionError("Ext(%s, %s): the lattice gives %s, the closed form %s"
-                                     % (self.source, self.coefficients, sq.group, self.group))
-            self._lattice = sq
-        return self._lattice
+    def _cyclic(self):
+        if self._sum is None:
+            cyc = CyclicSum(gcd(d, e) for d in self.source.torsion
+                            for e in self.coefficients.orders)
+            if cyc.group != self.group:
+                raise AssertionError("Ext(%s, %s): the cyclic normal form gives %s, the closed "
+                                     "form %s" % (self.source, self.coefficients, cyc.group,
+                                                  self.group))
+            self._sum = cyc
+        return self._sum
 
     def pullback(self, f, dest):
         """Contravariant action: f: B -> A induces Ext(A,G) -> Ext(B,G)."""
@@ -699,4 +702,5 @@ class ExtGroup:
         if lifted is None:
             raise AssertionError("resolution lift must exist for a well-defined map")
         push = _precompose(lifted, self.coefficients.n_gens)  # (t_B*m) x (t_A*m)
-        return GroupMap(self.group, dest.group, dest._sq.coords_matrix(push * self._sq.lifts))
+        return GroupMap(self.group, dest.group,
+                        dest._cyclic.coords_matrix(push * self._cyclic.lifts))

@@ -430,7 +430,8 @@ def smith_normal_form(mat):
     where reducing M itself lets them grow far past it (Kannan and Bachem,
     SIAM J. Comput. 8, 1979).
 
-    The identity U*M*V == D is re-verified on every call; a failure would
+    The identity U*M*V == D is re-verified on every computation; a memo
+    hit returns the result verified when it was computed. A failure would
     mean corrupted bookkeeping and raises immediately.
     """
     h, vh, _ = _hermite_core(mat)
@@ -597,7 +598,8 @@ def _hermite_core(mat):
 def hermite_form(mat):
     """Column Hermite normal form with its unimodular transform.
 
-    The identity M*V == [H | 0] is re-verified on every call; a failure
+    The identity M*V == [H | 0] is re-verified on every computation; a
+    memo hit returns the result verified when it was computed. A failure
     would mean corrupted bookkeeping and raises immediately.
 
     >>> hermite_form(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]])).h

@@ -1,5 +1,4 @@
-"""Seeded random generators for matrices, groups, maps, complexes and
-towers.
+"""Seeded random generators for groups, maps, complexes and telescopes.
 
 Random free cochain complexes are assembled from elementary pieces
 (Z --d--> Z blocks plus free summands) and then disguised by elementary
@@ -14,13 +13,8 @@ import random
 
 from .complexes import FreeComplex
 from .groups import GroupMap, PresentedGroup
-from .limits import Telescope, Tower
+from .limits import Telescope
 from .matrices import IntMatrix
-
-
-def random_matrix(rng, rows, cols, bound=9):
-    return IntMatrix(rows, cols,
-                     [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
 
 
 def random_group(rng, max_gens=3, max_order=16, allow_free=True):
@@ -138,13 +132,6 @@ def random_finite_telescope(rng, stages=3, max_gens=2, max_order=12):
     groups = [random_finite_group(rng, max_gens, max_order) for _ in range(rng.randint(1, stages))]
     maps = [random_group_map(rng, groups[k], groups[k + 1]) for k in range(len(groups) - 1)]
     return Telescope(tuple(groups), tuple(maps))
-
-
-def random_finite_tower(rng, stages=3, max_gens=2, max_order=12, tail=False):
-    groups = [random_finite_group(rng, max_gens, max_order) for _ in range(rng.randint(1, stages))]
-    maps = [random_group_map(rng, groups[k + 1], groups[k]) for k in range(len(groups) - 1)]
-    endo = random_group_map(rng, groups[-1], groups[-1]) if tail else None
-    return Tower(tuple(groups), tuple(maps), endo)
 
 
 def seeded(seed):

@@ -4,11 +4,12 @@ Everything here is deliberately written from scratch against the textbook
 definitions, using only the standard library: no imports from the package
 under test. Values are exchanged as plain ints, tuples and lists so the
 tests can compare them against the package's outputs. The exceptions are
-the three sections at the end: unreduced homology replays the package's
+the four sections at the end: unreduced homology replays the package's
 full-size homology route through its own lattice engine as the reference
 for the unit-reduced one, the kernel/cokernel verifier of split short
-exact sequences is the reference for the biproduct check, and the
-per-generator Hom coordinates are the reference for the batched ones.
+exact sequences is the reference for the biproduct check, the
+per-generator Hom coordinates are the reference for the batched ones, and
+the lattice route to Ext is the reference for its cyclic normal form.
 """
 
 from fractions import Fraction
@@ -1064,3 +1065,31 @@ def sequence_reference(suite, n, left, mid):
     split = GroupMap(homg.group, mid.group, mid.coords_matrix(
         IntMatrix(len(chains), mid.ambient_dim, chains).transpose()))
     return include, evaluate, split
+
+
+# -- the lattice route to Ext ----------------------------------------------------
+
+
+def ext_lattice_reference(a, g):
+    """Ext(A, G) as a Subquotient: Z^(t*m), the G-tuples indexed by the t
+    torsion relations of A, over the image of Hom(Z^n, G) --(R transposed)-->
+    Hom(Z^t, G) for the resolution 0 -> Z^t --R--> Z^n -> A -> 0 and the
+    relations of G in each tuple entry."""
+    from tauthom.groups import Subquotient, _relations_for_orders
+    from tauthom.matrices import IntMatrix, hstack
+    t, m = len(a.torsion), g.n_gens
+    restr = kron_identity_reference(a.relation_matrix().transpose(), m)
+    return Subquotient(IntMatrix.identity(t * m),
+                       hstack(restr, _relations_for_orders(g.orders * t)))
+
+
+def ext_pullback_reference(f, g):
+    """The action Ext(A, G) -> Ext(B, G) of f: B -> A on the lattice routes:
+    f lifted to a map of resolutions, precomposed entry by entry. Returns
+    (route of A, route of B, the map between their groups)."""
+    from tauthom.groups import GroupMap
+    from tauthom.matrices import solve_columns
+    sq_a, sq_b = ext_lattice_reference(f.target, g), ext_lattice_reference(f.source, g)
+    lifted = solve_columns(f.target.relation_matrix(), f.matrix * f.source.relation_matrix())
+    push = kron_identity_reference(lifted.transpose(), g.n_gens)
+    return sq_a, sq_b, GroupMap(sq_a.group, sq_b.group, sq_b.coords_matrix(push * sq_a.lifts))

@@ -17,14 +17,13 @@ from tauthom.kolmogoroff import (ConditionViolated, NerveComplex, Partition,
 from tauthom.limits import (NONZERO_UNCOUNTABLE, ZERO, Telescope, Tower,
                             colim, lim, lim1, lim_higher, six_term_check)
 from tauthom.matrices import IntMatrix, determinant, smith_normal_form
-from tauthom.randomgen import (random_finite_telescope, random_finite_tower,
-                               random_free_cochain_complex, random_matrix,
-                               seeded)
+from tauthom.randomgen import random_finite_telescope, random_free_cochain_complex, seeded
 from tauthom.tautness import (VERIFIED, comparison_into_limit,
                               four_term_sequence, milnor_sequence,
                               reports_consistent, solenoid_tower,
                               tautness_sequence, trivially_taut_tower)
 
+from generators import random_finite_tower, random_matrix
 from oracles import (all_finite_groups_to, expected_mosaic_blocks, ext_oracle,
                      hom_oracle, mosaic_conditions_hold, occurrence_systems,
                      snf_divisors_oracle)

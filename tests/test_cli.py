@@ -172,10 +172,6 @@ class TestVerbs:
         assert "lim1: nonzero (uncountable)" in out
         assert "middle: nonzero (uncountable)" in out
 
-    def test_proptest_battery(self, capsys):
-        code, out, _ = run_cli(capsys, "proptest", "--seed", "3")
-        assert code == 0 and "all invariants held" in out
-
 
 class TestExitCodes:
     def test_milnor_failed_junction_is_one(self, capsys, tmp_path):
@@ -439,22 +435,23 @@ class TestDeterminism:
         full, one = json.loads(full), json.loads(one)
         assert one == {**full, "degrees": {"1": full["degrees"]["1"]}}
 
-    def test_proptest_seed_determinism(self, capsys):
-        _, first, _ = run_cli(capsys, "proptest", "--seed", "7", "--format", "json")
-        _, second, _ = run_cli(capsys, "proptest", "--seed", "7", "--format", "json")
-        assert first == second
-        assert json.loads(first)["seed"] == 7
-
     def test_kmax_flag_is_rejected(self, capsys, tower_file):
         with pytest.raises(SystemExit) as exc:
             main(["lim", "--input", tower_file, "--kmax", "16"])
         assert exc.value.code == 2
         assert "--kmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [(["snf", "--seed", "3"], "--seed"),
+                                             (["proptest"], "proptest")])
+    def test_proptest_and_seed_are_rejected(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_default_format_is_text(self):
         args = build_parser().parse_args(["snf"])
         assert args.format == "text"
-        assert args.seed == 0
 
 
 JSON_VALUES = st.recursive(

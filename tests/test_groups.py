@@ -1,6 +1,6 @@
 import doctest
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,12 +12,13 @@ from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, GroupParseError, HomG
                             _precompose, _relations_for_orders, cokernel, image,
                             inverse, kernel, kernel_lattice, normalize, parse_group)
 from tauthom.matrices import IntMatrix, _SparseMatrix
-from tauthom.randomgen import (random_finite_group, random_group,
-                               random_group_map, random_matrix, seeded)
+from tauthom.randomgen import random_finite_group, random_group, random_group_map, seeded
 
-from oracles import (all_finite_groups_to, cyclic_sum_iso_oracle, ext_oracle,
-                     hom_from_map_reference, hom_oracle, hom_pullback_reference,
-                     hom_to_map_reference, invariant_factors_oracle, kron_identity_reference)
+from generators import random_matrix
+from oracles import (all_finite_groups_to, cyclic_sum_iso_oracle, ext_lattice_reference,
+                     ext_oracle, ext_pullback_reference, hom_from_map_reference, hom_oracle,
+                     hom_pullback_reference, hom_to_map_reference, invariant_factors_oracle,
+                     kron_identity_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
@@ -366,11 +367,20 @@ class TestHomExt:
         assert h.coords_of(IntMatrix(1, 3, [[2, 10, -6]])) == IntMatrix(1, 3, [[1, 1, 1]])
 
 
+def lattice_isos(cyc, sq):
+    """Mutually inverse maps between the coordinates of a CyclicSum and of
+    a Subquotient over the same summands: (cyc -> sq, sq -> cyc)."""
+    there = GroupMap(cyc.group, sq.group, sq.coords_matrix(cyc.lifts))
+    back = GroupMap(sq.group, cyc.group, cyc.coords_matrix(sq.lifts))
+    assert (there @ back).is_identity and (back @ there).is_identity
+    return there, back
+
+
 class TestClosedForms:
     """``.group`` of HomGroup and ExtGroup is the closed form; the cyclic
-    normal form behind Hom's maps and the Subquotient behind Ext's are
-    built on first use and must agree with it, and with the lattice route
-    of the sum of the pair components."""
+    normal forms behind their maps are built on first use and must agree
+    with it, and with the lattice routes: for Hom the sum of the pair
+    components, for Ext the cokernel of its free resolution."""
 
     @staticmethod
     def assert_routes_agree(sources, targets):
@@ -380,7 +390,9 @@ class TestClosedForms:
                 lattice = Subquotient(IntMatrix.identity(len(hom.pairs)),
                                       _relations_for_orders(tuple(p[3] for p in hom.pairs)))
                 assert hom._cyclic.group == lattice.group == hom.group
-                assert ext._sq.group == ext.group
+                resolution = ext_lattice_reference(a, g)
+                assert ext._cyclic.group == resolution.group == ext.group
+                lattice_isos(ext._cyclic, resolution)
 
     def test_every_pair_of_small_finite_groups(self):
         groups = [PresentedGroup(0, a) for a in all_finite_groups_to(64)]
@@ -405,6 +417,9 @@ class TestClosedForms:
         # Hom's generators come from the cyclic normal form, not a lattice
         hom.to_map(hom.group.zero())
         hom.from_map(GroupMap.zero(a, g))
+        # and Ext's from the cyclic normal form of its resolution
+        ext = ExtGroup(a, g)
+        ext.pullback(GroupMap.identity(a), ext)
         assert built == []
 
     @pytest.mark.parametrize("functor", [HomGroup, ExtGroup])
@@ -449,9 +464,51 @@ def test_cyclic_sum_against_oracle_and_lattice_route(orders):
     assert cyc.coords_matrix(IntMatrix.identity(len(orders))) == cyc.proj
     sq = Subquotient(IntMatrix.identity(len(orders)), _relations_for_orders(orders))
     assert cyc.group == sq.group
-    there = GroupMap(cyc.group, sq.group, sq.coords_matrix(cyc.lifts))
-    back = GroupMap(sq.group, cyc.group, cyc.coords_matrix(sq.lifts))
-    assert (there @ back).is_identity and (back @ there).is_identity
+    lattice_isos(cyc, sq)
+
+
+def test_cyclic_sum_checks_the_order_of_its_group(monkeypatch):
+    # a sweep that keeps b where the lcm belongs: both identities hold
+    # modulo its too small orders, Z/2 + Z/6 for Z/4 + Z/6, and only the
+    # count of elements tells
+    def short_sweep(chain):
+        for i, a in enumerate(chain):
+            for j in range(i + 1, len(chain)):
+                b = chain[j]
+                if b % a:
+                    yield i, j, a, b
+                    a = gcd(a, b)
+            chain[i] = a
+
+    monkeypatch.setattr(tauthom.groups, "_sweep", short_sweep)
+    with pytest.raises(AssertionError, match="failed its identities"):
+        CyclicSum([4, 6])
+
+
+def test_cyclic_sum_identities_reject_broken_maps():
+    # Z/4 + Z/1 onto Z/4: proj must kill the order of each summand and
+    # invert the lifts, each failure alone is caught
+    cyc = CyclicSum([4, 1])
+    assert cyc.lifts == IntMatrix(2, 1, [[1], [0]]) and cyc._identities_hold()
+    cyc.proj = IntMatrix(1, 2, [[1, 1]])     # proj * lifts == I, ill defined on Z/1
+    assert not cyc._identities_hold()
+    cyc.proj = IntMatrix(1, 2, [[3, 0]])     # well defined, proj * lifts == 3
+    assert not cyc._identities_hold()
+
+
+@given(groups_strategy(), groups_strategy(),
+       st.sampled_from(["Z+Z/4", "Z^2+Z/6", "Z/2+Z/6+Z/18"]), st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_ext_pullback_matches_the_lattice_route(a, b, g, seed):
+    # over these G the cyclic basis of Ext and the lattice one can differ;
+    # the actions of f: B -> A agree through the isomorphisms between them
+    g = parse_group(g)
+    f = random_group_map(seeded(seed), b, a)
+    ext_a, ext_b = ExtGroup(a, g), ExtGroup(b, g)
+    sq_a, sq_b, reference = ext_pullback_reference(f, g)
+    there, _ = lattice_isos(ext_a._cyclic, sq_a)
+    _, back = lattice_isos(ext_b._cyclic, sq_b)
+    assert ext_a.pullback(f, ext_b) == back @ reference @ there
 
 
 def test_cyclic_sum_oracle_rejects_broken_maps():

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used in the module that imports it,
 every public top-level name of the package is reached from the package's own
-code, the scripts or the benchmark (or is kept on purpose), and every library
-hook of the benchmark under ``perfbench/`` still resolves.
+code, the scripts or the benchmark (or is kept on purpose), the package has
+no ``assert`` statement, and every library hook of the benchmark under
+``perfbench/`` still resolves.
 
 The scan is a plain ``ast`` walk over the package, the tests and the
 scripts. ``__future__`` imports and the package's ``__init__`` (whose
@@ -31,6 +32,7 @@ KEPT = (
     "kolmogoroff_uct_check",  # UCT along a refinement chain (criterion 8)
     "comparison_into_limit",  # H(A) -> lim H(N), the tautness comparison (criterion 9)
     "normalize",              # the presentation entry point of the groups doctests
+    "hom_into_colim_check",   # Hom(colim, G) -> lim Hom(A_k, G), the dual of sixterm's map
 )
 
 
@@ -81,6 +83,15 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", list(_sources()), ids=lambda p: os.path.relpath(p, ROOT))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_package_has_no_assert_statements():
+    # a library check must raise explicitly: python -O strips assert
+    found = ["%s:%d" % (name, node.lineno) for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py")
+             for node in ast.walk(_parse(os.path.join(PACKAGE, name)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def unreached_public_names(package, callers, kept=()):

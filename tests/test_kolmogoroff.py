@@ -629,14 +629,6 @@ class TestPipelineCrossCheck:
             "check failed: degree 1: Delta of generator 0 on simplex (0, 1) gives "
             "column {1: 1}, the nerve boundary gives {0: -1, 1: 1}\n")
 
-    def test_proptest_reports_check_failed(self, monkeypatch, capsys):
-        # the battery runs kolmogoroff_homology on each of its presets
-        corrupt_first_entry(monkeypatch)
-        code = main(["proptest", "--seed", "3"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("check failed: degree 1: ")
-
     @pytest.mark.parametrize("model", [arc_circle(9), torus_grid(3), projective_plane()],
                              ids=["arc-circle:9", "torus-3x3", "rp2-6vertex"])
     @pytest.mark.parametrize("coefficients", [Z, Z2], ids=["Z", "Z/2"])

@@ -8,9 +8,9 @@ from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
                             hom_into_colim_check, hom_tower, lim, lim1,
                             lim_higher, six_term_check)
 from tauthom.matrices import IntMatrix
-from tauthom.randomgen import (random_finite_telescope, random_finite_tower,
-                               random_group_map, seeded)
+from tauthom.randomgen import random_finite_telescope, random_group_map, seeded
 
+from generators import random_finite_tower
 from oracles import image_chain_stabilizes_oracle, stable_image_oracle
 
 Z = PresentedGroup(1, ())
