@@ -51,8 +51,8 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import (CyclicSum, ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup,
-                     Subquotient, _precompose, _relations_for_orders, kernel_lattice)
+from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup, Subquotient,
+                     _cyclic_sum, _functor, _precompose, _relations_for_orders, kernel_lattice)
 from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix, column_basis,
                        hermite_form, hstack, kernel_basis, smith_normal_form, solve_columns)
 
@@ -477,13 +477,13 @@ class UctSuite:
         # the Ext term of the resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
         # compared with the closed form of Ext(H^{n+1}, G)
         t, _, wdb = self._ext_basis(n)
-        ext = CyclicSum(gcd(d, e) for d in t for e in G.orders)
-        if ext.group != ExtGroup(self.cohomology_sq(n + 1).group, G).group:
+        ext = _cyclic_sum(tuple(gcd(d, e) for d in t for e in G.orders))
+        if ext.group != _functor(ExtGroup, self.cohomology_sq(n + 1).group, G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and closed form at degree %d" % n)
         self._section(n)  # the split identity behind the summands below
-        homg = HomGroup(self.cohomology_sq(n).group, G)
-        mid = CyclicSum(ext.group.orders + homg.group.orders)
+        homg = _functor(HomGroup, self.cohomology_sq(n).group, G)
+        mid = _cyclic_sum(ext.group.orders + homg.group.orders)
         summands = hstack(_precompose(wdb, m) * ext.lifts,
                           _precompose(self._projected_basis(n), m) * homg._maps)
         return ext, homg, mid, summands * mid.lifts

@@ -19,6 +19,7 @@ kept reduced modulo the row's annihilator, so equal maps compare equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
@@ -292,14 +293,16 @@ class CyclicSum:
       the orders of ``group``,
     - ``coords_matrix(m)`` canonical coordinates of each column of ``m``.
 
-    Every call verifies proj * diag(o) == 0 and proj * lifts == I modulo
+    Verified when built: proj * diag(o) == 0 and proj * lifts == I modulo
     the orders of ``group``, so proj is a well-defined surjection from the
-    sum onto ``group``; and that the free rank of ``group`` is the number
-    of zero orders and its torsion orders multiply to the product of the
+    sum onto ``group``; and the free rank of ``group`` is the number of
+    zero orders and its torsion orders multiply to the product of the
     nonzero o. Then proj is an isomorphism with inverse ``lifts``, with no
     second computation of the group: a surjection Z^r (+) T -> Z^r (+) T'
     has a kernel K of rank 0, so K lies in T and T/K = T', and |T| = |T'|
-    gives K = 0.
+    gives K = 0. The library builds one instance per order tuple per
+    process (``_cyclic_sum``), and a memo hit returns the instance verified
+    when it was built; the constructor itself is not memoised.
     """
 
     __slots__ = ("orders", "group", "lifts", "proj")
@@ -364,6 +367,15 @@ class CyclicSum:
         raw = self.proj * mat
         return IntMatrix._trusted(self.group.n_gens, mat.cols,
                                   _reduce_rows(raw.data, self.group.orders))
+
+
+@functools.lru_cache(maxsize=4096)
+def _cyclic_sum(orders):
+    """CyclicSum(orders), verified when first built and then shared;
+    ``orders`` is an int tuple built inside the library, never raw input
+    (a key (True,) would hit the entry of (1,) and skip the type checks).
+    No caller may mutate the instance it gets."""
+    return CyclicSum(orders)
 
 
 def normalize(presentation):
@@ -558,6 +570,10 @@ class HomGroup:
     generators one per column; both are built on first use and checked
     against ``group``. ``coords_of`` reads coordinates back off flattened
     maps.
+
+    Verified when built. The library builds one instance per (A, G) pair
+    per process (``_functor``), and a memo hit returns the instance
+    verified when it was built; the constructor itself is not memoised.
     """
 
     __slots__ = ("source", "coefficients", "pairs", "group", "_generators")
@@ -584,7 +600,7 @@ class HomGroup:
         """(_cyclic, _maps), built once."""
         if self._generators is None:
             pairs = self.pairs
-            cyc = CyclicSum(p[3] for p in pairs)
+            cyc = _cyclic_sum(tuple(p[3] for p in pairs))
             if cyc.group != self.group:
                 raise AssertionError("Hom(%s, %s): the cyclic normal form gives %s, the closed "
                                      "form %s" % (self.source, self.coefficients, cyc.group,
@@ -668,6 +684,10 @@ class ExtGroup:
     ``pullback`` and checked against ``group``. ``pullback`` gives the
     contravariant action by lifting a map of groups to a map of
     resolutions.
+
+    Verified when built. The library builds one instance per (A, G) pair
+    per process (``_functor``), and a memo hit returns the instance
+    verified when it was built; the constructor itself is not memoised.
     """
 
     __slots__ = ("source", "coefficients", "group", "_sum")
@@ -682,8 +702,8 @@ class ExtGroup:
     @property
     def _cyclic(self):
         if self._sum is None:
-            cyc = CyclicSum(gcd(d, e) for d in self.source.torsion
-                            for e in self.coefficients.orders)
+            cyc = _cyclic_sum(tuple(gcd(d, e) for d in self.source.torsion
+                                    for e in self.coefficients.orders))
             if cyc.group != self.group:
                 raise AssertionError("Ext(%s, %s): the cyclic normal form gives %s, the closed "
                                      "form %s" % (self.source, self.coefficients, cyc.group,
@@ -704,3 +724,11 @@ class ExtGroup:
         push = _precompose(lifted, self.coefficients.n_gens)  # (t_B*m) x (t_A*m)
         return GroupMap(self.group, dest.group,
                         dest._cyclic.coords_matrix(push * self._cyclic.lifts))
+
+
+@functools.lru_cache(maxsize=4096)
+def _functor(kind, source, coefficients):
+    """kind(source, coefficients) for kind HomGroup or ExtGroup, built once
+    per pair and then shared; the key is two validated PresentedGroups.
+    Its lazily built generators are the only state a caller may fill in."""
+    return kind(source, coefficients)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
-                     Subquotient, _preimage, cokernel, kernel, kernel_lattice)
+                     Subquotient, _functor, _preimage, cokernel, kernel, kernel_lattice)
 from .matrices import (IntMatrix, _json_object, column_basis, hstack,
                        smith_normal_form)
 
@@ -392,7 +392,7 @@ def _symbolic_description(abar, fbar):
 def _functor_tower(functor, telescope, coefficients):
     """Apply a contravariant functor (HomGroup or ExtGroup) stagewise; a
     telescope becomes a tower. Returns the tower and the stage objects."""
-    values = [functor(g, coefficients) for g in telescope.stages]
+    values = [_functor(functor, g, coefficients) for g in telescope.stages]
     maps = [values[k + 1].pullback(f, values[k]) for k, f in enumerate(telescope.maps)]
     tail = None
     if telescope.tail is not None:
@@ -452,7 +452,7 @@ def hom_into_colim_check(telescope, coefficients):
         raise NotComparable("colimit is %s; Hom comparison needs a finitely generated colimit"
                             % co.kind)
     tower, homs = hom_tower(telescope, coefficients)
-    hom_colim = HomGroup(co.group, coefficients)
+    hom_colim = _functor(HomGroup, co.group, coefficients)
     return lim(tower).compare(hom_colim.pullback(co.injections[-1], homs[-1]),
                               "Hom(colim, G) -> lim Hom",
                               "kernel and cokernel of the comparison are trivial",
@@ -490,7 +490,7 @@ def six_term_check(telescope, coefficients):
     notes = []
     iso = None
     if co.kind == EXACT:
-        ext_co = ExtGroup(co.group, coefficients)
+        ext_co = _functor(ExtGroup, co.group, coefficients)
         # the Ext tower consists of finite groups, so its limit is exact
         iso = le.compare(ext_co.pullback(co.injections[-1], exts[-1]),
                          "Ext(colim, G) -> lim Ext", "kernel and cokernel trivial",

@@ -295,7 +295,7 @@ def hstack(*mats):
 class SmithForm:
     """U * M * V == D with U, V unimodular and D diagonal, nonnegative,
     each diagonal entry dividing the next. ``uinv`` is the exact integer
-    inverse of U, maintained during the reduction."""
+    inverse of U, verified on every computation."""
 
     u: IntMatrix
     uinv: IntMatrix
@@ -430,9 +430,10 @@ def smith_normal_form(mat):
     where reducing M itself lets them grow far past it (Kannan and Bachem,
     SIAM J. Comput. 8, 1979).
 
-    The identity U*M*V == D is re-verified on every computation; a memo
-    hit returns the result verified when it was computed. A failure would
-    mean corrupted bookkeeping and raises immediately.
+    The identities U*M*V == D and U*U^-1 == I are re-verified on every
+    computation; a memo hit returns the result verified when it was
+    computed. A failure would mean corrupted bookkeeping and raises
+    immediately.
     """
     h, vh, _ = _hermite_core(mat)
     u, uinv, dh, vs = _smith_core(h)
@@ -443,7 +444,7 @@ def smith_normal_form(mat):
         left = IntMatrix._trusted(c, k, tuple(row[:k] for row in vh.data)) * vs
         v = IntMatrix._trusted(c, c, tuple(a + row[k:] for a, row in zip(left.data, vh.data)))
     d = hstack(dh, IntMatrix.zeros(r, c - k))
-    if u * mat * v != d:
+    if u * mat * v != d or u * uinv != IntMatrix.identity(r):
         raise AssertionError("Smith reduction bookkeeping failed")
     return SmithForm(u, uinv, d, v)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup
+from .groups import ExtGroup, GroupMap, HomGroup, PresentedGroup, _functor
 from .limits import (EXACT, NONZERO_UNCOUNTABLE, UNKNOWN, ZERO, LimOutcome,
                      Telescope, Tower, _outcome, hom_tower, lim, lim1, lim_higher)
 from .matrices import IntMatrix, _json_degrees, _json_object
@@ -240,8 +240,8 @@ def _stage_uct_consistency(tower_data, n, coefficients):
     coh_n1 = tower_data.cohomology_telescope(n + 1)
     stages = min(len(tower.stages), len(coh_n.stages), len(coh_n1.stages))
     for k in range(stages):
-        expected = ExtGroup(coh_n1.stages[k], coefficients).group.direct_sum(
-            HomGroup(coh_n.stages[k], coefficients).group)
+        expected = _functor(ExtGroup, coh_n1.stages[k], coefficients).group.direct_sum(
+            _functor(HomGroup, coh_n.stages[k], coefficients).group)
         if expected != tower.stages[k]:
             raise InconsistentData(
                 "degree %d stage %d: homology %s, but the cohomology data gives "

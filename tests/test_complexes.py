@@ -6,7 +6,7 @@ from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                DegreeOutOfRange, FreeComplex, UctSuite,
                                homology_groups, uct_certificate,
                                uct_certificates)
-from tauthom.groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
+from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
                             _relations_for_orders, inverse, parse_group)
 from tauthom.matrices import IntMatrix, hstack, solve_columns
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
@@ -277,6 +277,24 @@ class TestUct:
         assert certs[1].middle == Z2
         # H_2 = Ext(0, Z/12) + Hom(Z/2, Z/12) = Z/2
         assert certs[2].middle == Z2
+
+    def test_closed_forms_are_built_once_per_process(self, fresh_memos, monkeypatch):
+        # a second complex with the cohomology Z, 0, Z/2 of the first meets,
+        # over the same G, only order tuples and (A, G) pairs already built
+        built = []
+        for cls in (CyclicSum, HomGroup, ExtGroup):
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__:
+                                built.append((type(obj), args)) or init(obj, *args))
+        first = uct_certificates(rp2_cochain(), Z2)
+        assert {cls for cls, _ in built} == {CyclicSum, HomGroup, ExtGroup}
+        del built[:]
+        twin = FreeComplex("cochain", 0, 2, [1, 2, 2],
+                           {0: IntMatrix.zeros(2, 1), 1: m([[2, 0], [0, 1]])})
+        assert twin.homology_all() == rp2_cochain().homology_all()
+        second = uct_certificates(twin, Z2)
+        assert built == []
+        assert [(c.ext_term, c.hom_term, c.middle) for c in second.values()] == \
+            [(c.ext_term, c.hom_term, c.middle) for c in first.values()]
 
     def test_random_certificates_match_known_cohomology(self):
         rng = seeded(23)

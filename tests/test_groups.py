@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import tauthom.groups
 import tauthom.matrices
 from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, GroupParseError, HomGroup,
-                            IllFormedMap, PresentedGroup, Subquotient,
-                            _precompose, _relations_for_orders, cokernel, image,
+                            IllFormedMap, PresentedGroup, Subquotient, _cyclic_sum,
+                            _functor, _precompose, _relations_for_orders, cokernel, image,
                             inverse, kernel, kernel_lattice, normalize, parse_group)
 from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import random_finite_group, random_group, random_group_map, seeded
@@ -430,6 +430,26 @@ class TestClosedForms:
         with pytest.raises(AssertionError, match="closed form Z/4"):
             value.pullback(GroupMap.identity(Z4), value)
 
+    def test_each_closed_form_is_built_once(self, fresh_memos, monkeypatch):
+        # the library shares one verified instance per order tuple and per
+        # (A, G) pair; the constructors themselves stay unmemoised
+        built = []
+        for cls in (CyclicSum, HomGroup, ExtGroup):
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__:
+                                built.append(type(obj)) or init(obj, *args))
+        a, g = parse_group("Z+Z/4"), parse_group("Z^2+Z/6")
+        hom, ext = _functor(HomGroup, a, g), _functor(ExtGroup, a, g)
+        hom.to_map(hom.group.zero())
+        ext.pullback(GroupMap.identity(a), ext)
+        assert built == [HomGroup, ExtGroup, CyclicSum, CyclicSum]
+        assert _functor(HomGroup, parse_group("Z+Z/4"), g) is hom
+        assert _functor(ExtGroup, a, parse_group("Z^2+Z/6")) is ext
+        assert _cyclic_sum(hom._cyclic.orders) is hom._cyclic
+        # a fresh instance checks the shared normal form against its own group
+        other = HomGroup(a, g)
+        assert other is not hom and other._cyclic is hom._cyclic
+        assert built == [HomGroup, ExtGroup, CyclicSum, CyclicSum, HomGroup]
+
 
 @given(groups_strategy(), groups_strategy())
 @settings(max_examples=60, deadline=None)
@@ -467,7 +487,7 @@ def test_cyclic_sum_against_oracle_and_lattice_route(orders):
     lattice_isos(cyc, sq)
 
 
-def test_cyclic_sum_checks_the_order_of_its_group(monkeypatch):
+def test_cyclic_sum_checks_the_order_of_its_group(fresh_memos, monkeypatch):
     # a sweep that keeps b where the lcm belongs: both identities hold
     # modulo its too small orders, Z/2 + Z/6 for Z/4 + Z/6, and only the
     # count of elements tells
@@ -483,9 +503,13 @@ def test_cyclic_sum_checks_the_order_of_its_group(monkeypatch):
     monkeypatch.setattr(tauthom.groups, "_sweep", short_sweep)
     with pytest.raises(AssertionError, match="failed its identities"):
         CyclicSum([4, 6])
+    # the memoised route runs the same checks and keeps no failed build
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="failed its identities"):
+            _cyclic_sum((4, 6))
 
 
-def test_cyclic_sum_identities_reject_broken_maps():
+def test_cyclic_sum_identities_reject_broken_maps(fresh_memos):
     # Z/4 + Z/1 onto Z/4: proj must kill the order of each summand and
     # invert the lifts, each failure alone is caught
     cyc = CyclicSum([4, 1])

@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used in the module that imports it,
 every public top-level name of the package is reached from the package's own
 code, the scripts or the benchmark (or is kept on purpose), the package has
-no ``assert`` statement, and every library hook of the benchmark under
-``perfbench/`` still resolves.
+no ``assert`` statement, every memo of the package is bounded, and every
+library hook of the benchmark under ``perfbench/`` still resolves.
 
 The scan is a plain ``ast`` walk over the package, the tests and the
 scripts. ``__future__`` imports and the package's ``__init__`` (whose
@@ -92,6 +92,73 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(_parse(os.path.join(PACKAGE, name)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def unbounded_memos(path):
+    """``file:line:name`` for each function in ``path`` memoised by
+    ``functools.lru_cache`` without a literal positive int ``maxsize``, or
+    by ``functools.cache`` while taking arguments: a memo whose key space
+    is the caller's input must have a finite bound."""
+    tree = _parse(path)
+    modules, names = {"functools"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) \
+                and expr.value.id in modules:
+            return expr.attr
+        return names.get(expr.id) if isinstance(expr, ast.Name) else None
+
+    rel, found = os.path.relpath(path, ROOT), []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        takes_args = bool(args.posonlyargs or args.args or args.vararg
+                          or args.kwonlyargs or args.kwarg)
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            kind = resolve(call.func if call else dec)
+            if kind == "lru_cache":
+                # a bare @lru_cache has no literal size
+                size = ([k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+                        if call else [])
+                bounded = len(size) == 1 and isinstance(size[0], ast.Constant) \
+                    and type(size[0].value) is int and size[0].value > 0
+            elif kind == "cache":
+                bounded = not takes_args
+            else:
+                continue
+            if not bounded:
+                found.append("%s:%d:%s" % (rel, node.lineno, node.name))
+    return found
+
+
+def test_memo_scan_flags_unbounded_memos(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import functools\nimport functools as ft\n"
+                    "from functools import cache, lru_cache as lru\n\n"
+                    "@functools.lru_cache(maxsize=64)\ndef bounded(x):\n    pass\n\n"
+                    "@lru(32)\ndef positional(x):\n    pass\n\n"
+                    "@cache\ndef constant():\n    pass\n\n"
+                    "@functools.lru_cache(maxsize=None)\ndef unbounded(x):\n    pass\n\n"
+                    "@ft.lru_cache\ndef implicit(x):\n    pass\n\n"
+                    "SIZE = 8\n\n@lru(maxsize=SIZE)\ndef named(x):\n    pass\n\n"
+                    "@functools.cache\ndef keyed(x):\n    pass\n\n"
+                    "class Table:\n    @cache\n    def method(self):\n        pass\n",
+                    encoding="utf-8")
+    flagged = [item.rsplit(":", 1)[1] for item in unbounded_memos(str(path))]
+    assert flagged == ["unbounded", "implicit", "named", "keyed", "method"]
+
+
+def test_package_memos_are_bounded():
+    # keep resource use bounded: every memo of the library has a finite size
+    assert [item for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")
+            for item in unbounded_memos(os.path.join(PACKAGE, name))] == []
 
 
 def unreached_public_names(package, callers, kept=()):

@@ -6,6 +6,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import hermite_normal_form, invariant_factors
 
+import tauthom.matrices
 from tauthom.kolmogoroff import FiniteModel, NerveComplex, Partition
 from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
                               column_basis, determinant, hermite_form, hstack,
@@ -138,6 +139,22 @@ class TestSmith:
         assert s.u * m * s.v == s.d
         assert s.u * s.uinv == IntMatrix.identity(3)
         assert abs(determinant(s.v)) == 1
+
+    def test_inverse_transform_is_verified(self, monkeypatch):
+        # a slip in the bookkeeping of U^-1 alone still gives U*M*V == D
+        core = tauthom.matrices._smith_core
+
+        def broken(h):
+            u, uinv, d, v = core(h)
+            data = [list(row) for row in uinv.data]
+            data[0][0] += 1
+            return u, IntMatrix(uinv.rows, uinv.cols, data), d, v
+
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        smith_normal_form.__wrapped__(m)
+        monkeypatch.setattr(tauthom.matrices, "_smith_core", broken)
+        with pytest.raises(AssertionError, match="Smith reduction bookkeeping failed"):
+            smith_normal_form.__wrapped__(m)
 
     def test_oracle_cross_check(self):
         rng = random.Random(901)
