@@ -9,11 +9,13 @@ circle and torus model also gets the median CPU time of uct_certificates
 on its nerve cochain complex over Z/2 and over Z+Z/4, beside that of the
 complex's homology_all. The dense rungs take one seeded n x n matrix with
 entries in -9..9 each and print the median CPU time of smith_normal_form
-and of hermite_form, the largest bit length of the entries of the Smith
-transforms U and V, and that of the determinant. The Hermite and Smith
-memos are emptied before every run, and every model and complex is built
-afresh before its run, so no run reads the forms or the nerve of the run
-before it.
+and of hermite_form, that of the identity checks alone on the computed
+forms (U*U^-1 == I and M*V == U^-1*D for the Smith form, M*V == [H | 0]
+for the Hermite form; each is part of its form's time), the largest bit
+length of the entries of the Smith transforms U and V, and that of the
+determinant. The Hermite and Smith memos are emptied before every run,
+and every model and complex is built afresh before its run, so no run
+reads the forms or the nerve of the run before it.
 
 Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
        [--dense 16 32 48] [--repeat 3] [--uct]
@@ -29,7 +31,8 @@ from tauthom.complexes import uct_certificates
 from tauthom.groups import parse_group
 from tauthom.kolmogoroff import (FiniteModel, NerveComplex, Partition, arc_circle,
                                  kolmogoroff_homology)
-from tauthom.matrices import IntMatrix, determinant, hermite_form, smith_normal_form
+from tauthom.matrices import (IntMatrix, _verify_hermite, _verify_smith, determinant, hermite_form,
+                              smith_normal_form)
 
 
 def torus(n):
@@ -109,14 +112,15 @@ def main(argv=None):
                                        repeat, make)[0])
             print("%-16s %12.4f" % (label, row[0]) + "".join(" %10.4f" % x for x in row[1:]))
     if args.dense:
-        print("\n%-16s %10s %10s %7s %7s %9s" % (
-            "dense", "snf_s", "hermite_s", "U_bits", "V_bits", "det_bits"))
+        print("\n%-16s %10s %10s %10s %7s %7s %9s" % (
+            "dense", "snf_s", "hermite_s", "check_s", "U_bits", "V_bits", "det_bits"))
     for n in args.dense:
         m = dense_matrix(n)
         snf_s, s = cpu_seconds(lambda _: smith_normal_form(m), repeat)
-        hermite_s, _ = cpu_seconds(lambda _: hermite_form(m), repeat)
-        print("%-16s %10.4f %10.4f %7d %7d %9d" % (
-            "%dx%d" % (n, n), snf_s, hermite_s, max_bits(s.u), max_bits(s.v),
+        hermite_s, hf = cpu_seconds(lambda _: hermite_form(m), repeat)
+        check_s, _ = cpu_seconds(lambda _: (_verify_smith(m, s), _verify_hermite(m, hf)), repeat)
+        print("%-16s %10.4f %10.4f %10.4f %7d %7d %9d" % (
+            "%dx%d" % (n, n), snf_s, hermite_s, check_s, max_bits(s.u), max_bits(s.v),
             abs(determinant(m)).bit_length()))
     return 0
 

@@ -53,8 +53,9 @@ from math import gcd
 
 from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup, Subquotient,
                      _cyclic_sum, _functor, _precompose, _relations_for_orders, kernel_lattice)
-from .matrices import (IntMatrix, _json_degrees, _json_object, _SparseMatrix, column_basis,
-                       hermite_form, hstack, kernel_basis, smith_normal_form, solve_columns)
+from .matrices import (IntMatrix, _json_degrees, _json_object, _product_equals, _SparseMatrix,
+                       column_basis, hermite_form, hstack, kernel_basis, smith_normal_form,
+                       solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -358,9 +359,12 @@ def _check_integral_split(n, p, in_b_basis, z, s):
     """Raise CertificateFailure unless [p; dB] * [z | s] = I, where z is the
     cocycle basis of C^n, s the section of the coboundaries, p a left
     inverse of z and dB the differential d^n in the basis of B^{n+1}. Then
-    Q = [z | s] is unimodular with inverse [p; dB], and d^n s = b_{n+1}."""
+    Q = [z | s] is unimodular with inverse [p; dB], and d^n s = b_{n+1}. The
+    product is checked by ``_product_equals``, which, past a small size,
+    does not form it."""
     left = IntMatrix._trusted(p.rows + in_b_basis.rows, p.cols, p.data + in_b_basis.data)
-    if not (left * hstack(z, s)).is_identity():
+    q = hstack(z, s)
+    if not _product_equals(left, q, IntMatrix.identity(q.cols)):
         raise CertificateFailure("degree %d: the cocycles and the section of the coboundaries "
                                  "do not split the cochains" % n)
 

@@ -42,7 +42,7 @@ from .complexes import (CertificateFailure, FreeComplex, homology_groups,
                         uct_certificates)
 from .groups import GroupMap, PresentedGroup
 from .limits import Telescope, colim
-from .matrices import IntMatrix, _json_object, _SparseMatrix
+from .matrices import IntMatrix, _json_object, _product_equals, _SparseMatrix
 
 
 class NotACover(ValueError):
@@ -528,7 +528,8 @@ class RefinementMap:
     each fine block goes to the coarse block containing it. Chain matrices
     push simplices forward with orientation signs (degenerate images drop
     to zero); cochain matrices are their transposes. The matrices commute
-    with the boundary operators, which is checked at construction."""
+    with the boundary operators, which is checked at construction by
+    ``matrices._product_equals``."""
 
     __slots__ = ("fine", "coarse", "vertex_map", "_chain")
 
@@ -544,9 +545,8 @@ class RefinementMap:
                                 for block in fine.partition.blocks)
         self._chain = {n: self._build_chain_matrix(n) for n in range(fine.dimension + 1)}
         for n in range(1, fine.dimension + 1):
-            left = self.coarse.boundary_matrix(n) * self._chain[n]
             right = self.chain_matrix(n - 1) * self.fine.boundary_matrix(n)
-            if left != right:
+            if not _product_equals(self.coarse.boundary_matrix(n), self._chain[n], right):
                 raise AssertionError("refinement chain map fails to commute with "
                                      "the boundary at degree %d" % n)
 

@@ -726,6 +726,29 @@ class TestRefinements:
             rhs = r.chain_matrix(n - 1) * fine.boundary_matrix(n)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_sign_slip_fails_to_commute(self, monkeypatch, degree):
+        # one simplex pushed forward with the wrong orientation
+        model = FiniteModel(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+        fine = NerveComplex(model, Partition.singletons(5))
+        coarse = NerveComplex(model, Partition([[0], [1, 4], [2], [3]]))
+        build = RefinementMap._build_chain_matrix
+
+        def slipped(self, n):
+            mat = build(self, n)
+            if n != degree:
+                return mat
+            data = [list(row) for row in mat.data]
+            i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row) if x)
+            data[i][j] = -data[i][j]
+            return IntMatrix(mat.rows, mat.cols, data)
+
+        RefinementMap(fine, coarse)
+        monkeypatch.setattr(RefinementMap, "_build_chain_matrix", slipped)
+        with pytest.raises(AssertionError, match="fails to commute with the boundary at "
+                                                 "degree %d" % degree):
+            RefinementMap(fine, coarse)
+
     def test_functoriality(self):
         m = arc_circle(8)
         n2 = NerveComplex(m, Partition.singletons(8))

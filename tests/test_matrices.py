@@ -1,14 +1,15 @@
+import contextlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import tauthom.matrices
 from tauthom.kolmogoroff import FiniteModel, NerveComplex, Partition
-from tauthom.matrices import (IntMatrix, _hermite_core, _smith_core,
+from tauthom.matrices import (IntMatrix, _hermite_core, _product_equals, _smith_core,
                               column_basis, determinant, hermite_form, hstack,
                               kernel_basis, smith_normal_form, solve_columns)
 
@@ -121,7 +122,7 @@ class TestProductOracle:
         assert big >= 200
 
     def test_dense_transforms(self):
-        # the dense bignum products that re-verify u * m * v == d
+        # dense bignum products of the Smith transforms, u * m * v == d
         rng = random.Random(911)
         for n in (16, 24):
             m = sparse_matrix(rng, n, n, 1.0, 99)
@@ -129,6 +130,164 @@ class TestProductOracle:
             um = IntMatrix(n, n, matmul_oracle(s.u.data, m.data, n))
             assert s.u * m == um
             assert um * s.v == IntMatrix(n, n, matmul_oracle(um.data, s.v.data, n)) == s.d
+
+
+# entries of both signs, small ones and ones of up to 300 bits
+wide = st.one_of(st.integers(-3, 3), st.integers(-2 ** 300, 2 ** 300))
+
+
+def int_matrix(rows, cols, entries=wide):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda d: IntMatrix(rows, cols, d))
+
+
+@st.composite
+def factor_pairs(draw, least=(0, 0, 0)):
+    """(a, b) with a r x k and b k x m, each dimension at least ``least``."""
+    r, k, m = (draw(st.integers(low, 4)) for low in least)
+    return draw(int_matrix(r, k)), draw(int_matrix(k, m))
+
+
+def slot_collision(prod, w):
+    """prod + s*(2^w e_j - e_(j+1)) in one row, with s against the sign of
+    prod[i][j], so every entry stays below 2^w: in slots of w bits it packs
+    to the same integer as prod. None when no (i, j) allows it."""
+    for i, row in enumerate(prod.data):
+        for j in range(prod.cols - 1):
+            if row[j] and abs(row[j + 1]) < 2 ** w - 1:
+                s = -1 if row[j] > 0 else 1
+                data = [list(r) for r in prod.data]
+                data[i][j] += s * 2 ** w
+                data[i][j + 1] -= s
+                return IntMatrix(prod.rows, prod.cols, data)
+    return None
+
+
+def packed(mat, w):
+    return [sum(x << (w * j) for j, x in enumerate(row)) for row in mat.data]
+
+
+# the two paths of _product_equals: packed rows for every shape, and the
+# product formed and compared for every shape
+PACKED, DIRECT = 0, 2 ** 62
+
+
+@contextlib.contextmanager
+def packed_from(size):
+    """Pack the rows of products of at least ``size`` multiply-adds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tauthom.matrices, "_PACKED_FROM", size)
+        yield
+
+
+@pytest.fixture(params=[PACKED, DIRECT], ids=["packed", "direct"])
+def each_path(request):
+    """Run the test once on each path of ``_product_equals``."""
+    with packed_from(request.param):
+        yield
+
+
+class TestPackedProduct:
+    """``_product_equals(a, b, c)`` decides a * b == [c | 0] exactly, on
+    either path."""
+
+    @given(factor_pairs(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_agrees_with_the_product(self, ab, data):
+        a, b = ab
+        prod = a * b
+        other = data.draw(int_matrix(a.rows, b.cols))
+        # a narrower c stands for [c | 0]
+        k = data.draw(st.integers(0, b.cols))
+        narrow = [IntMatrix._trusted(a.rows, k, tuple(row[:k] for row in x.data))
+                  for x in (prod, other)]
+        for size in (PACKED, DIRECT):
+            with packed_from(size):
+                for c in (prod, other, -prod, prod + other):
+                    assert _product_equals(a, b, c) == (prod == c)
+                for c in narrow:
+                    assert _product_equals(a, b, c) == (
+                        prod == hstack(c, IntMatrix.zeros(a.rows, b.cols - k)))
+
+    @pytest.mark.parametrize("r, k, m", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 0, 0)])
+    def test_empty_shapes(self, each_path, r, k, m):
+        a, b = IntMatrix.zeros(r, k), IntMatrix.zeros(k, m)
+        assert _product_equals(a, b, IntMatrix.zeros(r, m))
+        assert _product_equals(a, b, IntMatrix.zeros(r, 0))
+        assert not _product_equals(a, b, IntMatrix.zeros(r + 1, m))
+        if r and m:
+            corner = [[int(i == j == 0) for j in range(m)] for i in range(r)]
+            assert not _product_equals(a, b, IntMatrix(r, m, corner))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _product_equals(a, IntMatrix.zeros(k + 1, m), IntMatrix.zeros(r, m))
+
+    @given(factor_pairs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rejects_every_unit_change(self, ab):
+        a, b = ab
+        prod = a * b
+        for i in range(prod.rows):
+            for j in range(prod.cols):
+                for e in (1, -1):
+                    data = [list(row) for row in prod.data]
+                    data[i][j] += e
+                    c = IntMatrix(prod.rows, prod.cols, data)
+                    for size in (PACKED, DIRECT):
+                        with packed_from(size):
+                            assert not _product_equals(a, b, c)
+
+    @given(factor_pairs(least=(1, 1, 2)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rejects_a_carry_into_the_next_slot(self, ab):
+        # c collides with a * b in slots of w bits. At the first w, the
+        # width that the bound on a * b gives without the sign bit, c is
+        # caught only because the slots are one bit wider; at the second,
+        # the width of that bound alone, only because the width also
+        # bounds the entries of c
+        a, b = ab
+        prod = a * b
+        norm = max(sum(map(abs, row)) for row in a.data)
+        bits = (norm * max(abs(x) for row in b.data for x in row)).bit_length()
+        assume(slot_collision(prod, bits) is not None)
+        for w in (bits, bits + 1):
+            c = slot_collision(prod, w)
+            assert max(abs(x) for row in c.data for x in row) < 2 ** w
+            assert packed(c, w) == packed(prod, w) and c != prod
+            with packed_from(PACKED):
+                assert not _product_equals(a, b, c)
+
+    def test_dense_ladder_is_packed(self, monkeypatch):
+        # the dense Smith checks of n >= 16 take the packed path: forming
+        # a product there fails the test
+        m = rand_matrix(random.Random(912), 16, 16, 9)
+        s, hf = smith_normal_form.__wrapped__(m), hermite_form.__wrapped__(m)
+
+        def formed(self, other):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(IntMatrix, "__mul__", formed)
+        tauthom.matrices._verify_smith(m, s)
+        tauthom.matrices._verify_hermite(m, hf)
+
+
+def slipped(mat, i, j):
+    """``mat`` with entry (i, j) raised by one."""
+    data = [list(row) for row in mat.data]
+    data[i][j] += 1
+    return IntMatrix(mat.rows, mat.cols, data)
+
+
+EDGE_SHAPES = [IntMatrix.from_rows([]), IntMatrix.from_rows([[]]), IntMatrix(0, 3, []),
+               IntMatrix(2, 0, [[], []])]
+
+
+@pytest.mark.parametrize("m", EDGE_SHAPES, ids=["0x0", "1x0", "0x3", "2x0"])
+def test_edge_shapes_through_both_forms(each_path, m):
+    hf = hermite_form.__wrapped__(m)
+    assert (hf.h, hf.v, hf.pivots) == (IntMatrix.zeros(m.rows, 0), IntMatrix.identity(m.cols), ())
+    s = smith_normal_form.__wrapped__(m)
+    assert s.u == s.uinv == IntMatrix.identity(m.rows)
+    assert (s.d, s.v) == (IntMatrix.zeros(m.rows, m.cols), IntMatrix.identity(m.cols))
 
 
 class TestSmith:
@@ -155,6 +314,39 @@ class TestSmith:
         monkeypatch.setattr(tauthom.matrices, "_smith_core", broken)
         with pytest.raises(AssertionError, match="Smith reduction bookkeeping failed"):
             smith_normal_form.__wrapped__(m)
+
+    @pytest.mark.parametrize("m", [
+        IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+        IntMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 3, 1, 5]]),
+    ])
+    def test_every_slip_in_u_or_d_is_verified(self, monkeypatch, each_path, m):
+        # one entry of U, or one diagonal entry of D, off by one
+        core = tauthom.matrices._smith_core
+        u, _, dh, _ = core(_hermite_core(m)[0])
+        slips = [(0, i, j) for i in range(u.rows) for j in range(u.cols)]
+        slips += [(2, i, i) for i in range(dh.cols)]
+        for k, i, j in slips:
+            def broken(h):
+                out = list(core(h))
+                out[k] = slipped(out[k], i, j)
+                return tuple(out)
+            monkeypatch.setattr(tauthom.matrices, "_smith_core", broken)
+            with pytest.raises(AssertionError, match="Smith reduction bookkeeping failed"):
+                smith_normal_form.__wrapped__(m)
+
+    def test_off_diagonal_slip_in_d_is_dropped(self, monkeypatch):
+        # D is built from the diagonal of the core's D_H, so a stray entry
+        # off it never reaches the result, which is verified as before
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        want = smith_normal_form.__wrapped__(m)
+        core = tauthom.matrices._smith_core
+
+        def broken(h):
+            u, uinv, dh, v = core(h)
+            return u, uinv, slipped(dh, 0, 1), v
+
+        monkeypatch.setattr(tauthom.matrices, "_smith_core", broken)
+        assert smith_normal_form.__wrapped__(m) == want
 
     def test_oracle_cross_check(self):
         rng = random.Random(901)
@@ -329,6 +521,23 @@ class TestHermite:
         hf = hermite_form(IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]]))
         assert hf.h == IntMatrix.from_rows([[2, 0], [0, 1]])
         assert hf.pivots == (0, 1)
+
+    @pytest.mark.parametrize("m", [
+        IntMatrix.from_rows([[2, 4, 6], [1, 3, 5], [0, 1, -7]]),
+        IntMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 9]]),
+    ])
+    def test_every_slip_in_v_is_verified(self, monkeypatch, each_path, m):
+        # no column of m is zero, so one entry of V off by one changes M*V
+        core = tauthom.matrices._hermite_core
+        v = core(m)[1]
+        for i in range(v.rows):
+            for j in range(v.cols):
+                def broken(mat):
+                    h, v, pivots = core(mat)
+                    return h, slipped(v, i, j), pivots
+                monkeypatch.setattr(tauthom.matrices, "_hermite_core", broken)
+                with pytest.raises(AssertionError, match="Hermite reduction bookkeeping failed"):
+                    hermite_form.__wrapped__(m)
 
     def test_oracle_cross_check(self):
         rng = random.Random(906)

@@ -30,6 +30,17 @@ def test_script_main_exits_zero(capsys, name, argv, shown):
     assert out and shown in out
 
 
+def test_scaling_ladder_dense_columns(capsys):
+    # the time of the identity checks stands beside that of the two forms
+    argv = ["--arcs", "--tori", "--dense", "6", "--repeat", "1"]
+    assert load_script("scaling_ladder").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("dense"))
+    assert header.split() == ["dense", "snf_s", "hermite_s", "check_s", "U_bits", "V_bits",
+                              "det_bits"]
+    assert len(lines[-1].split()) == 7
+
+
 def test_scaling_ladder_builds_a_nerve_per_run(monkeypatch, capsys):
     # the nerve memo lives on the model, so each timed run gets a fresh
     # model and builds its own nerve: three rungs, two runs each
