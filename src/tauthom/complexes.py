@@ -15,16 +15,18 @@ A certificate for degree n packages the short exact sequence
 
 as three explicit GroupMaps: injection i, surjection e and splitting s.
 The middle group comes from the integral splitting C^n = Z^n + S^n of the
-proof of the theorem (Hatcher, *Algebraic Topology*, Thm 3.2): the
-cocycles z_n and a section s_n of d^n onto the coboundaries B^{n+1}, with
-[p; dB] [z_n | s_n] = I verified for the left inverse p of z_n and d^n in
-the basis of B^{n+1}. In that basis the coboundaries of C are blocks of
-the inclusions B^n -> Z^n, so H_n(Hom(C, G)) is Hom(H^n, G) plus the Ext
-term, and no lattice of Hom(C^n, G) is built. Before the certificate is
-returned the maps are verified by the biproduct identities (Mac Lane,
-*Categories for the Working Mathematician*, VIII.2): e∘i = 0 and e∘s = 1, a
-retraction r solved from i∘r = 1 - s∘e modulo the middle group's
-relations, and r∘i = 1. These make the sequence split exact.
+proof of the theorem (Hatcher, *Algebraic Topology*, Thm 3.2), which is the
+Hermite transform of d^n (Cohen, GTM 138, §2.4): with d^n V = [H | 0], V =
+[s_n | z_n] holds a section s_n of d^n onto the basis H of the coboundaries
+B^{n+1} and the cocycle basis z_n, and its inverse W = [dB; p], verified by
+W V = I, holds d^n in the basis H and a left inverse p of z_n. In these
+bases the coboundaries of C are blocks of the inclusions B^n -> Z^n, so
+H_n(Hom(C, G)) is Hom(H^n, G) plus the Ext term, and no lattice of
+Hom(C^n, G) is built. Before the certificate is returned the maps are
+verified by the biproduct identities (Mac Lane, *Categories for the Working
+Mathematician*, VIII.2): e∘i = 0 and e∘s = 1, a retraction r solved from
+i∘r = 1 - s∘e modulo the middle group's relations, and r∘i = 1. These make
+the sequence split exact.
 
 Every term over G is a sum of cyclic groups, put in normal form by the
 closed-form ``CyclicSum``, so a certificate builds no Subquotient and takes
@@ -37,11 +39,10 @@ closed form from H^{n+1} (``ExtGroup.group``); a disagreement raises
 instead of returning. The Hom term's basis is ``HomGroup``'s, and the
 middle's normal form and summand inclusions are those of the sum of the two.
 
-The integral lattice work of a certificate (cocycle and coboundary bases,
-cohomology, d^n in the coboundary basis, the resolution inclusion and its
-Smith form, the left inverse of the cocycle basis, the projection onto the
-cocycles and the verified section) does not depend on G. It is memoised on
-the FreeComplex, so certificates over several coefficient groups share it;
+The integral lattice work of a certificate (per degree the Hermite
+transform of d^n and its inverse, H^n in cocycle coordinates, and the Smith
+form behind the Ext term) does not depend on G. It is memoised on the
+FreeComplex, so certificates over several coefficient groups share it;
 every check that involves G still runs for each certificate.
 """
 
@@ -54,8 +55,7 @@ from math import gcd
 from .groups import (ExtGroup, GroupMap, HomGroup, IllFormedMap, PresentedGroup, Subquotient,
                      _cyclic_sum, _functor, _precompose, _relations_for_orders, kernel_lattice)
 from .matrices import (IntMatrix, _json_degrees, _json_object, _product_equals, _SparseMatrix,
-                       column_basis, hermite_form, hstack, kernel_basis, smith_normal_form,
-                       solve_columns)
+                       hermite_form, hstack, smith_normal_form, solve_columns)
 
 
 class DegreeOutOfRange(ValueError):
@@ -184,7 +184,9 @@ class FreeComplex:
     n to n+1). ``diffs`` holds the nonzero ones, sparse, checked to compose to
     zero; ``diff(n)`` builds a dense view once. Degrees and ranks must be ints.
     ``_integral`` keeps the integral lattice data of UCT certificates, which
-    does not depend on the coefficient group (``UctSuite``)."""
+    does not depend on the coefficient group: per degree the verified
+    Hermite transform of d^n and its inverse, H^n and the Ext basis
+    (``UctSuite``)."""
 
     __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense", "_integral")
 
@@ -355,30 +357,18 @@ def _check_split(n, include, evaluate, split):
         raise CertificateFailure("degree %d: the Ext term fails to inject" % n)
 
 
-def _check_integral_split(n, p, in_b_basis, z, s):
-    """Raise CertificateFailure unless [p; dB] * [z | s] = I, where z is the
-    cocycle basis of C^n, s the section of the coboundaries, p a left
-    inverse of z and dB the differential d^n in the basis of B^{n+1}. Then
-    Q = [z | s] is unimodular with inverse [p; dB], and d^n s = b_{n+1}. The
-    product is checked by ``_product_equals``, which, past a small size,
-    does not form it."""
-    left = IntMatrix._trusted(p.rows + in_b_basis.rows, p.cols, p.data + in_b_basis.data)
-    q = hstack(z, s)
-    if not _product_equals(left, q, IntMatrix.identity(q.cols)):
-        raise CertificateFailure("degree %d: the cocycles and the section of the coboundaries "
-                                 "do not split the cochains" % n)
-
-
 class UctSuite:
-    """Builds universal-coefficient certificates for one (complex, G) pair.
-    The integral lattice work (cocycle and coboundary bases, cohomology,
-    d^n in the coboundary basis, the resolution inclusion and its Smith
-    form, the left inverse of the cocycle basis, the projection onto the
-    cocycles and the verified splitting C^n = Z^n + S^n) does not depend on
-    G; it is memoised on the complex, so neighbouring degrees and every
-    coefficient group share it. Nothing that depends on G is kept there."""
+    """Builds universal-coefficient certificates for one (complex, G) pair,
+    a cochain complex C. The integral lattice work does not depend on G: per
+    degree one verified Hermite transform of d^n (``_split``), the cohomology
+    H^n in cocycle coordinates, and the Smith form behind the Ext term. It
+    is memoised on the complex under three key kinds, so neighbouring
+    degrees and every coefficient group share it. Nothing that depends on G
+    is kept there."""
 
     def __init__(self, base, coefficients):
+        if base.direction != "cochain":
+            raise ValueError("coefficient complexes are built from cochain complexes")
         self.base = base
         self.coefficients = coefficients
 
@@ -388,66 +378,40 @@ class UctSuite:
             memo[key] = build()
         return memo[key]
 
-    def cocycles(self, n):
-        return self._memo(("Z", n), lambda: kernel_basis(self.base.diff(n)))
-
-    def coboundaries(self, n):
-        return self._memo(("B", n), lambda: column_basis(self.base.diff(n - 1)))
-
-    def cohomology_sq(self, n):
-        return self._memo(("H", n), lambda: Subquotient(self.cocycles(n), self.base.diff(n - 1)))
-
-    def _solved(self, key, lattice, rhs, failure):
-        """solve_columns(lattice, rhs), memoised under ``key``; raise
-        CertificateFailure(failure) when it has no solution."""
+    def _split(self, n):
+        """(h, z, dB, p) for degree n, read off the Hermite transform of d^n
+        (Cohen, GTM 138, §2.4). With d^n V = [H | 0] and W = V^-1, solved
+        once, V = [s | z] holds a section s of d^n onto the basis H of
+        B^{n+1} and the cocycle basis z, and W = [dB; p] holds d^n in the
+        basis H (d^n = H dB) and a left inverse p of z with p s = 0. W V = I
+        is checked by ``_product_equals``; it proves V unimodular, so
+        C^n = Z^n + S^n with S^n the span of s (Hatcher, Thm 3.2)."""
         def build():
-            sol = solve_columns(lattice, rhs)
-            if sol is None:
-                raise CertificateFailure(failure)
-            return sol
-        return self._memo(key, build)
-
-    def _in_b_basis(self, n):
-        """d^n written in the basis of B^{n+1}."""
-        return self._solved(("dB", n), self.coboundaries(n + 1), self.base.diff(n),
-                            "d^n does not factor through its own image basis")
+            hf = hermite_form(self.base.diff(n))
+            v, r, eye = hf.v, hf.h.cols, IntMatrix.identity(hf.v.rows)
+            w = solve_columns(v, eye)
+            if w is None or not _product_equals(w, v, eye):
+                raise CertificateFailure("degree %d: the cocycles and the section of the "
+                                         "coboundaries do not split the cochains" % n)
+            z = IntMatrix._trusted(v.rows, v.cols - r, tuple(row[r:] for row in v.data))
+            return (hf.h, z, IntMatrix._trusted(r, w.cols, w.data[:r]),
+                    IntMatrix._trusted(w.rows - r, w.cols, w.data[r:]))
+        return self._memo(("V", n), build)
 
     def _inside(self, n):
-        """The inclusion of B^n into Z^n, in their bases."""
-        return self._solved(("BZ", n), self.cocycles(n), self.coboundaries(n),
-                            "coboundaries escape the cocycle lattice at degree %d" % n)
+        """The inclusion of B^n into Z^n in their bases: p_n H_{n-1}."""
+        return self._split(n)[3] * self._split(n - 1)[0]
 
-    def _left_inverse(self, n):
-        """An integer left inverse p of the cocycle basis, p * z_n = I; it
-        exists because C^n/Z^n embeds in the free group C^{n+1}."""
+    def _cohomology(self, n):
+        """(H^n, lifts, P): H^n = Z^n/B^n as Subquotient(I, inside(n)) in the
+        coordinates of the cocycle basis z_n, the lifts of its generators to
+        C^n (z_n times the Subquotient's), and P, the basis of C^n projected
+        onto Z^n along S^n (the columns of p_n), in H^n coordinates."""
         def build():
-            z = self.cocycles(n)
-            p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
-            if p is None:
-                raise CertificateFailure(
-                    "cocycle lattice of degree %d is not a direct summand" % n)
-            return p.transpose()
-        return self._memo(("p", n), build)
-
-    def _projected_basis(self, n):
-        """The basis of C^n projected onto Z^n along the complement cut out by
-        the left inverse p, in H^n coordinates."""
-        return self._memo(("P", n), lambda: self.cohomology_sq(n).coords_matrix(
-            self.cocycles(n) * self._left_inverse(n)))
-
-    def _section(self, n):
-        """The section s_n = x_0 - z_n (p x_0) of d^n onto B^{n+1}, where x_0
-        is the first columns of the Hermite transform of d^n (d^n x_0 =
-        b_{n+1}), verified once by the split identity [p; dB] [z | s] = I."""
-        def build():
-            z, p = self.cocycles(n), self._left_inverse(n)
-            hf = hermite_form(self.base.diff(n))
-            r = hf.h.cols
-            x0 = IntMatrix._trusted(hf.v.rows, r, tuple(row[:r] for row in hf.v.data))
-            s = x0 - z * (p * x0)
-            _check_integral_split(n, p, self._in_b_basis(n), z, s)
-            return s
-        return self._memo(("S", n), build)
+            _, z, _, p = self._split(n)
+            sq = Subquotient(IntMatrix.identity(z.cols), self._inside(n))
+            return sq.group, z * sq.lifts, sq.coords_matrix(p)
+        return self._memo(("H", n), build)
 
     def _ext_basis(self, n):
         """(t, w, wdB) for the Ext term of degree n. With U inside(n+1)^T V = D
@@ -462,13 +426,13 @@ class UctSuite:
             kept = [i for i, d in enumerate(diag) if d != 1]
             w = IntMatrix._trusted(s.uinv.rows, len(kept),
                                    tuple(tuple(row[i] for i in kept) for row in s.uinv.data))
-            return tuple(diag[i] for i in kept), w, w.transpose() * self._in_b_basis(n)
+            return tuple(diag[i] for i in kept), w, w.transpose() * self._split(n)[2]
         return self._memo(("E", n), build)
 
     def _middle(self, n):
-        """(ext, homg, mid, lifts) for degree n. In the basis Q = [z_n | s_n]
-        of C^n the coboundary d^{n-1} is [[0, inside(n)], [0, 0]], so
-        H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on Hom(Z^n, G),
+        """(ext, homg, mid, lifts) for degree n. In the bases V_{n-1} and
+        V_n = [s_n | z_n] the coboundary d^{n-1} is [[0, 0], [inside(n), 0]],
+        so H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on Hom(Z^n, G),
         which is Hom(H^n, G), plus the cokernel of inside(n+1)^T (x) G on
         Hom(S^n, G), the Ext term. Every term is a sum of cyclic groups in
         closed form (CyclicSum): the Ext term is the sum of
@@ -476,20 +440,20 @@ class UctSuite:
         the orders e of G, generated by w_i (x) e_g; ``homg`` the Hom term;
         ``mid`` the normal form of their direct sum. ``lifts`` are the
         middle's generators in Hom(C^n, G): an Ext class psi is psi o dB
-        and a homomorphism on H^n is extended by zero along S^n through p."""
+        and a homomorphism on H^n is extended by zero along S^n through P."""
         G, m = self.coefficients, self.coefficients.n_gens
         # the Ext term of the resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
         # compared with the closed form of Ext(H^{n+1}, G)
         t, _, wdb = self._ext_basis(n)
         ext = _cyclic_sum(tuple(gcd(d, e) for d in t for e in G.orders))
-        if ext.group != _functor(ExtGroup, self.cohomology_sq(n + 1).group, G).group:
+        if ext.group != _functor(ExtGroup, self._cohomology(n + 1)[0], G).group:
             raise CertificateFailure(
                 "Ext term disagrees between resolution and closed form at degree %d" % n)
-        self._section(n)  # the split identity behind the summands below
-        homg = _functor(HomGroup, self.cohomology_sq(n).group, G)
+        h, _, projected = self._cohomology(n)
+        homg = _functor(HomGroup, h, G)
         mid = _cyclic_sum(ext.group.orders + homg.group.orders)
         summands = hstack(_precompose(wdb, m) * ext.lifts,
-                          _precompose(self._projected_basis(n), m) * homg._maps)
+                          _precompose(projected, m) * homg._maps)
         return ext, homg, mid, summands * mid.lifts
 
     def certificate(self, n):
@@ -504,7 +468,7 @@ class UctSuite:
             mid.n_gens, k, tuple(row[:k] for row in inclusions)))
         splitting = GroupMap(hom, mid, IntMatrix._trusted(
             mid.n_gens, hom.n_gens, tuple(row[k:] for row in inclusions)))
-        h_lifts = _precompose(self.cohomology_sq(n).lifts, self.coefficients.n_gens)
+        h_lifts = _precompose(self._cohomology(n)[1], self.coefficients.n_gens)
         surjection = GroupMap(mid, hom, homg.coords_of(h_lifts * lifts))
         cert = UctCertificate(n, ext, hom, mid, injection, surjection, splitting)
         self._verify(cert)

@@ -1034,31 +1034,46 @@ def hom_pullback_reference(hom, f, dest):
         for e in IntMatrix.identity(hom.group.n_gens).data])
 
 
-def sequence_reference(suite, n, left, mid):
+def sequence_reference(suite, n, left, mid, h_lifts):
     """The certificate's three maps into and out of ``mid``, a Subquotient
     of Hom(C^n, G) such as the full-size ``coefficient_homology_subquotient``,
     with per-column loops: include by the entrywise Kronecker product,
     evaluate as one GroupMap H^n -> G per middle generator, and split from
-    each Hom generator's GroupMap. Returns (include, evaluate, split)."""
-    from tauthom.groups import GroupMap, HomGroup
-    from tauthom.matrices import IntMatrix, solve_columns
+    each Hom generator's GroupMap. ``h_lifts`` are cocycles naming the
+    generators of H^n the certificate's Hom term is written in. Returns
+    (include, evaluate, split).
+
+    The integral data comes from the full-size lattice route on
+    ``suite.base``: the cocycles z = ker d^n, the coboundary basis b of
+    B^{n+1} (``left`` is in its coordinates), H^n = Subquotient(z, d^{n-1}),
+    d^n in the basis b, and the section s of d^n onto b that ``solve_columns``
+    picks, the one without a component along ker d^n. ``h_lifts`` must read
+    as an automorphism of H^n in that Subquotient's coordinates. The
+    splitting depends on the complement S^n = span(s) of the cocycles: a Hom
+    generator becomes the cochain that evaluates it on the class of the
+    projection I - s dB onto Z^n along S^n."""
+    from tauthom.groups import GroupMap, HomGroup, Subquotient, inverse
+    from tauthom.matrices import IntMatrix, column_basis, kernel_basis, solve_columns
     G, m = suite.coefficients, suite.coefficients.n_gens
-    in_b_basis = solve_columns(suite.coboundaries(n + 1), suite.base.diff(n))
+    d = suite.base.diff(n)
+    b = column_basis(d)
+    in_b_basis = solve_columns(b, d)
     push = kron_identity_reference(in_b_basis.transpose(), m)
     include = GroupMap(left.group, mid.group, mid.coords_matrix(push * left.lifts))
 
-    h_sq = suite.cohomology_sq(n)
+    h_sq = Subquotient(kernel_basis(d), suite.base.diff(n - 1))
     H = h_sq.group
+    named = inverse(GroupMap(H, H, h_sq.coords_matrix(h_lifts)))
+    assert named is not None, "the cocycles do not name generators of H^%d" % n
     homg = HomGroup(H, G)
-    values = kron_identity_reference(h_sq.lifts.transpose(), m) * mid.lifts
+    values = kron_identity_reference(h_lifts.transpose(), m) * mid.lifts
     evaluate = _columns_map(mid.group, homg.group, [
         hom_from_map_reference(homg, GroupMap(H, G, IntMatrix(
             H.n_gens, m, [v[k * m:(k + 1) * m] for k in range(H.n_gens)]).transpose()))
         for v in values.transpose().data])
 
-    z = suite.cocycles(n)
-    p = solve_columns(z.transpose(), IntMatrix.identity(z.cols))
-    h_of_basis = h_sq.coords_matrix(z * p.transpose())
+    h_of_basis = named.matrix * h_sq.coords_matrix(
+        IntMatrix.identity(d.cols) - solve_columns(d, b) * in_b_basis)
     chains = [[x for col in (hom_to_map_reference(homg, e).matrix * h_of_basis).transpose().data
                for x in col]
               for e in IntMatrix.identity(homg.group.n_gens).data]

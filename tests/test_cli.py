@@ -274,6 +274,15 @@ class TestExitCodes:
                                "--coefficients", "Z/2")
         assert code == 2
 
+    @pytest.mark.parametrize("degree", [[], ["--degree", "0"]], ids=["all", "one"])
+    def test_uct_of_chain_complex_is_two(self, capsys, tmp_path, degree):
+        # certificates need the cochain direction, as coefficient complexes do
+        obj = {"direction": "chain", "lo": 0, "hi": 1, "ranks": [1, 1], "diffs": {"1": [[2]]}}
+        path = write_json(tmp_path, "cx.json", obj)
+        code, out, err = run_cli(capsys, "uct", "--input", path, *degree)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: coefficient complexes are built from cochain complexes\n"
+
     @pytest.mark.parametrize("verb", ["colim", "sixterm"])
     def test_malformed_telescope_is_two(self, capsys, tmp_path, verb):
         # two prefix stages need one connecting map

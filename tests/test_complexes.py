@@ -324,7 +324,7 @@ class TestUct:
                     iso = GroupMap(cert.middle, full.group, full.coords_matrix(lifts))
                     assert inverse(iso) is not None
                     # the Ext term from the resolution B^{n+1} -> Z^{n+1}
-                    inside = solve_columns(suite.cocycles(n + 1), suite.coboundaries(n + 1))
+                    inside = suite._inside(n + 1)
                     ext = Subquotient(IntMatrix.identity(inside.cols * g.n_gens), hstack(
                         kron_identity_reference(inside.transpose(), g.n_gens),
                         _relations_for_orders(g.orders * inside.cols)))
@@ -332,7 +332,8 @@ class TestUct:
                         kron_identity_reference(suite._ext_basis(n)[1], g.n_gens)
                         * ext_sum.lifts))
                     assert inverse(ext_iso) is not None
-                    include, evaluate, split = sequence_reference(suite, n, ext, full)
+                    include, evaluate, split = sequence_reference(
+                        suite, n, ext, full, suite._cohomology(n)[1])
                     assert include @ ext_iso == iso @ cert.injection
                     assert evaluate @ iso == cert.surjection
                     assert split == iso @ cert.splitting
@@ -342,7 +343,8 @@ class TestUct:
         # U inside^T V = D generate the cokernel of inside^T, the Ext term over
         # Z: read in the lattice route's coordinates they give an isomorphism
         # from the sum of the Z/t_i, and their rows precomposed with d^n in the
-        # coboundary basis are the Ext classes on C^n
+        # coboundary basis are the Ext classes on C^n; inside and dB are read
+        # from the split records, and checked against their definitions
         rng = seeded(30)
         checked = 0
         for _ in range(150):
@@ -350,12 +352,14 @@ class TestUct:
             suite = UctSuite(cx, Z)
             for n in cx.degrees():
                 t, w, wdb = suite._ext_basis(n)
-                inside = solve_columns(suite.cocycles(n + 1), suite.coboundaries(n + 1))
+                h, _, db, _ = suite._split(n)
+                inside = suite._inside(n + 1)
+                assert suite._split(n + 1)[1] * inside == h
                 coker = Subquotient(IntMatrix.identity(inside.cols), inside.transpose())
                 iso = GroupMap(PresentedGroup(0, t), coker.group, coker.coords_matrix(w))
                 assert inverse(iso) is not None
-                in_b_basis = solve_columns(suite.coboundaries(n + 1), cx.diff(n))
-                assert wdb == w.transpose() * in_b_basis
+                assert h * db == cx.diff(n)
+                assert wdb == w.transpose() * db
                 checked += bool(t)
         assert checked > 50, checked
 
@@ -381,46 +385,60 @@ class TestUct:
                     assert report(shared, g) == fresh[g]
                 assert set(shared._integral) == keys
 
-    def test_split_identity_is_checked(self):
-        # [p; dB] [z | s] = I fails for a section shifted by a cocycle column
-        # and for a p that is no left inverse of the cocycle basis
-        from tauthom.complexes import _check_integral_split
+    def test_split_identity_is_checked(self, monkeypatch):
+        # W V = I fails for the inverse doubled, and for the true inverse
+        # against a V whose first section column is shifted by a cocycle
+        # column, which is still a Hermite transform of d^n
+        import tauthom.complexes as complexes
+        from tauthom.matrices import HermiteForm, hermite_form
         rng = seeded(28)
         shifted = doubled = 0
         for _ in range(30):
             cx, _ = random_free_cochain_complex(rng)
-            suite = UctSuite(cx, Z)
             for n in cx.degrees():
-                z, p, db, s = (suite.cocycles(n), suite._left_inverse(n),
-                               suite._in_b_basis(n), suite._section(n))
-                _check_integral_split(n, p, db, z, s)
-                if not z.cols:
+                hf = hermite_form(cx.diff(n))
+                v, r = hf.v, hf.h.cols
+                w = solve_columns(v, IntMatrix.identity(v.rows))
+                assert w * v == IntMatrix.identity(v.cols)
+                UctSuite(FreeComplex.from_json(cx.to_json()), Z)._split(n)
+                if not v.cols:
                     continue
-                with pytest.raises(CertificateFailure, match="degree %d: " % n):
-                    _check_integral_split(n, p * 2, db, z, s)
-                doubled += 1
-                if s.cols:
+                mutants = [(hf, w * 2)]
+                if 0 < r < v.cols:
                     shift = IntMatrix.from_columns(
-                        [z.column(0)] + [(0,) * s.rows] * (s.cols - 1), rows=s.rows)
+                        [v.column(r)] + [(0,) * v.rows] * (v.cols - 1), rows=v.rows)
+                    assert cx.diff(n) * (v + shift) == cx.diff(n) * v
+                    mutants.append((HermiteForm(hf.h, v + shift, hf.pivots), w))
+                for form, inverse_ in mutants:
+                    monkeypatch.setattr(complexes, "hermite_form", lambda mat: form)
+                    monkeypatch.setattr(complexes, "solve_columns", lambda mat, rhs: inverse_)
+                    suite = UctSuite(FreeComplex.from_json(cx.to_json()), Z)
                     with pytest.raises(CertificateFailure, match="degree %d: " % n):
-                        _check_integral_split(n, p, db, z, s + shift)
-                    shifted += 1
+                        suite._split(n)
+                    monkeypatch.undo()
+                doubled += 1
+                shifted += len(mutants) - 1
         assert min(shifted, doubled) >= 10, (shifted, doubled)
 
-    def test_certificate_runs_the_split_identity(self):
-        # a p in the memo that is not a left inverse stops the certificate
+    def test_certificate_runs_the_split_identity(self, monkeypatch):
+        # a wrong inverse of degree n's Hermite transform stops the certificate
+        import tauthom.complexes as complexes
         rng = seeded(29)
         stopped = 0
         for _ in range(12):
             cx, _ = random_free_cochain_complex(rng)
             for n in cx.degrees():
+                if not cx.rank(n):
+                    continue
                 fresh = FreeComplex.from_json(cx.to_json())
                 suite = UctSuite(fresh, Z12)
-                if not suite.cocycles(n).cols:
-                    continue
-                fresh._integral[("p", n)] = suite._left_inverse(n) * 2
-                with pytest.raises(CertificateFailure, match="degree %d: " % n):
+                for built in (n - 1, n + 1):
+                    suite._split(built)
+                monkeypatch.setattr(complexes, "solve_columns",
+                                    lambda mat, rhs: solve_columns(mat, rhs) * 2)
+                with pytest.raises(CertificateFailure, match="degree %d: the cocycles" % n):
                     suite.certificate(n)
+                monkeypatch.undo()
                 stopped += 1
         assert stopped > 10
 
@@ -466,6 +484,40 @@ class TestUct:
                 coefficient_homology_subquotient(CoefficientComplex(cx, g), 1)
                 assert ambient[-1] == 12 * g.n_gens
             assert certs[2].middle == ExtGroup(ZERO, g).group.direct_sum(HomGroup(Z2, g).group)
+
+    def test_cold_path_takes_one_hermite_transform_per_degree(self, monkeypatch):
+        # on a fresh complex every degree from lo - 1 to hi + 1 takes one
+        # Hermite form, of d^n, and one solve, against its transform V; the
+        # other solves are the retractions, one per certificate, and nothing
+        # asks for a kernel or column basis. The memo holds three key kinds.
+        import tauthom.complexes as complexes
+        import tauthom.groups as groups
+        import tauthom.matrices as matrices
+        from tauthom.matrices import hermite_form
+
+        def forbidden(mat):
+            raise AssertionError("full-lattice basis on the certificate path")
+
+        rng = seeded(31)
+        for i in range(20):
+            cx, _ = random_free_cochain_complex(rng)
+            events = []
+            monkeypatch.setattr(complexes, "hermite_form", lambda mat: events.append(
+                ("hermite", mat)) or hermite_form(mat))
+            monkeypatch.setattr(complexes, "solve_columns", lambda mat, rhs: events.append(
+                ("solve", mat)) or solve_columns(mat, rhs))
+            for module in (matrices, groups):
+                for name in ("kernel_basis", "column_basis"):
+                    monkeypatch.setattr(module, name, forbidden, raising=False)
+            certs = uct_certificates(cx, COEFFICIENTS[i % len(COEFFICIENTS)])
+            monkeypatch.undo()
+            records = [k for k, (kind, _) in enumerate(events) if kind == "hermite"]
+            assert sorted(repr(events[k][1]) for k in records) == \
+                sorted(repr(cx.diff(n)) for n in range(cx.lo - 1, cx.hi + 2))
+            for k in records:
+                assert events[k + 1] == ("solve", hermite_form(events[k][1]).v)
+            assert len(events) == 2 * len(records) + len(certs)
+            assert {key[0] for key in cx._integral} == {"V", "H", "E"}
 
     def test_splitting_is_right_inverse(self):
         for g in (Z, Z4, MIXED):
