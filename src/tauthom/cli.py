@@ -196,9 +196,6 @@ def _complex_from_args(args):
 def _cmd_homology(args):
     cx = _complex_from_args(args)
     if args.coefficients is not None:
-        if cx.direction != "cochain":
-            raise ValueError("coefficient homology is computed from cochain "
-                             "complexes; this input is a chain complex")
         coeffs = _coefficients(args)
         hom = CoefficientComplex(cx, coeffs).homology_all()
         title = "homology of Hom(C, %s)" % coeffs.describe()

@@ -31,19 +31,17 @@ the sequence split exact.
 Every term over G is a sum of cyclic groups, put in normal form by the
 closed-form ``CyclicSum``, so a certificate builds no Subquotient and takes
 no Hermite or Smith form over G except the solve of the retraction. The
-Ext term's basis comes from the Smith form U inside^T V = D of the
-transposed inclusion B^{n+1} -> Z^{n+1}: it is the sum of Z/gcd(t_i, e) over
-the invariant factors t_i != 1 and the orders e of G, generated by the
-columns of U^-1 tensored with G's generators, and it is compared with its
-closed form from H^{n+1} (``ExtGroup.group``); a disagreement raises
-instead of returning. The Hom term's basis is ``HomGroup``'s, and the
-middle's normal form and summand inclusions are those of the sum of the two.
+Ext term is ``ExtGroup``'s closed form of H^{n+1}, generated by rows of
+V^-1 tensored with G's generators, for U inside V = D the one Smith form of
+the inclusion B^{n+1} -> Z^{n+1} that also gives H^{n+1}. The Hom term's
+basis is ``HomGroup``'s, and the middle's normal form and summand
+inclusions are those of the sum of the two.
 
 The integral lattice work of a certificate (per degree the Hermite
-transform of d^n and its inverse, H^n in cocycle coordinates, and the Smith
-form behind the Ext term) does not depend on G. It is memoised on the
-FreeComplex, so certificates over several coefficient groups share it;
-every check that involves G still runs for each certificate.
+transform of d^n and its inverse, and the Smith form behind H^n and the
+Ext generators) does not depend on G. It is memoised on the FreeComplex,
+so certificates over several coefficient groups share it; every check
+that involves G still runs for each certificate.
 """
 
 from __future__ import annotations
@@ -185,8 +183,8 @@ class FreeComplex:
     zero; ``diff(n)`` builds a dense view once. Degrees and ranks must be ints.
     ``_integral`` keeps the integral lattice data of UCT certificates, which
     does not depend on the coefficient group: per degree the verified
-    Hermite transform of d^n and its inverse, H^n and the Ext basis
-    (``UctSuite``)."""
+    Hermite transform of d^n and its inverse, and H^n with the Ext
+    generators of degree n - 1 (``UctSuite``)."""
 
     __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense", "_integral")
 
@@ -360,11 +358,11 @@ def _check_split(n, include, evaluate, split):
 class UctSuite:
     """Builds universal-coefficient certificates for one (complex, G) pair,
     a cochain complex C. The integral lattice work does not depend on G: per
-    degree one verified Hermite transform of d^n (``_split``), the cohomology
-    H^n in cocycle coordinates, and the Smith form behind the Ext term. It
-    is memoised on the complex under three key kinds, so neighbouring
-    degrees and every coefficient group share it. Nothing that depends on G
-    is kept there."""
+    degree one verified Hermite transform of d^n (``_split``) and one Smith
+    form of the inclusion B^n -> Z^n, which gives H^n in cocycle coordinates
+    and the Ext generators of degree n - 1 (``_cohomology``). It is memoised
+    on the complex under two key kinds, so neighbouring degrees and every
+    coefficient group share it. Nothing that depends on G is kept there."""
 
     def __init__(self, base, coefficients):
         if base.direction != "cochain":
@@ -398,36 +396,33 @@ class UctSuite:
                     IntMatrix._trusted(w.rows - r, w.cols, w.data[r:]))
         return self._memo(("V", n), build)
 
-    def _inside(self, n):
-        """The inclusion of B^n into Z^n in their bases: p_n H_{n-1}."""
-        return self._split(n)[3] * self._split(n - 1)[0]
-
     def _cohomology(self, n):
-        """(H^n, lifts, P): H^n = Z^n/B^n as Subquotient(I, inside(n)) in the
-        coordinates of the cocycle basis z_n, the lifts of its generators to
-        C^n (z_n times the Subquotient's), and P, the basis of C^n projected
-        onto Z^n along S^n (the columns of p_n), in H^n coordinates."""
+        """(H^n, lifts, P, extdB) from the Smith form U inside V = D of
+        inside = p_n H_{n-1}, the inclusion B^n -> Z^n in their bases. H^n is
+        Subquotient(I, inside), on the same memoised form, in the coordinates
+        of the cocycle basis z_n; lifts are z_n times its generators, and P
+        the basis of C^n projected onto Z^n along S^n (the columns of p_n).
+        inside has full column rank (p_n z_n = I), so V^-1 = D^-1 U inside.
+        Its rows with d_i >= 2, by exact division, in the order of H^n's
+        torsion, generate coker inside^T, the Ext term of degree n - 1 over Z,
+        since V^T maps im inside^T onto im D^T; extdB holds them times
+        dB_{n-1}, as cochains on C^{n-1}."""
         def build():
             _, z, _, p = self._split(n)
-            sq = Subquotient(IntMatrix.identity(z.cols), self._inside(n))
-            return sq.group, z * sq.lifts, sq.coords_matrix(p)
+            h, _, db, _ = self._split(n - 1)
+            inside = p * h
+            sq = Subquotient(IntMatrix.identity(z.cols), inside)
+            s = smith_normal_form(inside)
+            tors = [(d, row) for d, row in zip(s.diagonal, s.u.data) if d >= 2]
+            scaled = IntMatrix._trusted(len(tors), inside.rows,
+                                        tuple(row for _, row in tors)) * inside
+            if any(x % d for (d, _), row in zip(tors, scaled.data) for x in row):
+                raise CertificateFailure("degree %d: the Smith form of B^%d -> Z^%d does not "
+                                         "divide into the inverse of its V" % (n, n, n))
+            ext = IntMatrix._trusted(len(tors), inside.cols, tuple(
+                tuple(x // d for x in row) for (d, _), row in zip(tors, scaled.data)))
+            return sq.group, z * sq.lifts, sq.coords_matrix(p), ext * db
         return self._memo(("H", n), build)
-
-    def _ext_basis(self, n):
-        """(t, w, wdB) for the Ext term of degree n. With U inside(n+1)^T V = D
-        the Smith form of the inclusion B^{n+1} -> Z^{n+1} transposed, the
-        cokernel of inside(n+1)^T is the sum of Z/t_i over the invariant
-        factors t_i != 1, generated by the columns w of U^-1 that belong to
-        them; the rows of wdB = w^T dB are those generators precomposed with
-        d^n in the basis of B^{n+1}, as cochains on C^n."""
-        def build():
-            s = smith_normal_form(self._inside(n + 1).transpose())
-            diag = s.diagonal + (0,) * (s.u.rows - len(s.diagonal))
-            kept = [i for i, d in enumerate(diag) if d != 1]
-            w = IntMatrix._trusted(s.uinv.rows, len(kept),
-                                   tuple(tuple(row[i] for i in kept) for row in s.uinv.data))
-            return tuple(diag[i] for i in kept), w, w.transpose() * self._split(n)[2]
-        return self._memo(("E", n), build)
 
     def _middle(self, n):
         """(ext, homg, mid, lifts) for degree n. In the bases V_{n-1} and
@@ -435,24 +430,18 @@ class UctSuite:
         so H_n(Hom(C, G)) is the kernel of inside(n)^T (x) G on Hom(Z^n, G),
         which is Hom(H^n, G), plus the cokernel of inside(n+1)^T (x) G on
         Hom(S^n, G), the Ext term. Every term is a sum of cyclic groups in
-        closed form (CyclicSum): the Ext term is the sum of
-        Z/gcd(t_i, e_g) over the invariant factors t of ``_ext_basis`` and
-        the orders e of G, generated by w_i (x) e_g; ``homg`` the Hom term;
-        ``mid`` the normal form of their direct sum. ``lifts`` are the
-        middle's generators in Hom(C^n, G): an Ext class psi is psi o dB
-        and a homomorphism on H^n is extended by zero along S^n through P."""
+        closed form (CyclicSum): ``ext`` is Ext(H^{n+1}, G)'s, generated by
+        degree n + 1's rows of V^-1 (x) e_g; ``homg`` the Hom term; ``mid``
+        the normal form of their direct sum. ``lifts`` are the middle's
+        generators in Hom(C^n, G): an Ext class psi is psi o dB and a
+        homomorphism on H^n is extended by zero along S^n through P."""
         G, m = self.coefficients, self.coefficients.n_gens
-        # the Ext term of the resolution 0 -> B^{n+1} -> Z^{n+1} -> H^{n+1} -> 0,
-        # compared with the closed form of Ext(H^{n+1}, G)
-        t, _, wdb = self._ext_basis(n)
-        ext = _cyclic_sum(tuple(gcd(d, e) for d in t for e in G.orders))
-        if ext.group != _functor(ExtGroup, self._cohomology(n + 1)[0], G).group:
-            raise CertificateFailure(
-                "Ext term disagrees between resolution and closed form at degree %d" % n)
-        h, _, projected = self._cohomology(n)
+        h, _, projected, _ = self._cohomology(n)
+        above, _, _, extdb = self._cohomology(n + 1)
+        ext = _functor(ExtGroup, above, G)._cyclic
         homg = _functor(HomGroup, h, G)
         mid = _cyclic_sum(ext.group.orders + homg.group.orders)
-        summands = hstack(_precompose(wdb, m) * ext.lifts,
+        summands = hstack(_precompose(extdb, m) * ext.lifts,
                           _precompose(projected, m) * homg._maps)
         return ext, homg, mid, summands * mid.lifts
 

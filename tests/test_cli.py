@@ -270,9 +270,11 @@ class TestExitCodes:
         d1 = IntMatrix.from_rows([[1, 1], [-1, -1]])
         cx = FreeComplex("chain", 0, 1, [2, 2], {1: d1})
         path = write_json(tmp_path, "cx.json", cx.to_json())
-        code, _, err = run_cli(capsys, "homology", "--input", path,
-                               "--coefficients", "Z/2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "homology", "--input", path,
+                                 "--coefficients", "Z/2")
+        assert (code, out) == (2, "")
+        # the one check and message of CoefficientComplex, as for uct
+        assert err == "invalid input: coefficient complexes are built from cochain complexes\n"
 
     @pytest.mark.parametrize("degree", [[], ["--degree", "0"]], ids=["all", "one"])
     def test_uct_of_chain_complex_is_two(self, capsys, tmp_path, degree):

@@ -8,7 +8,7 @@ from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                uct_certificates)
 from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
                             _relations_for_orders, inverse, parse_group)
-from tauthom.matrices import IntMatrix, hstack, solve_columns
+from tauthom.matrices import IntMatrix, hermite_form, hstack, smith_normal_form, solve_columns
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
 from oracles import (check_short_exact, coefficient_diff, coefficient_homology_subquotient,
@@ -29,6 +29,15 @@ def circle_chain():
     # two vertices, two edges glued head to tail
     d1 = IntMatrix.from_rows([[1, 1], [-1, -1]])
     return FreeComplex("chain", 0, 1, [2, 2], {1: d1})
+
+
+def ext_generators(suite, n):
+    """Degree n + 1's rows of V^-1, the Ext generators of degree n, read
+    back from the record's Ext classes on C^n through the section s_n of the
+    Hermite transform of d^n (dB s_n = I)."""
+    hf = hermite_form(suite.base.diff(n))
+    r = hf.h.cols
+    return suite._cohomology(n + 1)[3] * IntMatrix(hf.v.rows, r, [row[:r] for row in hf.v.data])
 
 
 def rp2_cochain():
@@ -309,9 +318,9 @@ class TestUct:
 
     def test_sequence_maps_match_full_size_reference(self):
         # the middle's lifts name an isomorphism onto the full-size
-        # H_n(Hom(C, G)), and the Ext term's generators w (x) e_g one onto the
-        # lattice route's cokernel of inside^T (x) G; along the two the three
-        # maps are the per-column ones
+        # H_n(Hom(C, G)), and the Ext term's generators, degree n + 1's rows of
+        # V^-1 (x) e_g, one onto the lattice route's cokernel of inside^T (x) G;
+        # along the two the three maps are the per-column ones
         rng = seeded(24)
         for _ in range(12):
             cx, _ = random_free_cochain_complex(rng)
@@ -324,12 +333,12 @@ class TestUct:
                     iso = GroupMap(cert.middle, full.group, full.coords_matrix(lifts))
                     assert inverse(iso) is not None
                     # the Ext term from the resolution B^{n+1} -> Z^{n+1}
-                    inside = suite._inside(n + 1)
+                    inside = suite._split(n + 1)[3] * suite._split(n)[0]
                     ext = Subquotient(IntMatrix.identity(inside.cols * g.n_gens), hstack(
                         kron_identity_reference(inside.transpose(), g.n_gens),
                         _relations_for_orders(g.orders * inside.cols)))
                     ext_iso = GroupMap(cert.ext_term, ext.group, ext.coords_matrix(
-                        kron_identity_reference(suite._ext_basis(n)[1], g.n_gens)
+                        kron_identity_reference(ext_generators(suite, n).transpose(), g.n_gens)
                         * ext_sum.lifts))
                     assert inverse(ext_iso) is not None
                     include, evaluate, split = sequence_reference(
@@ -339,28 +348,36 @@ class TestUct:
                     assert split == iso @ cert.splitting
 
     def test_ext_generators_name_the_cokernel(self):
-        # the columns w of U^-1 that belong to the invariant factors t != 1 of
-        # U inside^T V = D generate the cokernel of inside^T, the Ext term over
-        # Z: read in the lattice route's coordinates they give an isomorphism
-        # from the sum of the Z/t_i, and their rows precomposed with d^n in the
-        # coboundary basis are the Ext classes on C^n; inside and dB are read
-        # from the split records, and checked against their definitions
+        # the Ext generators of degree n + 1's record are the rows of the
+        # inverse of V, for U inside V = D, that belong to the invariant
+        # factors t >= 2, and they generate the cokernel of inside^T, the Ext
+        # term over Z: read in the lattice route's coordinates they give an
+        # isomorphism from the sum of the Z/t_i, the torsion of H^{n+1}, and
+        # precomposed with d^n in the coboundary basis they give back the
+        # record's Ext classes on C^n, which so vanish on the cocycles; inside
+        # and dB are read from the split records, and checked against their
+        # definitions
         rng = seeded(30)
         checked = 0
         for _ in range(150):
             cx, _ = random_free_cochain_complex(rng)
             suite = UctSuite(cx, Z)
             for n in cx.degrees():
-                t, w, wdb = suite._ext_basis(n)
+                above, _, _, extdb = suite._cohomology(n + 1)
+                ext = ext_generators(suite, n)
                 h, _, db, _ = suite._split(n)
-                inside = suite._inside(n + 1)
+                inside = suite._split(n + 1)[3] * h
                 assert suite._split(n + 1)[1] * inside == h
+                s = smith_normal_form(inside)
+                vinv = solve_columns(s.v, IntMatrix.identity(s.v.rows))
+                assert ext.data == tuple(row for d, row in zip(s.diagonal, vinv.data) if d >= 2)
                 coker = Subquotient(IntMatrix.identity(inside.cols), inside.transpose())
-                iso = GroupMap(PresentedGroup(0, t), coker.group, coker.coords_matrix(w))
+                iso = GroupMap(PresentedGroup(0, above.torsion), coker.group,
+                               coker.coords_matrix(ext.transpose()))
                 assert inverse(iso) is not None
                 assert h * db == cx.diff(n)
-                assert wdb == w.transpose() * db
-                checked += bool(t)
+                assert extdb == ext * db
+                checked += bool(above.torsion)
         assert checked > 50, checked
 
     def test_shared_integral_data_matches_fresh_complexes(self):
@@ -390,7 +407,7 @@ class TestUct:
         # against a V whose first section column is shifted by a cocycle
         # column, which is still a Hermite transform of d^n
         import tauthom.complexes as complexes
-        from tauthom.matrices import HermiteForm, hermite_form
+        from tauthom.matrices import HermiteForm
         rng = seeded(28)
         shifted = doubled = 0
         for _ in range(30):
@@ -487,13 +504,20 @@ class TestUct:
 
     def test_cold_path_takes_one_hermite_transform_per_degree(self, monkeypatch):
         # on a fresh complex every degree from lo - 1 to hi + 1 takes one
-        # Hermite form, of d^n, and one solve, against its transform V; the
-        # other solves are the retractions, one per certificate, and nothing
-        # asks for a kernel or column basis. The memo holds three key kinds.
+        # Hermite form, of d^n, and one solve, against its transform V, and
+        # every degree from lo to hi + 1 one Smith form, of the inclusion
+        # p_n H_{n-1} of B^n into Z^n and of no transpose; the other solves
+        # are the retractions, one per certificate, and nothing asks for a
+        # kernel or column basis. The memo holds two key kinds.
         import tauthom.complexes as complexes
         import tauthom.groups as groups
         import tauthom.matrices as matrices
-        from tauthom.matrices import hermite_form
+
+        def inside(cx, n):
+            hf = hermite_form(cx.diff(n))
+            w = solve_columns(hf.v, IntMatrix.identity(hf.v.rows))
+            p = IntMatrix(w.rows - hf.h.cols, w.cols, w.data[hf.h.cols:])
+            return p * hermite_form(cx.diff(n - 1)).h
 
         def forbidden(mat):
             raise AssertionError("full-lattice basis on the certificate path")
@@ -506,6 +530,8 @@ class TestUct:
                 ("hermite", mat)) or hermite_form(mat))
             monkeypatch.setattr(complexes, "solve_columns", lambda mat, rhs: events.append(
                 ("solve", mat)) or solve_columns(mat, rhs))
+            monkeypatch.setattr(complexes, "smith_normal_form", lambda mat: events.append(
+                ("smith", mat)) or smith_normal_form(mat))
             for module in (matrices, groups):
                 for name in ("kernel_basis", "column_basis"):
                     monkeypatch.setattr(module, name, forbidden, raising=False)
@@ -516,8 +542,48 @@ class TestUct:
                 sorted(repr(cx.diff(n)) for n in range(cx.lo - 1, cx.hi + 2))
             for k in records:
                 assert events[k + 1] == ("solve", hermite_form(events[k][1]).v)
-            assert len(events) == 2 * len(records) + len(certs)
-            assert {key[0] for key in cx._integral} == {"V", "H", "E"}
+            smiths = [mat for kind, mat in events if kind == "smith"]
+            insides = [inside(cx, n) for n in range(cx.lo, cx.hi + 2)]
+            assert sorted(map(repr, smiths)) == sorted(map(repr, insides))
+            transposes = {mat.transpose() for mat in insides} - set(insides)
+            assert not transposes & set(smiths)
+            assert len(events) == 2 * len(records) + len(smiths) + len(certs)
+            assert {key[0] for key in cx._integral} == {"V", "H"}
+
+    def test_record_divides_the_smith_form_exactly(self, monkeypatch):
+        # a Smith form of inside(n) with the row of an invariant factor 1
+        # added to a torsion row of U stops degree n's record: row i of
+        # U inside becomes d_i v_i + v_j for rows v of V^-1, and v_j, a row of
+        # a unimodular matrix, is not divisible by d_i >= 2
+        import tauthom.complexes as complexes
+        from tauthom.matrices import SmithForm
+        rng = seeded(32)
+        stopped = 0
+        for _ in range(40):
+            cx, _ = random_free_cochain_complex(rng)
+            suite = UctSuite(cx, Z)
+            for n in range(cx.lo, cx.hi + 2):
+                inside = suite._split(n)[3] * suite._split(n - 1)[0]
+                s = smith_normal_form(inside)
+                units = [j for j, d in enumerate(s.diagonal) if d == 1]
+                tors = [i for i, d in enumerate(s.diagonal) if d >= 2]
+                if not (units and tors):
+                    continue
+                rows = [list(row) for row in s.u.data]
+                rows[tors[0]] = [a + b for a, b in zip(rows[tors[0]], rows[units[0]])]
+                bad = SmithForm(IntMatrix.from_rows(rows), s.uinv, s.d, s.v)
+                fresh = FreeComplex.from_json(cx.to_json())
+                for k in range(cx.lo, cx.hi + 2):
+                    if k != n:
+                        UctSuite(fresh, Z)._cohomology(k)
+                monkeypatch.setattr(complexes, "smith_normal_form",
+                                    lambda mat, bad=bad, inside=inside:
+                                    bad if mat == inside else smith_normal_form(mat))
+                with pytest.raises(CertificateFailure, match="degree %d: " % n):
+                    uct_certificates(fresh, Z)
+                monkeypatch.undo()
+                stopped += 1
+        assert stopped > 10, stopped
 
     def test_splitting_is_right_inverse(self):
         for g in (Z, Z4, MIXED):
