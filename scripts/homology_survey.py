@@ -7,7 +7,7 @@ the circle models block by block to show which coarsenings still carry the
 fundamental class. A seeded stress pass checks that the boundary of the
 boundary of random set functions vanishes.
 
-Usage: python3 scripts/homology_survey.py [--models octahedron rp2-6vertex]
+Usage: PYTHONPATH=src python3 scripts/homology_survey.py [--models octahedron rp2-6vertex]
        [--coefficients Z Z/2 Z/4] [--chains 50] [--seed 0]
 """
 

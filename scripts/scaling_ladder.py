@@ -17,7 +17,7 @@ determinant. The Hermite and Smith memos are emptied before every run,
 and every model and complex is built afresh before its run, so no run
 reads the forms or the nerve of the run before it.
 
-Usage: python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
+Usage: PYTHONPATH=src python3 scripts/scaling_ladder.py [--arcs 40 80 160] [--tori 5 7 9]
        [--dense 16 32 48] [--repeat 3] [--uct]
 """
 

@@ -6,7 +6,7 @@ prints the aligned diagrams with per-junction verdicts, ending with a
 junction-agreement summary. Unrolling the periodic tail into an explicit
 prefix must not change any classification; the sweep re-checks that too.
 
-Usage: python3 scripts/solenoid_report.py [--degrees 2 3 5] [--reduced]
+Usage: PYTHONPATH=src python3 scripts/solenoid_report.py [--degrees 2 3 5] [--reduced]
 """
 
 import argparse

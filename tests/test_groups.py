@@ -14,7 +14,7 @@ from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, GroupParseError, HomG
 from tauthom.matrices import IntMatrix, _SparseMatrix
 from tauthom.randomgen import random_finite_group, random_group, random_group_map, seeded
 
-from generators import random_matrix
+from generators import diagonal_matrix, random_matrix
 from oracles import (all_finite_groups_to, cyclic_sum_iso_oracle, ext_lattice_reference,
                      ext_oracle, ext_pullback_reference, hom_from_map_reference, hom_oracle,
                      hom_pullback_reference, hom_to_map_reference, invariant_factors_oracle,
@@ -122,7 +122,7 @@ class TestPresentedGroup:
             expected = invariant_factors_oracle(orders)
             g = PresentedGroup.from_orders(orders)
             assert (g.free_rank, g.torsion) == expected, orders
-            assert normalize(IntMatrix.diagonal(orders)) == g
+            assert normalize(diagonal_matrix(orders)) == g
 
 
 class TestGroupMap:
@@ -156,7 +156,7 @@ class TestGroupMap:
         for _ in range(300):
             a = random_group(rng)
             b = a if rng.random() < 0.8 else random_group(rng)
-            lifted = IntMatrix.diagonal([1 + d * rng.randint(-2, 2) for d in a.orders])
+            lifted = diagonal_matrix([1 + d * rng.randint(-2, 2) for d in a.orders])
             maps = [random_group_map(rng, a, b, bound=1)]
             if a == b:
                 maps.append(GroupMap(a, a, lifted))

@@ -10,7 +10,7 @@ from tauthom.limits import (MalformedTower, Telescope, Tower, colim, ext_tower,
 from tauthom.matrices import IntMatrix
 from tauthom.randomgen import random_finite_telescope, random_group_map, seeded
 
-from generators import random_finite_tower
+from generators import diagonal_matrix, random_finite_tower
 from oracles import image_chain_stabilizes_oracle, stable_image_oracle
 
 Z = PresentedGroup(1, ())
@@ -178,7 +178,7 @@ class TestDecidedChains:
     @pytest.mark.parametrize("entries", [(2, 3, 5), (2, -3, 5)])
     def test_coprime_diagonal_tail_is_fast(self, entries):
         g = PresentedGroup(3, ())
-        t = Tower.periodic(GroupMap(g, g, IntMatrix.diagonal(entries)))
+        t = Tower.periodic(GroupMap(g, g, diagonal_matrix(entries)))
         start = time.perf_counter()
         assert lim(t).kind == "zero"
         assert lim1(t).kind == "nonzero-uncountable"

@@ -187,6 +187,27 @@ def each_path(request):
         yield
 
 
+@pytest.fixture(params=["packed", "lists"])
+def each_replay(request):
+    """Run the test once on each replay of V in ``_hermite_core``: packed
+    columns for every input of full column rank, or lists for every input."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param == "packed":
+            mp.setattr(tauthom.matrices, "_PACKED_REPLAY_FILL", 0)
+            mp.setattr(tauthom.matrices, "_PACKED_REPLAY_UPTO", 2 ** 62)
+        else:
+            mp.setattr(tauthom.matrices, "_PACKED_REPLAY_UPTO", 0)
+        yield request.param
+
+
+def packed_replays(monkeypatch):
+    """The list of arguments of every packed replay of V from now on."""
+    calls, replay = [], tauthom.matrices._replay_packed
+    monkeypatch.setattr(tauthom.matrices, "_replay_packed",
+                        lambda *args: calls.append(args) or replay(*args))
+    return calls
+
+
 class TestPackedProduct:
     """``_product_equals(a, b, c)`` decides a * b == [c | 0] exactly, on
     either path."""
@@ -418,7 +439,7 @@ def check_smith(m):
     diag = s.diagonal
     assert all(x > 0 for x in diag[:s.rank]) and not any(diag[s.rank:])
     assert all(b % a == 0 for a, b in zip(diag[:s.rank], diag[1:s.rank]))
-    assert all(not any(col) for col in s.d.columns()[s.rank:])
+    assert all(not any(col) for col in s.d.transpose().data[s.rank:])
     return s
 
 
@@ -435,7 +456,7 @@ class TestDenseLadder:
         assert s.diagonal == sympy_invariant_factors(m)
         # ceil(log2 prod ||col||) = ceil(log2(prod ||col||^2) / 2), exactly
         norms = 1
-        for col in m.columns():
+        for col in m.transpose().data:
             norms *= sum(x * x for x in col)
         hadamard_bits = ((norms - 1).bit_length() + 1) // 2
         bits = max(abs(x).bit_length() for t in (s.u, s.v) for row in t.data for x in row)
@@ -503,6 +524,24 @@ class TestReferenceCores:
             assert ((h.rows, h.cols, h.data), (v.rows, v.cols, v.data), pivots) == \
                 hermite_core_reference(m), m
 
+    def test_each_replay_matches_reference(self, monkeypatch, each_replay):
+        # the packed replay runs on every matrix of full column rank, the
+        # list replay on all of them; both give the reference's transform
+        ladder = [rand_matrix(random.Random(1700 + n), n, n, 9) for n in (16, 32, 48)]
+        calls, full = packed_replays(monkeypatch), 0
+        for m in reference_corpus() + ladder:
+            h, v, pivots = _hermite_core(m)
+            assert ((h.rows, h.cols, h.data), (v.rows, v.cols, v.data), pivots) == \
+                hermite_core_reference(m), m
+            full += 0 < m.cols == len(pivots)
+        assert full >= 20 and len(calls) == (full if each_replay == "packed" else 0)
+
+
+def bidiagonal(n, k):
+    """The unit upper-bidiagonal n x n matrix with superdiagonal -k."""
+    return IntMatrix(n, n, [[1 if j == i else -k if j == i + 1 else 0 for j in range(n)]
+                            for i in range(n)])
+
 
 def random_unimodular(rng, n, steps=8):
     """A product of random elementary column operations on the identity."""
@@ -547,11 +586,11 @@ class TestHermite:
             m = rand_matrix(rng, r, c)
             if t % 4 == 1 and r and c > 1:
                 # rank-deficient: the last column is a combination of the others
-                cols = m.columns()
+                cols = list(m.transpose().data)
                 combo = [2 * a - b for a, b in zip(cols[0], cols[1])]
                 m = IntMatrix.from_columns(cols[:-1] + [combo], r)
             if t % 4 == 2 and c > 1:
-                cols = m.columns()
+                cols = list(m.transpose().data)
                 m = IntMatrix.from_columns(cols[:-1] + [cols[0]], r)
             hf = hermite_form(m)
             assert [list(row) for row in hf.h.data] == hermite_oracle(
@@ -586,6 +625,38 @@ class TestHermite:
         for m in full + ladder:
             hf = hermite_form(m)
             assert hf.v == sympy_unique_solution(m, hf.h), m
+
+    def test_replay_choice(self, monkeypatch):
+        # packed columns for dense input of full column rank whose columns
+        # stay small; lists for sparse input, rank deficiency and wide slots.
+        # The ladder's slots, 72 / 160 / 256 bits, hold V's 54 / 133 / 214
+        calls = packed_replays(monkeypatch)
+        rng = random.Random(1703)
+        for n in (16, 32, 48):
+            hermite_form.__wrapped__(rand_matrix(random.Random(1700 + n), n, n, 9))
+        assert [args[2:] for args in calls] == [(16, 9), (32, 20), (48, 32)]
+        hermite_form.__wrapped__(bidiagonal(40, 3))
+        hermite_form.__wrapped__(rand_matrix(rng, 12, 5, 9) * rand_matrix(rng, 5, 8, 9))
+        hermite_form.__wrapped__(rand_matrix(rng, 8, 8, 2 ** 4000))
+        assert len(calls) == 3
+
+    def test_slot_width_holds_the_transform(self, monkeypatch):
+        # V = M^-1 has (2^16 - 1)^8 in its corner, just below the bound
+        # 2^128 that sets 17-byte slots, and 16 bytes cannot hold it signed;
+        # M is sparse, so only a zero fill threshold packs its replay
+        k, n = 2 ** 16 - 1, 9
+        m = bidiagonal(n, k)
+        inverse = IntMatrix(n, n, [[k ** (j - i) if j >= i else 0 for j in range(n)]
+                                   for i in range(n)])
+        monkeypatch.setattr(tauthom.matrices, "_PACKED_REPLAY_FILL", 0)
+        calls = packed_replays(monkeypatch)
+        assert hermite_form.__wrapped__(m).v == inverse
+        assert [args[3] for args in calls] == [17]
+        width = tauthom.matrices._packed_slot_bytes
+        monkeypatch.setattr(tauthom.matrices, "_packed_slot_bytes", lambda *args: width(*args) - 1)
+        with pytest.raises(AssertionError, match="Hermite reduction bookkeeping failed"):
+            hermite_form.__wrapped__(m)
+        assert [args[3] for args in calls] == [17, 16]
 
     @given(st.integers(1, 6), st.integers(2, 6), st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,6 +1,10 @@
 """Smoke runs of the experiment scripts under ``scripts/`` at small sizes."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,17 @@ def test_scaling_ladder_builds_a_nerve_per_run(monkeypatch, capsys):
     assert load_script("scaling_ladder").main(argv) == 0
     assert capsys.readouterr().out
     assert len(built) == 6 and len({id(m) for m in built}) == 6
+
+
+def test_readme_commands_run_from_the_root():
+    # every script command of the README, run as written from the
+    # repository root, gets as far as its argument parser
+    root = SCRIPTS.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    commands = re.findall(r"^\* `PYTHONPATH=(\S+) python3 (scripts/\w+\.py)`", readme, re.M)
+    assert sorted(script for _, script in commands) == [
+        "scripts/homology_survey.py", "scripts/scaling_ladder.py", "scripts/solenoid_report.py"]
+    for path, script in commands:
+        done = subprocess.run([sys.executable, script, "--help"], cwd=root, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), text=True)
+        assert done.returncode == 0 and done.stdout.startswith("usage:"), done.stderr
