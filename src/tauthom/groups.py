@@ -229,14 +229,31 @@ def parse_group(text):
     return PresentedGroup.from_orders(orders)
 
 
+def _cokernel(form):
+    """(group, lifts, proj) of Z^p modulo the columns of the matrix whose
+    verified Smith form U M V == D is ``form``: the coordinates with d_i = 0
+    (free) come first, then those with d_i >= 2 (torsion), and those with
+    d_i = 1 drop out. ``lifts`` are the matching columns of U^-1, the
+    canonical generators, and ``proj`` the matching rows of U, the
+    coordinate map (unreduced; ``GroupMap`` reduces its rows)."""
+    p, diag = form.u.rows, form.diagonal
+    orders = [diag[i] if i < len(diag) else 0 for i in range(p)]
+    kept = [i for i in range(p) if orders[i] == 0] + [i for i in range(p) if orders[i] >= 2]
+    group = PresentedGroup(orders.count(0), tuple(orders[i] for i in kept if orders[i]))
+    lifts = IntMatrix._trusted(p, len(kept), tuple(tuple(row[i] for i in kept)
+                                                   for row in form.uinv.data))
+    return group, lifts, IntMatrix._trusted(len(kept), p, tuple(form.u.data[i] for i in kept))
+
+
 class Subquotient:
     """(column span of numerator) / (column span of denominator) inside Z^n.
 
-    This is the single engine behind normalization, kernels, images,
-    cokernels and homology. It keeps the Hermite form of the numerator and
-    the Smith form of the denominator's coordinates in it, enough to
-    convert both ways between ambient coordinates and canonical generator
-    coordinates:
+    This is the engine behind kernels, images and homology; a plain
+    cokernel, whose numerator is all of Z^n, is read by ``_cokernel``
+    straight off a Smith form. It keeps the Hermite form of the numerator
+    and reads the Smith form of the denominator's coordinates in it, enough
+    to convert both ways between ambient coordinates and canonical
+    generator coordinates:
 
     - ``group``       the quotient in invariant-factor form,
     - ``lifts``       ambient representatives of the canonical generators,
@@ -254,17 +271,8 @@ class Subquotient:
         inside = self._hf.solve(denominator)
         if inside is None:
             raise ValueError("denominator lattice is not contained in the numerator lattice")
-        s = smith_normal_form(inside)
-        p = inside.rows
-        diag = s.diagonal
-        orders = [diag[i] if i < len(diag) else 0 for i in range(p)]
-        free_idx = [i for i in range(p) if orders[i] == 0]
-        tors_idx = [i for i in range(p) if orders[i] >= 2]
-        kept = free_idx + tors_idx
-        self.group = PresentedGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-        self.lifts = self._hf.h * IntMatrix._trusted(
-            p, len(kept), tuple(tuple(row[i] for i in kept) for row in s.uinv.data))
-        self._proj = IntMatrix._trusted(len(kept), p, tuple(s.u.data[i] for i in kept))
+        self.group, lifts, self._proj = _cokernel(smith_normal_form(inside))
+        self.lifts = self._hf.h * lifts
 
     def coords_matrix(self, mat):
         """Canonical coordinates of each column of ``mat``."""
@@ -387,8 +395,7 @@ def normalize(presentation):
     >>> normalize(IntMatrix(0, 3, [])).describe()
     'Z^3'
     """
-    n = presentation.cols
-    return Subquotient(IntMatrix.identity(n), presentation.transpose()).group
+    return _cokernel(smith_normal_form(presentation.transpose()))[0]
 
 
 class GroupMap:
@@ -507,9 +514,8 @@ def image(f):
 
 def cokernel(f):
     """Cokernel quotient: (group, projection from the target)."""
-    n = f.target.n_gens
-    sq = Subquotient(IntMatrix.identity(n), hstack(f.matrix, f.target.relation_matrix()))
-    return sq.group, GroupMap(f.target, sq.group, sq.coords_matrix(IntMatrix.identity(n)))
+    group, _, proj = _cokernel(smith_normal_form(hstack(f.matrix, f.target.relation_matrix())))
+    return group, GroupMap(f.target, group, proj)
 
 
 def inverse(f):
@@ -562,21 +568,18 @@ class HomGroup:
 
     The generator pairs are (source generator j, coefficient generator i);
     the component at such a pair is cyclic of order gcd(d_j, e_i) generated
-    by the map sending the j-th generator to c = e_i/gcd times the i-th.
-    ``group`` is the direct sum of those cyclic groups in normal form
-    (Hatcher, *Algebraic Topology*, 3.1). Its canonical generators come
-    from the closed-form normal form of that sum, ``_cyclic`` (a
-    CyclicSum, no lattice work), and ``_maps``, the flattened maps of those
-    generators one per column; both are built on first use and checked
-    against ``group``. ``coords_of`` reads coordinates back off flattened
-    maps.
+    by the map sending the j-th generator to c = e_i/gcd times the i-th
+    (Hatcher, *Algebraic Topology*, 3.1). ``_cyclic`` is the closed-form
+    normal form of the sum of those cyclic groups (a CyclicSum, no lattice
+    work) and ``group`` is its group; ``_maps``, built on first use, holds
+    the flattened maps of its canonical generators, one per column.
+    ``coords_of`` reads coordinates back off flattened maps.
 
-    Verified when built. The library builds one instance per (A, G) pair
-    per process (``_functor``), and a memo hit returns the instance
-    verified when it was built; the constructor itself is not memoised.
+    The library builds one instance per (A, G) pair per process
+    (``_functor``); the constructor itself is not memoised.
     """
 
-    __slots__ = ("source", "coefficients", "pairs", "group", "_generators")
+    __slots__ = ("source", "coefficients", "pairs", "group", "_cyclic", "_flat")
 
     def __init__(self, source, coefficients):
         self.source = source
@@ -593,34 +596,21 @@ class HomGroup:
                     if g > 1:
                         pairs.append((j, i, ei // g, g))
         self.pairs = tuple(pairs)
-        self.group = PresentedGroup.from_orders([p[3] for p in pairs])
-        self._generators = None
+        self._cyclic = _cyclic_sum(tuple(p[3] for p in pairs))
+        self.group = self._cyclic.group
+        self._flat = None
 
-    def _built(self):
-        """(_cyclic, _maps), built once."""
-        if self._generators is None:
-            pairs = self.pairs
-            cyc = _cyclic_sum(tuple(p[3] for p in pairs))
-            if cyc.group != self.group:
-                raise AssertionError("Hom(%s, %s): the cyclic normal form gives %s, the closed "
-                                     "form %s" % (self.source, self.coefficients, cyc.group,
-                                                  self.group))
+    @property
+    def _maps(self):
+        if self._flat is None:
             m, k = self.coefficients.n_gens, self.group.n_gens
             # a lift is reduced modulo its pair's order gcd(d_j, e_i), so c times
             # it is reduced modulo e_i
             rows = [(0,) * k] * (self.source.n_gens * m)
-            for (j, i, c, _), lift in zip(pairs, cyc.lifts.data):
+            for (j, i, c, _), lift in zip(self.pairs, self._cyclic.lifts.data):
                 rows[j * m + i] = tuple(c * x for x in lift)
-            self._generators = cyc, IntMatrix._trusted(len(rows), k, tuple(rows))
-        return self._generators
-
-    @property
-    def _cyclic(self):
-        return self._built()[0]
-
-    @property
-    def _maps(self):
-        return self._built()[1]
+            self._flat = IntMatrix._trusted(len(rows), k, tuple(rows))
+        return self._flat
 
     def coords_of(self, flat):
         """Canonical coordinates of each column of ``flat``, a flattened map
@@ -680,47 +670,40 @@ class ExtGroup:
     resolution 0 -> Z^t --R--> Z^n -> A -> 0. With A in normal form, R
     sends the k-th basis vector to d_k times the k-th torsion generator, so
     the cokernel is Z^(t*m) modulo d_k and e_g at coordinate k*m + g: the
-    CyclicSum of the gcds above, ``_cyclic``, built on first use by
-    ``pullback`` and checked against ``group``. ``pullback`` gives the
-    contravariant action by lifting a map of groups to a map of
-    resolutions.
+    CyclicSum of the gcds above, ``_cyclic``, whose group is ``group``.
+    ``pullback`` gives the contravariant action by lifting a map of groups
+    to a map of resolutions.
 
-    Verified when built. The library builds one instance per (A, G) pair
-    per process (``_functor``), and a memo hit returns the instance
-    verified when it was built; the constructor itself is not memoised.
+    The library builds one instance per (A, G) pair per process
+    (``_functor``); the constructor itself is not memoised.
     """
 
-    __slots__ = ("source", "coefficients", "group", "_sum")
+    __slots__ = ("source", "coefficients", "group", "_cyclic")
 
     def __init__(self, source, coefficients):
         self.source = source
         self.coefficients = coefficients
-        self.group = PresentedGroup.from_orders(
-            [gcd(d, e) for d in source.torsion for e in coefficients.orders])
-        self._sum = None
-
-    @property
-    def _cyclic(self):
-        if self._sum is None:
-            cyc = _cyclic_sum(tuple(gcd(d, e) for d in self.source.torsion
-                                    for e in self.coefficients.orders))
-            if cyc.group != self.group:
-                raise AssertionError("Ext(%s, %s): the cyclic normal form gives %s, the closed "
-                                     "form %s" % (self.source, self.coefficients, cyc.group,
-                                                  self.group))
-            self._sum = cyc
-        return self._sum
+        self._cyclic = _cyclic_sum(tuple(gcd(d, e) for d in source.torsion
+                                         for e in coefficients.orders))
+        self.group = self._cyclic.group
 
     def pullback(self, f, dest):
-        """Contravariant action: f: B -> A induces Ext(A,G) -> Ext(B,G)."""
+        """Contravariant action: f: B -> A induces Ext(A,G) -> Ext(B,G).
+
+        f lifts to the resolutions as the L with R_A L = f R_B. R_A sends e_k
+        to d_k times A's k-th torsion generator and has full column rank, so
+        L is unique: f R_B must vanish on A's free rows, and L's row k is its
+        k-th torsion row divided by d_k, exactly."""
         if f.target != self.source or dest.source != f.source \
                 or dest.coefficients != self.coefficients:
             raise IllFormedMap("pullback groups do not line up")
-        r_a = self.source.relation_matrix()
-        r_b = f.source.relation_matrix()
-        lifted = solve_columns(r_a, f.matrix * r_b)           # t_A x t_B
-        if lifted is None:
+        image = f.matrix * f.source.relation_matrix()         # n_A x t_B
+        free, torsion = self.source.free_rank, self.source.torsion
+        if any(map(any, image.data[:free])) or any(
+                x % d for d, row in zip(torsion, image.data[free:]) for x in row):
             raise AssertionError("resolution lift must exist for a well-defined map")
+        lifted = IntMatrix._trusted(len(torsion), image.cols, tuple(   # t_A x t_B
+            tuple(x // d for x in row) for d, row in zip(torsion, image.data[free:])))
         push = _precompose(lifted, self.coefficients.n_gens)  # (t_B*m) x (t_A*m)
         return GroupMap(self.group, dest.group,
                         dest._cyclic.coords_matrix(push * self._cyclic.lifts))

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup,
-                     Subquotient, _functor, _preimage, cokernel, kernel, kernel_lattice)
-from .matrices import (IntMatrix, _json_object, column_basis, hstack,
+from .groups import (ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient, _cokernel,
+                     _functor, _preimage, cokernel, kernel, kernel_lattice)
+from .matrices import (IntMatrix, _json_list, _json_object, column_basis, hstack,
                        smith_normal_form)
 
 
@@ -82,8 +82,9 @@ class _Sequence:
     def from_json(cls, obj):
         obj = _json_object(obj, cls.__name__.lower())
         prefix = _json_object(obj.get("prefix", {"groups": [], "maps": []}), "prefix")
-        groups = [PresentedGroup.from_json(g) for g in prefix.get("groups", [])]
-        mats = [IntMatrix.from_json(m) for m in prefix.get("maps", [])]
+        groups = [PresentedGroup.from_json(g)
+                  for g in _json_list(prefix.get("groups", []), "prefix groups")]
+        mats = [IntMatrix.from_json(m) for m in _json_list(prefix.get("maps", []), "prefix maps")]
         tail_obj = obj.get("tail")
         if tail_obj is not None:
             tail_obj = _json_object(tail_obj, "tail")
@@ -355,12 +356,11 @@ def colim(telescope):
     if steps is None:
         raise AssertionError("kernel chain of the tail on %s still grows past the bound of "
                              "%d steps" % (A.describe(), bound))
-    quot = Subquotient(IntMatrix.identity(A.n_gens), current)
-    abar = quot.group
-    fbar = GroupMap(abar, abar, quot.coords_matrix(f.matrix * quot.lifts))
+    abar, lifts, proj = _cokernel(smith_normal_form(current))
+    fbar = GroupMap(abar, abar, proj * (f.matrix * lifts))
     coker_group, _ = cokernel(fbar)
     if coker_group.is_trivial:
-        proj = GroupMap(A, abar, quot.coords_matrix(IntMatrix.identity(A.n_gens)))
+        proj = GroupMap(A, abar, proj)
         comps = _prefix_composites_to_last(maps, stages)
         injections = tuple(proj @ c for c in comps)
         return LimOutcome(

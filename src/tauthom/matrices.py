@@ -213,6 +213,13 @@ def _json_object(obj, what):
     return obj
 
 
+def _json_list(obj, what):
+    """``obj`` when it is a JSON array; otherwise ValueError naming ``what``."""
+    if not isinstance(obj, list):
+        raise ValueError("%s data must be a JSON array, got %s" % (what, type(obj).__name__))
+    return obj
+
+
 def _json_degrees(obj, what):
     """The entries of the JSON object ``obj`` keyed by degree, as (int, value)
     pairs. A degree key is '0', or ASCII digits without a leading zero after

@@ -317,6 +317,14 @@ class TestExitCodes:
         ("milnor", {"homology": {"0": Z_TOWER, "\u0661": Z_TOWER}}, "got '\u0661'"),
         ("milnor", {"homology": {"1": Z_TOWER}, "cohomology": {" 1": Z_TOWER}}, "got ' 1'"),
         ("milnor", {"homology": {"1": Z_TOWER}, "A": {"+1": {}}}, "got '+1'"),
+        # a string would be read as one-character group names, an object as
+        # an empty list of maps
+        ("lim", {"prefix": {"groups": "Z", "maps": {}}}, "prefix groups data must be a JSON"),
+        ("lim", {"prefix": {"groups": ["Z"], "maps": {}}}, "prefix maps data must be a JSON"),
+        ("colim", {"prefix": {"groups": "Z"}}, "prefix groups data must be a JSON array"),
+        ("colim", {"prefix": {"groups": ["Z", "Z"], "maps": "[[1]]"}}, "prefix maps data"),
+        ("sixterm", {"prefix": {"groups": {"Z": 1}}}, "prefix groups data must be a JSON array"),
+        ("sixterm", {"prefix": {"groups": ["Z"], "maps": 0}}, "prefix maps data"),
     ])
     def test_invalid_json_number_is_two(self, capsys, tmp_path, verb, obj, field):
         path = write_json(tmp_path, "in.json", obj)

@@ -550,6 +550,34 @@ class TestUct:
             assert len(events) == 2 * len(records) + len(smiths) + len(certs)
             assert {key[0] for key in cx._integral} == {"V", "H"}
 
+    def test_cold_path_reads_each_cokernel_off_its_smith_form(self, monkeypatch):
+        # on fresh complexes the certificates build no Subquotient, take a
+        # Hermite form of an identity matrix only where a differential or its
+        # transform V is one, and ask for one Smith form per degree from lo to
+        # hi + 1
+        import tauthom.complexes as complexes
+        import tauthom.groups as groups
+        import tauthom.matrices as matrices
+        rng = seeded(33)
+        for i in range(20):
+            cx, _ = random_free_cochain_complex(rng)
+            built, hermites, smiths = [], [], []
+            init = Subquotient.__init__
+            monkeypatch.setattr(Subquotient, "__init__", lambda sq, num, den:
+                                built.append(num) or init(sq, num, den))
+            for module in (matrices, groups, complexes):
+                monkeypatch.setattr(module, "hermite_form", lambda mat: hermites.append(mat)
+                                    or hermite_form(mat))
+                monkeypatch.setattr(module, "smith_normal_form", lambda mat: smiths.append(mat)
+                                    or smith_normal_form(mat))
+            uct_certificates(cx, COEFFICIENTS[i % len(COEFFICIENTS)])
+            monkeypatch.undo()
+            assert built == []
+            named = {mat for n in range(cx.lo - 1, cx.hi + 2)
+                     for mat in (cx.diff(n), hermite_form(cx.diff(n)).v)}
+            assert [mat for mat in hermites if mat.is_identity() and mat not in named] == []
+            assert len(smiths) == cx.hi + 2 - cx.lo
+
     def test_record_divides_the_smith_form_exactly(self, monkeypatch):
         # a Smith form of inside(n) with the row of an invariant factor 1
         # added to a torsion row of U stops degree n's record: row i of

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used in the module that imports it,
 every public top-level name of the package is reached from the package's own
 code, the scripts or the benchmark (or is kept on purpose), the package has
-no ``assert`` statement, every memo of the package is bounded, and every
+no ``assert`` statement, every memo of the package is bounded, no plain
+cokernel is built as a ``Subquotient`` of an identity lattice, and every
 library hook of the benchmark under ``perfbench/`` still resolves.
 
 The scan is a plain ``ast`` walk over the package, the tests and the
@@ -159,6 +160,50 @@ def test_package_memos_are_bounded():
     # keep resource use bounded: every memo of the library has a finite size
     assert [item for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")
             for item in unbounded_memos(os.path.join(PACKAGE, name))] == []
+
+
+def identity_subquotients(path):
+    """``file:line`` for each call ``Subquotient(IntMatrix.identity(...), ...)``
+    in ``path``, bare or as a module attribute, numerator given by position
+    or keyword. Such a quotient is a plain cokernel, which ``_cokernel``
+    reads straight off one Smith form, with no Hermite form of I and no
+    solves or products against it."""
+    def named(expr, name):
+        return isinstance(expr, ast.Name) and expr.id == name \
+            or isinstance(expr, ast.Attribute) and expr.attr == name
+
+    rel, found = os.path.relpath(path, ROOT), []
+    for node in ast.walk(_parse(path)):
+        if not (isinstance(node, ast.Call) and named(node.func, "Subquotient")):
+            continue
+        numerator = node.args[:1] + [k.value for k in node.keywords if k.arg == "numerator"]
+        if any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+               and arg.func.attr == "identity" and named(arg.func.value, "IntMatrix")
+               for arg in numerator):
+            found.append("%s:%d" % (rel, node.lineno))
+    return found
+
+
+def test_identity_scan_flags_plain_cokernels(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from tauthom import groups\n"
+                    "from tauthom.groups import Subquotient\n"
+                    "from tauthom.matrices import IntMatrix\n\n"
+                    "a = Subquotient(IntMatrix.identity(3), rel)\n"
+                    "b = groups.Subquotient(IntMatrix.identity(n), rel)\n"
+                    "c = Subquotient(denominator=rel, numerator=IntMatrix.identity(2))\n"
+                    "d = Subquotient(lattice, IntMatrix.identity(2))\n"
+                    "e = Subquotient(IntMatrix.zeros(2, 2), rel)\n"
+                    "f = IntMatrix.identity(3)\n"
+                    "g = Subquotient(hstack(IntMatrix.identity(2), rel), rel)\n",
+                    encoding="utf-8")
+    flagged = [item.rsplit(":", 1)[1] for item in identity_subquotients(str(path))]
+    assert flagged == ["5", "6", "7"]
+
+
+def test_package_reads_plain_cokernels_off_smith_forms():
+    assert [item for path in _sources((PACKAGE,))
+            for item in identity_subquotients(path)] == []
 
 
 def unreached_public_names(package, callers, kept=()):

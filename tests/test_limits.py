@@ -88,6 +88,17 @@ class TestSequenceValidation:
         with pytest.raises(ValueError, match="must be a JSON object, got"):
             cls.from_json(obj)
 
+    @pytest.mark.parametrize("prefix, field", [
+        ({"groups": "Z", "maps": []}, "prefix groups"),
+        ({"groups": "ZZ", "maps": {}}, "prefix groups"),
+        ({"groups": {"0": "Z"}}, "prefix groups"),
+        ({"groups": ["Z"], "maps": {}}, "prefix maps"),
+        ({"groups": ["Z", "Z"], "maps": "1"}, "prefix maps"),
+    ])
+    def test_from_json_needs_arrays(self, cls, prefix, field):
+        with pytest.raises(ValueError, match="%s data must be a JSON array, got" % field):
+            cls.from_json({"prefix": prefix})
+
     def test_from_json_tail_group_must_match_last_stage(self, cls):
         obj = cls.periodic(times(3, Z8)).to_json()
         obj["tail"]["group"] = Z4.to_json()
