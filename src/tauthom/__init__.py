@@ -16,8 +16,7 @@ from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      image, inverse, kernel, kernel_lattice, parse_group)
 from .complexes import (CertificateFailure, CoefficientComplex,
                         DegreeOutOfRange, FreeComplex, NotFree,
-                        UctCertificate, UctSuite, uct_certificate,
-                        uct_certificates)
+                        UctCertificate, uct_certificate, uct_certificates)
 from .limits import (IsoReport, LimOutcome, MalformedTower, SixTermReport,
                      Telescope, Tower, colim, ext_tower, hom_into_colim_check,
                      hom_tower, lim, lim1, lim_higher, six_term_check)

@@ -17,18 +17,16 @@ import sys
 from .complexes import (CoefficientComplex, DegreeOutOfRange, FreeComplex, uct_certificate,
                         uct_certificates)
 from .groups import PresentedGroup, parse_group
-from .kolmogoroff import (ConditionViolated, FiniteModel, NerveComplex,
-                          Partition, kolmogoroff_homology, model_preset)
+from .kolmogoroff import FiniteModel, NerveComplex, Partition, kolmogoroff_homology, model_preset
 from .limits import Telescope, Tower, colim, lim, lim1, lim_higher, six_term_check
 from .matrices import IntMatrix, smith_normal_form
-from .tautness import (InconsistentData, LimNotExact, NeighborhoodTower,
-                       _tautness_reports, milnor_sequence, reports_consistent,
-                       tautness_preset)
+from .tautness import (InconsistentData, NeighborhoodTower, _tautness_reports,
+                       milnor_sequence, reports_consistent, tautness_preset)
 
 PROG = "tauthom"
 
 # The check errors that derive from ValueError must be caught first.
-_CHECK_ERRORS = (AssertionError, ConditionViolated, InconsistentData, LimNotExact)
+_CHECK_ERRORS = (AssertionError, InconsistentData)
 _INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError)
 
 

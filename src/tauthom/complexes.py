@@ -24,19 +24,19 @@ bases the coboundaries of C are blocks of the inclusions B^n -> Z^n, so
 H_n(Hom(C, G)) is Hom(H^n, G) plus the Ext term, and no lattice of
 Hom(C^n, G) is built. Before the certificate is returned the maps are
 verified by the biproduct identities (Mac Lane, *Categories for the Working
-Mathematician*, VIII.2): e∘i = 0 and e∘s = 1, a retraction r solved from
-i∘r = 1 - s∘e modulo the middle group's relations, and r∘i = 1. These make
-the sequence split exact.
+Mathematician*, VIII.2) against the retraction r onto the Ext term that
+the middle's normal form already holds: e∘i = 0, e∘s = 1, r∘i = 1 and
+i∘r + s∘e = 1. These make the sequence split exact.
 
 Every term over G is a sum of cyclic groups, put in normal form by the
 closed-form ``CyclicSum``, so a certificate takes no Hermite or Smith form
-over G except the solve of the retraction. H^n is the cokernel of the
-inclusion B^n -> Z^n, read off its one Smith form U inside V = D
-(``_cokernel``), so no Subquotient is built at all. The Ext term is
-``ExtGroup``'s closed form of H^{n+1}, generated by rows of V^-1 tensored
-with G's generators, for the Smith form that gives H^{n+1}. The Hom term's
-basis is ``HomGroup``'s, and the middle's normal form and summand
-inclusions are those of the sum of the two.
+over G. H^n is the cokernel of the inclusion B^n -> Z^n, read off its one
+Smith form U inside V = D (``_cokernel``), so no Subquotient is built at
+all. The Ext term is ``ExtGroup``'s closed form of H^{n+1}, generated by
+rows of V^-1 tensored with G's generators, for the Smith form that gives
+H^{n+1}. The Hom term's basis is ``HomGroup``'s, and the middle's normal
+form, summand inclusions and their retractions are those of the sum of the
+two.
 
 The integral lattice work of a certificate (per degree the Hermite
 transform of d^n and its inverse, and the Smith form behind H^n and the
@@ -176,6 +176,13 @@ def homology_groups(mats, orders):
             for n in sorted(ords)}
 
 
+def _in_range(cx, n):
+    """n, after checking it against the degree range [cx.lo, cx.hi]."""
+    if not cx.lo <= n <= cx.hi:
+        raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, cx.lo, cx.hi))
+    return n
+
+
 class FreeComplex:
     """A bounded complex of finitely generated free abelian groups.
 
@@ -186,7 +193,7 @@ class FreeComplex:
     ``_integral`` keeps the integral lattice data of UCT certificates, which
     does not depend on the coefficient group: per degree the verified
     Hermite transform of d^n and its inverse, and H^n with the Ext
-    generators of degree n - 1 (``UctSuite``)."""
+    generators of degree n - 1 (``CoefficientComplex``)."""
 
     __slots__ = ("direction", "lo", "hi", "ranks", "diffs", "_dense", "_integral")
 
@@ -243,9 +250,7 @@ class FreeComplex:
 
     def homology(self, n):
         """Integral (co)homology at degree n in invariant-factor form."""
-        if not self.lo <= n <= self.hi:
-            raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, self.lo, self.hi))
-        return self.homology_all()[n]
+        return self.homology_all()[_in_range(self, n)]
 
     def homology_all(self):
         """Every (co)homology group, from the unit-reduced complex; a
@@ -266,39 +271,6 @@ class FreeComplex:
         diffs = {n: IntMatrix.from_json(m)
                  for n, m in _json_degrees(obj.get("diffs", {}), "differential")}
         return cls(obj["direction"], obj["lo"], obj["hi"], obj["ranks"], diffs)
-
-
-class CoefficientComplex:
-    """The chain complex Hom(C, G) of a free cochain complex C.
-
-    Degree n carries one copy of G per rank of C^n; elements are stored
-    block-major (all of G's coordinates for basis element 0, then 1, ...).
-    Differentials are the transposed differentials of C acting blockwise.
-    """
-
-    __slots__ = ("base", "coefficients", "lo", "hi")
-
-    def __init__(self, base, coefficients):
-        if base.direction != "cochain":
-            raise ValueError("coefficient complexes are built from cochain complexes")
-        self.base = base
-        self.coefficients = coefficients
-        self.lo, self.hi = base.lo, base.hi
-
-    def orders(self, n):
-        return self.coefficients.orders * self.base.rank(n)
-
-    def homology(self, n):
-        if not self.lo <= n <= self.hi:
-            raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, self.lo, self.hi))
-        return self.homology_all()[n]
-
-    def homology_all(self):
-        """Every homology group, from the unit-reduced sparse complex."""
-        m, degrees = self.coefficients.n_gens, range(self.lo, self.hi + 1)
-        return homology_groups({n + 1: d.transpose().blockwise(m)
-                                for n, d in self.base.diffs.items()},
-                               {n: self.orders(n) for n in degrees})
 
 
 @dataclass(frozen=True)
@@ -332,46 +304,68 @@ class UctCertificate:
                 "verified": True}
 
 
-def _check_split(n, include, evaluate, split):
-    """Raise CertificateFailure unless include, evaluate and split extend to
-    a biproduct: e∘i = 0, e∘s = 1, and some r with i∘r = 1 - s∘e and r∘i = 1.
-    These identities make 0 -> Ext -include-> . -evaluate-> . -> 0 split
-    exact (Mac Lane, VIII.2)."""
+def _check_split(n, include, evaluate, split, retraction):
+    """Raise CertificateFailure unless include, evaluate, split and the
+    retraction matrix r onto the Ext term form a biproduct: e∘i = 0,
+    e∘s = 1, r∘i = 1 and i∘r + s∘e = 1, with r well defined. These
+    identities make 0 -> Ext -include-> . -evaluate-> . -> 0 split exact
+    (Mac Lane, VIII.2)."""
     if not (evaluate @ include).is_zero:
         raise CertificateFailure("degree %d: composite through the middle is nonzero" % n)
     if not (evaluate @ split).is_identity:
         raise CertificateFailure("degree %d: splitting is not a right inverse" % n)
     middle = include.target
-    rest = IntMatrix.identity(middle.n_gens) - split.matrix * evaluate.matrix
-    sol = solve_columns(hstack(include.matrix, middle.relation_matrix()), rest)
-    if sol is None:
-        raise CertificateFailure("degree %d: kernel of evaluation escapes the image of "
-                                 "the Ext term" % n)
     try:
-        retract = GroupMap(middle, include.source, IntMatrix._trusted(
-            include.source.n_gens, middle.n_gens, sol.data[:include.source.n_gens]))
+        retract = GroupMap(middle, include.source, retraction)
     except IllFormedMap:
         raise CertificateFailure("degree %d: retraction onto the Ext term is not well "
                                  "defined" % n) from None
     if not (retract @ include).is_identity:
         raise CertificateFailure("degree %d: the Ext term fails to inject" % n)
+    if not GroupMap(middle, middle, include.matrix * retract.matrix
+                    + split.matrix * evaluate.matrix).is_identity:
+        raise CertificateFailure("degree %d: kernel of evaluation escapes the image of "
+                                 "the Ext term" % n)
 
 
-class UctSuite:
-    """Builds universal-coefficient certificates for one (complex, G) pair,
-    a cochain complex C. The integral lattice work does not depend on G: per
+class CoefficientComplex:
+    """The chain complex Hom(C, G) of a free cochain complex C, and its
+    universal-coefficient certificates.
+
+    Degree n carries one copy of G per rank of C^n; elements are stored
+    block-major (all of G's coordinates for basis element 0, then 1, ...).
+    Differentials are the transposed differentials of C acting blockwise.
+
+    The integral lattice work of a certificate does not depend on G: per
     degree one verified Hermite transform of d^n (``_split``) and one Smith
     form of the inclusion B^n -> Z^n, whose cokernel is H^n in cocycle
     coordinates and whose torsion rows of U give the Ext generators of
-    degree n - 1 (``_cohomology``). It is memoised on the complex under two
-    key kinds, so neighbouring degrees and every coefficient group share
-    it. Nothing that depends on G is kept there."""
+    degree n - 1 (``_cohomology``). It is memoised on C under two key
+    kinds, so neighbouring degrees and every coefficient group share it.
+    Nothing that depends on G is kept there.
+    """
+
+    __slots__ = ("base", "coefficients", "lo", "hi")
 
     def __init__(self, base, coefficients):
         if base.direction != "cochain":
             raise ValueError("coefficient complexes are built from cochain complexes")
         self.base = base
         self.coefficients = coefficients
+        self.lo, self.hi = base.lo, base.hi
+
+    def orders(self, n):
+        return self.coefficients.orders * self.base.rank(n)
+
+    def homology(self, n):
+        return self.homology_all()[_in_range(self, n)]
+
+    def homology_all(self):
+        """Every homology group, from the unit-reduced sparse complex."""
+        m, degrees = self.coefficients.n_gens, range(self.lo, self.hi + 1)
+        return homology_groups({n + 1: d.transpose().blockwise(m)
+                                for n, d in self.base.diffs.items()},
+                               {n: self.orders(n) for n in degrees})
 
     def _memo(self, key, build):
         memo = self.base._integral
@@ -450,9 +444,11 @@ class UctSuite:
     def certificate(self, n):
         """The verified certificate of degree n. The middle is the direct sum
         of the Ext and Hom terms (``_middle``), so the injection and the
-        splitting are the summand inclusions; the surjection evaluates the
-        middle's lifts on the cocycles that represent H^n."""
-        ext_sum, homg, mid_sum, lifts = self._middle(n)
+        splitting are the summand inclusions, and the Ext rows of the
+        middle's lifts the retraction r that ``_check_split`` checks them
+        with; the surjection evaluates the middle's lifts on the cocycles
+        that represent H^n."""
+        ext_sum, homg, mid_sum, lifts = self._middle(_in_range(self, n))
         ext, hom, mid = ext_sum.group, homg.group, mid_sum.group
         k, inclusions = ext.n_gens, mid_sum.proj.data
         injection = GroupMap(ext, mid, IntMatrix._trusted(
@@ -461,12 +457,9 @@ class UctSuite:
             mid.n_gens, hom.n_gens, tuple(row[k:] for row in inclusions)))
         h_lifts = _precompose(self._cohomology(n)[1], self.coefficients.n_gens)
         surjection = GroupMap(mid, hom, homg.coords_of(h_lifts * lifts))
-        cert = UctCertificate(n, ext, hom, mid, injection, surjection, splitting)
-        self._verify(cert)
-        return cert
-
-    def _verify(self, cert):
-        _check_split(cert.degree, cert.injection, cert.surjection, cert.splitting)
+        _check_split(n, injection, surjection, splitting, IntMatrix._trusted(
+            k, mid.n_gens, mid_sum.lifts.data[:k]))
+        return UctCertificate(n, ext, hom, mid, injection, surjection, splitting)
 
 
 def uct_certificate(base, coefficients, n):
@@ -475,13 +468,11 @@ def uct_certificate(base, coefficients, n):
     Raises CertificateFailure if any exactness check fails (which would
     signal an implementation bug, not a property of the input).
     """
-    if not base.lo <= n <= base.hi:
-        raise DegreeOutOfRange("degree %d outside [%d, %d]" % (n, base.lo, base.hi))
-    return UctSuite(base, coefficients).certificate(n)
+    _in_range(base, n)  # a degree out of range is named before the direction
+    return CoefficientComplex(base, coefficients).certificate(n)
 
 
 def uct_certificates(base, coefficients):
     """Certificates for every degree of the complex, sharing integral work."""
-    suite = UctSuite(base, coefficients)
-    return {n: suite.certificate(n) for n in base.degrees()}
-
+    cc = CoefficientComplex(base, coefficients)
+    return {n: cc.certificate(n) for n in base.degrees()}

@@ -161,7 +161,7 @@ class PresentedGroup:
             raise ValueError("group field 'free' must be a nonnegative integer, got %r" % (free,))
         if any(type(d) is not int or d < 1 for d in torsion):
             raise ValueError("group field 'torsion' must list integers >= 1, got %r" % (torsion,))
-        return PresentedGroup.from_orders([0] * free + torsion)
+        return PresentedGroup(free, PresentedGroup.from_orders(torsion).torsion)
 
 
 def _sweep(chain):
@@ -193,8 +193,7 @@ def parse_group(text):
     >>> parse_group('Z/6 + Z/4').describe()
     'Z/2 + Z/12'
     """
-    orders = []
-    pos = 0
+    free, orders, pos = 0, [], 0
     stripped = text.strip()
     if stripped == "0":
         return PresentedGroup(0, ())
@@ -214,11 +213,11 @@ def parse_group(text):
         # only ASCII digits: str.isdigit also accepts superscripts such as '²'
         digits = body.isascii() and body.isdigit()
         if term == "Z":
-            orders.append(0)
+            free += 1
         elif term.startswith("Z^"):
             if not digits:
                 raise GroupParseError("bad free rank %r" % term, offset)
-            orders.extend([0] * int(body))
+            free += int(body)
         elif term.startswith("Z/"):
             if not digits or int(body) < 1:
                 raise GroupParseError("bad cyclic order %r" % term, offset)
@@ -226,7 +225,8 @@ def parse_group(text):
         else:
             raise GroupParseError("expected Z, Z^r or Z/d, got %r" % term, offset)
         pos += len(chunk) + 1
-    return PresentedGroup.from_orders(orders)
+    # the free rank is added afterwards, never expanded into a list of zeros
+    return PresentedGroup(free, PresentedGroup.from_orders(orders).torsion)
 
 
 def _cokernel(form):

@@ -65,6 +65,17 @@ class TestVerbs:
         code, out, _ = run_cli(capsys, "group", "--input", path)
         assert code == 0 and "Z/4" in out
 
+    @pytest.mark.parametrize("source", ["string", "file"])
+    def test_group_with_huge_free_rank(self, capsys, tmp_path, source):
+        # the free rank is never expanded into a list of 10^12 zeros
+        if source == "string":
+            argv = ("--coefficients", "Z^1000000000000")
+        else:
+            argv = ("--input", write_json(tmp_path, "g.json",
+                                          {"free": 1000000000000, "torsion": []}))
+        code, out, _ = run_cli(capsys, "group", *argv)
+        assert code == 0 and "group: Z^1000000000000\n" in out
+
     def test_homology_preset_integral(self, capsys):
         code, out, _ = run_cli(capsys, "homology", "--preset", "rp2-6vertex")
         assert code == 0
@@ -445,8 +456,8 @@ class TestDeterminism:
         _, full, _ = run_cli(capsys, "uct", "--preset", "rp2-6vertex",
                              "--coefficients", "Z+Z/4", "--format", "json")
         built = []
-        certificate = complexes.UctSuite.certificate
-        monkeypatch.setattr(complexes.UctSuite, "certificate",
+        certificate = complexes.CoefficientComplex.certificate
+        monkeypatch.setattr(complexes.CoefficientComplex, "certificate",
                             lambda suite, n: built.append(n) or certificate(suite, n))
         _, one, _ = run_cli(capsys, "uct", "--preset", "rp2-6vertex",
                             "--coefficients", "Z+Z/4", "--format", "json", "--degree", "1")

@@ -74,6 +74,16 @@ class TestPresentedGroup:
         assert parse_group("Z + Z/2") == PresentedGroup(1, (2,))
         assert parse_group("0").is_trivial
 
+    @pytest.mark.parametrize("make", [
+        lambda: parse_group("Z^1000000000000 + Z/6 + Z + Z/4"),
+        lambda: PresentedGroup.from_json({"free": 1000000000001, "torsion": [6, 4]}),
+    ], ids=["parse", "json"])
+    def test_huge_free_rank_is_not_expanded(self, make):
+        # a free rank far beyond memory is a number, never a list of zeros
+        g = make()
+        assert g == PresentedGroup(10 ** 12 + 1, (2, 12))
+        assert g.describe() == "Z^1000000000001 + Z/2 + Z/12"
+
     def test_parse_errors_carry_position(self):
         with pytest.raises(GroupParseError) as e:
             parse_group("Z/2+Q/3")
