@@ -13,7 +13,7 @@ from .matrices import (HermiteForm, IntMatrix, SmithForm, determinant,
                        smith_normal_form, solve_columns)
 from .groups import (ExtGroup, GroupMap, GroupParseError, HomGroup,
                      IllFormedMap, PresentedGroup, Subquotient, cokernel,
-                     image, inverse, kernel, kernel_lattice, parse_group)
+                     kernel, kernel_lattice, parse_group)
 from .complexes import (CertificateFailure, CoefficientComplex,
                         DegreeOutOfRange, FreeComplex, NotFree,
                         UctCertificate, uct_certificate, uct_certificates)

@@ -61,7 +61,10 @@ def _load(args):
     if args.input is None:
         raise ValueError("this verb needs --input")
     with open(args.input, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def _coefficients(args):
@@ -140,10 +143,18 @@ def _json_pieces(obj, pad, out):
 
 def _emit(args, obj, text_lines):
     """The report: ``obj`` as JSON, or the lines that ``text_lines()``
-    returns, which are built only for the text format."""
-    if args.format == "json":
-        return _json_text(obj)
-    return "\n".join(text_lines())
+    returns, which are built only for the text format. The interpreter's
+    limit on the digits of an int written as text (Python 3.10.7 on) guards
+    parsing; it is lifted while the report is written."""
+    limit = getattr(sys, "set_int_max_str_digits", None)
+    saved = limit and sys.get_int_max_str_digits()
+    if limit:
+        limit(0)
+    try:
+        return _json_text(obj) if args.format == "json" else "\n".join(text_lines())
+    finally:
+        if limit:
+            limit(saved)
 
 
 def _outcome_lines(label, outcome, indent="  "):

@@ -1,5 +1,5 @@
 """Finitely generated abelian groups in invariant-factor normal form,
-together with homomorphisms, kernels/images/cokernels, and the Hom and Ext
+together with homomorphisms, kernels and cokernels, and the Hom and Ext
 functors with explicit (contravariant) functorial action.
 
 A group is always reported as Z^r (+) Z/d1 (+) ... (+) Z/dk with
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from operator import add
 
-from .matrices import (IntMatrix, _SparseMatrix, _xgcd, hermite_form, hstack, kernel_basis,
-                       smith_normal_form, solve_columns)
+from .matrices import IntMatrix, _xgcd, hermite_form, hstack, kernel_basis, smith_normal_form
 
 
 class IllFormedMap(ValueError):
@@ -81,15 +80,6 @@ class PresentedGroup:
     def is_trivial(self):
         return self.n_gens == 0
 
-    def cardinality(self):
-        """Number of elements, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def relation_matrix(self):
         """n_gens x len(torsion); column i is d_i times the i-th torsion generator."""
         return _relations_for_orders(self.orders)
@@ -107,12 +97,6 @@ class PresentedGroup:
 
     def zero(self):
         return (0,) * self.n_gens
-
-    def elements(self):
-        """Iterate all elements (finite groups only)."""
-        if self.free_rank:
-            raise ValueError("infinite group")
-        return itertools.product(*[range(d) for d in self.torsion])
 
     # -- construction ----------------------------------------------------
 
@@ -505,36 +489,10 @@ def kernel(f):
     return sq.group, GroupMap(sq.group, f.source, sq.lifts)
 
 
-def image(f):
-    """Image subgroup: (group, inclusion into the target)."""
-    rel = f.target.relation_matrix()
-    sq = Subquotient(hstack(f.matrix, rel), rel)
-    return sq.group, GroupMap(sq.group, f.target, sq.lifts)
-
-
 def cokernel(f):
     """Cokernel quotient: (group, projection from the target)."""
     group, _, proj = _cokernel(smith_normal_form(hstack(f.matrix, f.target.relation_matrix())))
     return group, GroupMap(f.target, group, proj)
-
-
-def inverse(f):
-    """Inverse GroupMap of an isomorphism, or None when f is not one.
-
-    When f is an isomorphism, every solution of f o g = 1 lifts its inverse
-    and so is well defined; a solution that is not, as for a surjection
-    with a nonzero kernel, shows that f is not invertible."""
-    n, m = f.target.n_gens, f.source.n_gens
-    sol = solve_columns(hstack(f.matrix, f.target.relation_matrix()), IntMatrix.identity(n))
-    if sol is None:
-        return None
-    try:
-        g = GroupMap(f.target, f.source, IntMatrix._trusted(m, n, sol.data[:m]))
-    except IllFormedMap:
-        return None
-    if not (f @ g).is_identity or not (g @ f).is_identity:
-        return None
-    return g
 
 
 # -- Hom and Ext -----------------------------------------------------------
@@ -545,11 +503,9 @@ def inverse(f):
 
 
 def _precompose(mat, m):
-    """mat^T (x) I_m as a dense matrix: phi |-> phi o mat on flattened maps
-    into a group on m generators (``mat`` dense or sparse). Row j*m + g of
-    the result holds column j of a dense ``mat`` at the offsets g, g+m, ..."""
-    if isinstance(mat, _SparseMatrix):
-        return mat.transpose().blockwise(m).dense()
+    """mat^T (x) I_m: phi |-> phi o mat on flattened maps into a group on m
+    generators. Row j*m + g of the result holds column j of ``mat`` at the
+    offsets g, g+m, ..."""
     t = mat.transpose()
     if m == 1:
         return t
@@ -563,8 +519,8 @@ def _precompose(mat, m):
 
 
 class HomGroup:
-    """Hom(A, G) for presented groups, with explicit conversions between
-    canonical coordinates and actual homomorphisms.
+    """Hom(A, G) for presented groups, with its canonical generators as
+    flattened homomorphisms and the functorial action ``pullback``.
 
     The generator pairs are (source generator j, coefficient generator i);
     the component at such a pair is cyclic of order gcd(d_j, e_i) generated
@@ -633,19 +589,6 @@ class HomGroup:
             if c:
                 t.append(tuple(x // c for x in row))
         return self._cyclic.coords_matrix(IntMatrix._trusted(len(t), flat.cols, tuple(t)))
-
-    def to_map(self, coords):
-        """The homomorphism source -> coefficients at canonical coordinates."""
-        flat, m = self._maps.apply(self.group.reduce(coords)), self.coefficients.n_gens
-        return GroupMap(self.source, self.coefficients, IntMatrix._trusted(
-            m, self.source.n_gens, tuple(flat[i::m] for i in range(m))))
-
-    def from_map(self, f):
-        """Canonical coordinates of a homomorphism source -> coefficients."""
-        if f.source != self.source or f.target != self.coefficients:
-            raise IllFormedMap("map does not belong to this Hom group")
-        flat = tuple((x,) for col in f.matrix.transpose().data for x in col)
-        return self.coords_of(IntMatrix._trusted(len(flat), 1, flat)).column(0)
 
     def pullback(self, f, dest):
         """Contravariant action: f: B -> A induces Hom(A,G) -> Hom(B,G).

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 from .complexes import (CertificateFailure, FreeComplex, homology_groups,
                         uct_certificates)
-from .groups import GroupMap, PresentedGroup
-from .limits import Telescope, colim
+from .groups import PresentedGroup
+from .limits import colim
 from .matrices import IntMatrix, _json_object, _product_equals, _SparseMatrix
 
 
@@ -567,12 +567,6 @@ class RefinementMap:
         """Pullback on integral cochains, from the coarse nerve to the fine."""
         return self.chain_matrix(n).transpose()
 
-    def compose(self, other):
-        """self after other: other maps finest to middle, self middle to coarse."""
-        if other.coarse != self.fine:
-            raise NotARefinement("refinement maps do not chain")
-        return RefinementMap(other.fine, self.coarse)
-
 
 # -- free colimit certificates -----------------------------------------------
 
@@ -654,8 +648,9 @@ def kolmogoroff_uct_check(model, partitions, coefficients):
 
     ``partitions`` is a refinement chain, coarsest first. Per degree, the
     integral cochain groups of the nerves form a telescope along refinement
-    pullbacks whose colimit is certified free with an explicit basis (the
-    finest stage); the cochain complex on that basis is then run through
+    pullbacks. Each pullback must pass the disjoint-support check of
+    ``free_colimit_basis``, so the colimit is free on the basis of the finest
+    stage; the cochain complex on that basis is then run through
     the split short exact sequence
     0 -> Ext(H^{n+1}, G) -> H_n -> Hom(H^n, G) -> 0, and each middle term
     is required to match kolmogoroff_homology of the finest partition.
@@ -667,12 +662,9 @@ def kolmogoroff_uct_check(model, partitions, coefficients):
                                  % (k + 1, k))
     maps = [RefinementMap(nerves[k + 1], nerves[k]) for k in range(len(nerves) - 1)]
     finest = nerves[-1]
-    max_dim = max(nv.dimension for nv in nerves)
-    for n in range(max_dim + 1):
-        stages = tuple(PresentedGroup(nv.count(n), ()) for nv in nerves)
-        tmaps = tuple(GroupMap(stages[k], stages[k + 1], maps[k].cochain_matrix(n))
-                      for k in range(len(nerves) - 1))
-        free_colimit_basis(Telescope(stages, tmaps))
+    for n in range(max(nv.dimension for nv in nerves) + 1):
+        for k, f in enumerate(maps):
+            _check_disjoint_support(f.cochain_matrix(n), k)
     cofree = finest.cochain_complex()
     certs = uct_certificates(cofree, coefficients)
     khom = kolmogoroff_homology(model, finest.partition, coefficients)

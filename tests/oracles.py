@@ -993,8 +993,9 @@ def kron_identity_reference(mat, block):
 
 
 def hom_to_map_reference(hom, coords):
-    """HomGroup.to_map by the pair formula: lifted pair coordinate t_p of
-    pair (j, i, c, _) adds t_p * c at entry (i, j)."""
+    """The homomorphism source -> coefficients at canonical coordinates of
+    Hom, by the pair formula: lifted pair coordinate t_p of pair
+    (j, i, c, _) adds t_p * c at entry (i, j)."""
     from tauthom.groups import GroupMap
     from tauthom.matrices import IntMatrix
     t = hom._cyclic.lifts.apply(hom.group.reduce(coords))
@@ -1006,8 +1007,9 @@ def hom_to_map_reference(hom, coords):
 
 
 def hom_from_map_reference(hom, f):
-    """HomGroup.from_map pair by pair: entry (i, j) of the checked GroupMap
-    divided by the pair's scale c."""
+    """Canonical coordinates in Hom of a homomorphism source -> coefficients,
+    pair by pair: entry (i, j) of the checked GroupMap divided by the pair's
+    scale c."""
     from tauthom.groups import IllFormedMap
     from tauthom.matrices import IntMatrix
     t = []
@@ -1052,8 +1054,8 @@ def sequence_reference(suite, n, left, mid, h_lifts):
     splitting depends on the complement S^n = span(s) of the cocycles: a Hom
     generator becomes the cochain that evaluates it on the class of the
     projection I - s dB onto Z^n along S^n."""
-    from tauthom.groups import GroupMap, HomGroup, Subquotient, inverse
-    from tauthom.matrices import IntMatrix, column_basis, kernel_basis, solve_columns
+    from tauthom.groups import GroupMap, HomGroup, Subquotient
+    from tauthom.matrices import IntMatrix, column_basis, hstack, kernel_basis, solve_columns
     G, m = suite.coefficients, suite.coefficients.n_gens
     d = suite.base.diff(n)
     b = column_basis(d)
@@ -1063,8 +1065,14 @@ def sequence_reference(suite, n, left, mid, h_lifts):
 
     h_sq = Subquotient(kernel_basis(d), suite.base.diff(n - 1))
     H = h_sq.group
-    named = inverse(GroupMap(H, H, h_sq.coords_matrix(h_lifts)))
-    assert named is not None, "the cocycles do not name generators of H^%d" % n
+    # the inverse of the automorphism h_lifts names: a solution of a o x = 1
+    # modulo the relations of H
+    auto = GroupMap(H, H, h_sq.coords_matrix(h_lifts))
+    sol = solve_columns(hstack(auto.matrix, H.relation_matrix()), IntMatrix.identity(H.n_gens))
+    named = None if sol is None else GroupMap(H, H, IntMatrix(
+        H.n_gens, H.n_gens, sol.data[:H.n_gens]))
+    assert named is not None and (named @ auto).is_identity and (auto @ named).is_identity, \
+        "the cocycles do not name generators of H^%d" % n
     homg = HomGroup(H, G)
     values = kron_identity_reference(h_lifts.transpose(), m) * mid.lifts
     evaluate = _columns_map(mid.group, homg.group, [

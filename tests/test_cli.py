@@ -209,6 +209,46 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "snf", "--input", str(path))
         assert code == 2 and "invalid input" in err
 
+    @pytest.mark.parametrize("verb", ["snf", "lim"])
+    def test_deeply_nested_json_is_two(self, capsys, tmp_path, verb):
+        # the decoder gives up on the nesting; that is bad input, not a fault
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run_cli(capsys, verb, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_with_huge_integers_is_zero(self, capsys, tmp_path, fmt):
+        # every entry has at most 3 914 digits, under the interpreter's limit
+        # on int-to-str conversion, but the transforms of the form exceed it
+        b = 2 ** 13000
+        rows = [[b + 1, b, 3], [b, b - 1, 5], [7, b + 3, b]]
+        path = write_json(tmp_path, "m.json", IntMatrix.from_rows(rows).to_json())
+        code, out, err = run_cli(capsys, "snf", "--input", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            lift = getattr(sys, "set_int_max_str_digits", None)
+            saved = sys.get_int_max_str_digits() if lift else None
+            if lift:
+                lift(0)
+            try:
+                report = json.loads(out)
+            finally:
+                if lift:
+                    lift(saved)
+            u, v, d = (IntMatrix.from_json(report[k]) for k in "uvd")
+            assert u * IntMatrix.from_rows(rows) * v == d
+
+    def test_huge_input_entry_is_two(self, capsys, tmp_path):
+        # parsing keeps the interpreter's limit on the digits of an int
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[%s]]}' % ("9" * 5000),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "snf", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: ")
+
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "snf", "--input", str(tmp_path / "no.json"))
         assert code == 2 and "invalid input" in err

@@ -7,7 +7,7 @@ from tauthom.complexes import (CertificateFailure, CoefficientComplex,
                                DegreeOutOfRange, FreeComplex, homology_groups,
                                uct_certificate, uct_certificates)
 from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, HomGroup, PresentedGroup, Subquotient,
-                            _relations_for_orders, inverse, parse_group)
+                            _relations_for_orders, cokernel, kernel, parse_group)
 from tauthom.matrices import IntMatrix, hermite_form, hstack, smith_normal_form, solve_columns
 from tauthom.randomgen import random_free_cochain_complex, random_group, seeded
 
@@ -345,7 +345,7 @@ class TestUct:
                     full = coefficient_homology_subquotient(full_sq, n)
                     ext_sum, _, _, lifts = suite._middle(n)
                     iso = GroupMap(cert.middle, full.group, full.coords_matrix(lifts))
-                    assert inverse(iso) is not None
+                    assert kernel(iso)[0].is_trivial and cokernel(iso)[0].is_trivial
                     # the Ext term from the resolution B^{n+1} -> Z^{n+1}
                     inside = suite._split(n + 1)[3] * suite._split(n)[0]
                     ext = Subquotient(IntMatrix.identity(inside.cols * g.n_gens), hstack(
@@ -354,7 +354,7 @@ class TestUct:
                     ext_iso = GroupMap(cert.ext_term, ext.group, ext.coords_matrix(
                         kron_identity_reference(ext_generators(suite, n).transpose(), g.n_gens)
                         * ext_sum.lifts))
-                    assert inverse(ext_iso) is not None
+                    assert kernel(ext_iso)[0].is_trivial and cokernel(ext_iso)[0].is_trivial
                     include, evaluate, split = sequence_reference(
                         suite, n, ext, full, suite._cohomology(n)[1])
                     assert include @ ext_iso == iso @ cert.injection
@@ -388,7 +388,7 @@ class TestUct:
                 coker = Subquotient(IntMatrix.identity(inside.cols), inside.transpose())
                 iso = GroupMap(PresentedGroup(0, above.torsion), coker.group,
                                coker.coords_matrix(ext.transpose()))
-                assert inverse(iso) is not None
+                assert kernel(iso)[0].is_trivial and cokernel(iso)[0].is_trivial
                 assert h * db == cx.diff(n)
                 assert extdb == ext * db
                 checked += bool(above.torsion)

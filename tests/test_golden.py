@@ -1,16 +1,20 @@
-"""Golden outputs of the tautness, Milnor, lim, colim, six-term and
-universal-coefficient reports.
+"""Golden outputs of every report: snf, group, homology, uct, lim, colim,
+sixterm, kolmogoroff, nerve, tautness and milnor.
 
 Each case runs the command line (or ``scripts/solenoid_report.py``) and
 compares the sha256 of its exit code, stdout and stderr with the digest
 recorded in ``golden_reports.json``. The JSON inputs live in the same file
 under ``fixtures``, so a case never depends on how the library would build
-them today: a ``tower-`` fixture is read by ``lim``, a ``telescope-``
-fixture by ``colim`` and by ``sixterm`` over each of ``SIXTERM_COEFFICIENTS``,
-a ``complex-`` fixture, a cochain complex, by ``uct`` over each of
-``UCT_COEFFICIENTS`` (as are the ``UCT_PRESETS``), and every other fixture, a
-neighborhood tower, by ``tautness`` and ``milnor``. After a deliberate change
-of output, re-record the digests of all six verbs from the stored fixtures with
+them today: a ``matrix-`` fixture is read by ``snf``, a ``model-`` fixture,
+a closure model with a partition, by ``nerve``, a ``tower-`` fixture by
+``lim``, a ``telescope-`` fixture by ``colim`` and by ``sixterm`` over each
+of ``SIXTERM_COEFFICIENTS``, a ``complex-`` fixture, a cochain complex, by
+``homology`` and by ``uct`` over each of ``UCT_COEFFICIENTS`` (as are the
+``UCT_PRESETS``), and every other fixture, a neighborhood tower, by
+``tautness`` and ``milnor``. ``homology`` and ``kolmogoroff`` also run on each
+of ``MODEL_PRESETS`` over each of ``HOMOLOGY_COEFFICIENTS``, ``nerve`` on each
+of them, and ``group`` on each of ``GROUPS``. After a deliberate change of
+output, re-record the digests of every case from the stored fixtures with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -33,6 +37,10 @@ PRESETS = [(p, r) for p in ("solenoid:2", "solenoid:3", "solenoid:5")
 SIXTERM_COEFFICIENTS = ("Z/12", "Z+Z/4")
 UCT_PRESETS = ("rp2-6vertex", "octahedron")
 UCT_COEFFICIENTS = ("Z", "Z/2", "Z/12", "Z+Z/4")
+MODEL_PRESETS = ("arc-circle:5", "octahedron", "rp2-6vertex")
+# None runs without --coefficients
+HOMOLOGY_COEFFICIENTS = (None, "Z/2", "Z/12", "Z+Z/4")
+GROUPS = ("Z/6 + Z/4", "Z^3 + Z/2", "Z/12 + Z/18 + Z", "0")
 
 
 def _golden():
@@ -52,9 +60,11 @@ def cases():
     towers = [name for name in fixtures if name.startswith("tower-")]
     telescopes = [name for name in fixtures if name.startswith("telescope-")]
     complexes = [name for name in fixtures if name.startswith("complex-")]
+    matrices = [name for name in fixtures if name.startswith("matrix-")]
+    models = [name for name in fixtures if name.startswith("model-")]
     sources = [("--preset", name) + extra for name, extra in PRESETS]
     sources += [("--input", name) for name in fixtures
-                if name not in towers + telescopes + complexes]
+                if name not in towers + telescopes + complexes + matrices + models]
     runs = [(verb,) + source + ("--degree", str(n))
             for verb in ("tautness", "milnor") for source in sources for n in (0, 1, 2)]
     runs += [("lim", "--input", name) for name in towers]
@@ -66,6 +76,14 @@ def cases():
     cochains += [("--input", name) for name in complexes]
     runs += [("uct",) + source + ("--coefficients", g)
              for source in cochains for g in UCT_COEFFICIENTS]
+    runs += [("snf", "--input", name) for name in matrices]
+    runs += [("group", "--coefficients", g) for g in GROUPS]
+    spaces = [("--preset", name) for name in MODEL_PRESETS]
+    runs += [(verb,) + source + (() if g is None else ("--coefficients", g))
+             for verb in ("homology", "kolmogoroff") for source in spaces
+             for g in HOMOLOGY_COEFFICIENTS]
+    runs += [("homology", "--input", name) for name in complexes]
+    runs += [("nerve",) + source for source in spaces + [("--input", name) for name in models]]
     out = {}
     for run in runs:
         for fmt in ("text", "json"):

@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import random
 from math import gcd, prod
 
@@ -10,20 +11,23 @@ import tauthom.matrices
 from tauthom.groups import (CyclicSum, ExtGroup, GroupMap, GroupParseError, HomGroup,
                             IllFormedMap, PresentedGroup, Subquotient, _cokernel, _cyclic_sum,
                             _functor, _precompose, _reduce_rows, _relations_for_orders,
-                            cokernel, image, inverse, kernel, kernel_lattice, normalize,
-                            parse_group)
-from tauthom.matrices import IntMatrix, _SparseMatrix, smith_normal_form, solve_columns
+                            cokernel, kernel, kernel_lattice, normalize, parse_group)
+from tauthom.matrices import IntMatrix, smith_normal_form, solve_columns
 from tauthom.randomgen import random_finite_group, random_group, random_group_map, seeded
 
 from generators import diagonal_matrix, random_matrix
 from oracles import (all_finite_groups_to, cyclic_sum_iso_oracle, ext_lattice_reference,
-                     ext_oracle, ext_pullback_reference, hom_from_map_reference, hom_oracle,
-                     hom_pullback_reference, hom_to_map_reference, invariant_factors_oracle,
-                     kron_identity_reference)
+                     ext_oracle, ext_pullback_reference, hom_oracle, hom_pullback_reference,
+                     invariant_factors_oracle, kron_identity_reference)
 
 Z = PresentedGroup(1, ())
 Z2 = PresentedGroup(0, (2,))
 Z4 = PresentedGroup(0, (4,))
+
+
+def elements(g):
+    """Every element of the finite group ``g``, by brute force."""
+    return list(itertools.product(*(range(d) for d in g.torsion)))
 
 
 def groups_strategy():
@@ -60,12 +64,6 @@ class TestPresentedGroup:
         # int() coercion would give Z + Z/2, Z + Z/4, Z/2, Z, Z, (1,), (1,) and (3,)
         with pytest.raises(ValueError, match=message):
             make()
-
-    def test_cardinality_and_elements(self):
-        g = PresentedGroup(0, (2, 4))
-        assert g.cardinality() == 8
-        assert len(list(g.elements())) == 8
-        assert Z.cardinality() is None
 
     def test_parse(self):
         assert parse_group("Z") == Z
@@ -239,7 +237,6 @@ class TestKernelImageCokernel:
     def test_times_two_on_z4(self):
         f = GroupMap(Z4, Z4, IntMatrix.from_rows([[2]]))
         assert kernel(f)[0] == Z2
-        assert image(f)[0] == Z2
         assert cokernel(f)[0] == Z2
 
     def test_kernel_lattice_annihilates(self):
@@ -256,8 +253,7 @@ class TestKernelImageCokernel:
             b = random_finite_group(rng, max_order=24)
             if a.n_gens == 0 or b.n_gens == 0:
                 continue
-            cols = [list(x) for x in
-                    (b.elements() if b.cardinality() < 200 else [b.zero()])]
+            cols = [list(x) for x in (elements(b) if prod(b.torsion) < 200 else [b.zero()])]
             f = None
             for _ in range(20):
                 pick = [list(rng.choice(cols)) for _ in range(a.n_gens)]
@@ -269,26 +265,17 @@ class TestKernelImageCokernel:
             if f is None:
                 continue
             k, _ = kernel(f)
-            im, _ = image(f)
-            assert k.cardinality() * im.cardinality() == a.cardinality()
-            assert cokernel(f)[0].cardinality() * im.cardinality() == b.cardinality()
-
-    def test_inverse_round_trip(self):
-        f = GroupMap(PresentedGroup(0, (6,)), PresentedGroup(0, (6,)),
-                     IntMatrix.from_rows([[5]]))
-        assert kernel(f)[0].is_trivial and cokernel(f)[0].is_trivial
-        g = inverse(f)
-        assert (g @ f).is_identity and (f @ g).is_identity
+            image = len({f(x) for x in elements(a)})
+            assert prod(k.torsion) * image == prod(a.torsion)
+            assert prod(cokernel(f)[0].torsion) * image == prod(b.torsion)
 
     def test_injective_surjective_predicates(self):
         f = GroupMap(Z, Z, IntMatrix.from_rows([[2]]))
         assert kernel(f)[0].is_trivial and not cokernel(f)[0].is_trivial
         p = GroupMap(Z, Z2, IntMatrix.from_rows([[1]]))
         assert cokernel(p)[0].is_trivial and not kernel(p)[0].is_trivial
-        assert inverse(p) is None
         q = GroupMap(Z4, Z2, IntMatrix.from_rows([[1]]))
         assert cokernel(q)[0].is_trivial and not kernel(q)[0].is_trivial
-        assert inverse(q) is None
 
 
 def _flatten(f):
@@ -309,7 +296,6 @@ class TestPrecompose:
             mat = random_matrix(rng, rows, cols, bound=2)
             expected = kron_identity_reference(mat.transpose(), block)
             assert _precompose(mat, block) == expected
-            assert _precompose(_SparseMatrix.of(mat), block) == expected
 
     def test_multiplicativity(self):
         rng = random.Random(13)
@@ -347,16 +333,6 @@ class TestHomExt:
             assert HomGroup(a, g).group.torsion == hom_oracle(a.torsion, g.torsion)
             assert ExtGroup(a, g).group.torsion == ext_oracle(a.torsion, g.torsion)
 
-    def test_hom_to_map_round_trip(self):
-        h = HomGroup(PresentedGroup(1, (4,)), PresentedGroup(0, (2, 8)))
-        seen = set()
-        for coords in h.group.elements():
-            f = h.to_map(coords)
-            back = h.from_map(f)
-            assert tuple(h.group.reduce(back)) == coords
-            seen.add(tuple(f.matrix.data))
-        assert len(seen) == h.group.cardinality()
-
     def test_pullback_contravariant(self):
         rng = seeded(15)
         a = PresentedGroup(0, (4,))
@@ -375,18 +351,6 @@ class TestHomExt:
         a = PresentedGroup(0, (4,))
         h = HomGroup(a, Z4)
         assert h.pullback(GroupMap.identity(a), h).is_identity
-
-    def test_coordinates_match_per_generator_reference(self):
-        rng = seeded(17)
-        groups = [parse_group(t) for t in ("Z", "Z/2", "Z/12", "Z+Z/4", "Z^2+Z/6", "0")]
-        for _ in range(60):
-            a, g = rng.choice(groups), rng.choice(groups)
-            h = HomGroup(a, g)
-            for _ in range(4):
-                coords = tuple(rng.randint(-5, 5) for _ in range(h.group.n_gens))
-                f = h.to_map(coords)
-                assert f == hom_to_map_reference(h, coords)
-                assert h.from_map(f) == hom_from_map_reference(h, f)
 
     def test_pullback_matches_per_generator_reference(self):
         rng = seeded(18)
@@ -460,8 +424,7 @@ class TestClosedForms:
         assert ExtGroup(a, g).group == parse_group("Z/4 + Z/4 + Z/2")
         assert built == []
         # Hom's generators come from the cyclic normal form, not a lattice
-        hom.to_map(hom.group.zero())
-        hom.from_map(GroupMap.zero(a, g))
+        hom.pullback(GroupMap.identity(a), hom)
         # and Ext's from the cyclic normal form of its resolution
         ext = ExtGroup(a, g)
         ext.pullback(GroupMap.identity(a), ext)
@@ -476,7 +439,7 @@ class TestClosedForms:
                                 built.append(type(obj)) or init(obj, *args))
         a, g = parse_group("Z+Z/4"), parse_group("Z^2+Z/6")
         hom, ext = _functor(HomGroup, a, g), _functor(ExtGroup, a, g)
-        hom.to_map(hom.group.zero())
+        hom.pullback(GroupMap.identity(a), hom)
         ext.pullback(GroupMap.identity(a), ext)
         assert built == [HomGroup, CyclicSum, ExtGroup, CyclicSum]
         assert _functor(HomGroup, parse_group("Z+Z/4"), g) is hom

@@ -757,9 +757,8 @@ class TestRefinements:
         r21 = RefinementMap(n2, n1)
         r10 = RefinementMap(n1, n0)
         r20 = RefinementMap(n2, n0)
-        composed = r10.compose(r21)
         for n in range(n2.dimension + 1):
-            assert composed.chain_matrix(n) == r20.chain_matrix(n)
+            assert r10.chain_matrix(n) * r21.chain_matrix(n) == r20.chain_matrix(n)
 
     def test_not_a_refinement(self):
         m = arc_circle(8)
